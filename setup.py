@@ -36,5 +36,7 @@ setup(
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.11",
     install_requires=["numpy>=1.24"],
+    # the tier-1 suite's property tests import hypothesis at module level
+    extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -490,7 +490,13 @@ class SweepResult:
         return entry.get("misses", 0), entry.get("hits", 0)
 
     def update_counts(self) -> Tuple[int, int]:
-        """(trained, reused) federate-round client-update counts."""
+        """(misses, hits) of the federate round cache.
+
+        Only cacheable rounds are looked up — those broadcasting the
+        shared pre-trained GM, i.e. each federation's first round — so
+        these are not counts of all client trainings: later rounds
+        train without a lookup and appear in neither number.
+        """
         entry = self.stats.get("federate", {})
         return entry.get("misses", 0), entry.get("hits", 0)
 
@@ -517,11 +523,11 @@ class SweepResult:
                 f"data: {data.get('misses', 0)} generated, "
                 f"{data.get('hits', 0)} reused"
             )
-            up_trained, up_reused = self.update_counts()
-            if up_trained or up_reused:
+            up_misses, up_hits = self.update_counts()
+            if up_misses or up_hits:
                 parts.append(
-                    f"round cache: {up_trained} client updates trained, "
-                    f"{up_reused} reused"
+                    f"round cache: {up_misses} misses, {up_hits} hits "
+                    f"(cacheable rounds only)"
                 )
         parts.append(
             f"{len(self.failures)} failed, {self.retried} retried, "

@@ -9,7 +9,7 @@ their LMs back through the configured aggregation strategy.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -112,6 +112,8 @@ class FederatedServer:
         self.update_cache = update_cache
         self.client_engine = client_engine
         self._cohort: Optional[ClientCohort] = None
+        #: one record per finished round, each ``ClientUpdate.state``
+        #: emptied — :meth:`run_round` returns the full record
         self.history: List[RoundRecord] = []
 
     def pretrain(
@@ -181,7 +183,14 @@ class FederatedServer:
             num_flagged=sum(u.flagged_poisoned for u in updates),
             num_dropped=int(self.strategy.last_dropped_count),
         )
-        self.history.append(record)
+        # the history keeps the round's bookkeeping, not every client's
+        # weights (~1 MB per FEDLS update, every round, for the run)
+        self.history.append(
+            replace(
+                record,
+                updates=[replace(u, state={}) for u in updates],
+            )
+        )
         logger.info(
             "round %d: mean client loss %.4f (%d malicious, %d flagged, "
             "%d dropped)",

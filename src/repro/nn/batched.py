@@ -25,8 +25,8 @@ leading axis instead, so one training step is a handful of 3-D
   cross-entropy whose gradient matches
   :class:`~repro.nn.losses.SparseCrossEntropyLoss` fold by fold (the
   kernel behind the batched federated-client engine);
-* :class:`BatchedAdam` — Adam over the stacked parameters: one
-  elementwise pass per tensor updates every fold;
+* :class:`BatchedAdam` — Adam over the stacked parameters: one tiled
+  in-place sweep per tensor updates every fold;
 * :func:`iterate_fold_batches` — per-fold shuffled mini-batch slicing,
   each fold consuming its own generator exactly as
   :func:`~repro.data.datasets.iterate_batches` would.
@@ -117,23 +117,30 @@ class BatchedLinear(Module):
                 f"need one rng per fold: got {len(rngs)} for {n_folds} folds"
             )
         initializer = get_initializer(init)
-        self.n_folds = int(n_folds)
-        self.in_features = int(in_features)
-        self.out_features = int(out_features)
-        self.weight = Parameter(
+        self._set_stacks(
             np.stack(
                 [initializer(in_features, out_features, rng) for rng in rngs]
             ),
-            "weight",
+            np.zeros((n_folds, out_features)) if bias else None,
         )
-        self.use_bias = bias
-        if bias:
-            self.bias = Parameter(np.zeros((n_folds, out_features)), "bias")
+
+    def _set_stacks(
+        self, weight: np.ndarray, bias: Optional[np.ndarray]
+    ) -> None:
+        self.n_folds, self.in_features, self.out_features = weight.shape
+        self.weight = Parameter(weight, "weight")
+        self.use_bias = bias is not None
+        if bias is not None:
+            self.bias = Parameter(bias, "bias")
         self._input: Optional[np.ndarray] = None
 
     @classmethod
     def from_linears(cls, layers: Sequence[Linear]) -> "BatchedLinear":
-        """Stack existing per-fold :class:`Linear` layers (copied weights)."""
+        """Stack existing per-fold :class:`Linear` layers (copied weights).
+
+        The stacks are built straight from the sources: no initializer
+        runs and no :func:`~repro.utils.rng.fallback_rng` stream is drawn.
+        """
         if not layers:
             raise ValueError("need at least one Linear to stack")
         first = layers[0]
@@ -144,16 +151,16 @@ class BatchedLinear(Module):
             for layer in layers
         ):
             raise ValueError("all folds must share one layer shape")
-        batched = cls(
-            len(layers),
-            first.in_features,
-            first.out_features,
-            rngs=[fallback_rng("batched-linear") for _ in layers],
-            bias=first.use_bias,
+        batched = cls.__new__(cls)
+        Module.__init__(batched)
+        batched._set_stacks(
+            np.stack([layer.weight.data for layer in layers]),
+            (
+                np.stack([layer.bias.data for layer in layers])
+                if first.use_bias
+                else None
+            ),
         )
-        batched.weight.data = np.stack([l.weight.data for l in layers])
-        if first.use_bias:
-            batched.bias.data = np.stack([l.bias.data for l in layers])
         return batched
 
     def _as_folded(self, x: np.ndarray) -> np.ndarray:
@@ -646,11 +653,15 @@ class BatchedAdam(Adam):
 
     Because every moment update and the parameter step are elementwise,
     Adam advances **all** folds of a stacked ``(n_folds, …)`` parameter
-    in one pass per tensor: a 4-layer stack steps 8 arrays per epoch
+    in one sweep per tensor: a 4-layer stack steps 8 arrays per epoch
     regardless of the fold count, where the serial loop steps ``8·n``
-    Python-level parameters.  Since the math is elementwise along the
-    fold axis, each fold's trajectory is bit-identical to a serial
-    per-fold Adam given identical init and gradients (pinned by
+    Python-level parameters.  A stack larger than
+    :data:`~repro.nn.optim.ADAM_TILE` elements is swept tile by tile,
+    each cache-sized slice running all of the step's elementwise passes
+    before the next is loaded — the fold stacks are what make Adam's
+    passes DRAM-bound.  Since the math is elementwise along the fold
+    axis, each fold's trajectory is bit-identical to a serial per-fold
+    Adam given identical init and gradients (pinned by
     ``tests/test_nn_batched.py``).  This subclass names that contract;
     it adds no behavior.
     """

@@ -15,12 +15,15 @@ Four contracts:
   reference.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.utils.rng as rng_module
 from repro.attacks import LabelFlip
+from repro.baselines import LatentSpaceAggregation
 from repro.baselines.dnn import DNNLocalizer
 from repro.data import FingerprintDataset
 from repro.experiments.artifacts import ArtifactCache, RoundCache
@@ -95,9 +98,11 @@ def _server(engine, clients=None, cache=None, max_workers=None):
     )
 
 
-def _assert_histories_equal(a, b):
-    assert len(a.history) == len(b.history)
-    for rec_a, rec_b in zip(a.history, b.history):
+def _assert_rounds_equal(a, records_a, b, records_b):
+    """Two servers' returned round records (the history keeps no client
+    weights) and final GMs agree bit for bit."""
+    assert len(records_a) == len(records_b)
+    for rec_a, rec_b in zip(records_a, records_b):
         assert len(rec_a.updates) == len(rec_b.updates)
         assert rec_a.num_flagged == rec_b.num_flagged
         assert rec_a.num_dropped == rec_b.num_dropped
@@ -197,9 +202,9 @@ class TestSerialBatchedEquivalence:
     def test_bit_exact_mixed_cohort_over_rounds(self):
         serial = _server("serial")
         batched = _server("batched")
-        serial.run_rounds(3)
-        batched.run_rounds(3)
-        _assert_histories_equal(serial, batched)
+        _assert_rounds_equal(
+            serial, serial.run_rounds(3), batched, batched.run_rounds(3)
+        )
 
     def test_bit_exact_with_heterogeneous_sample_counts(self):
         """Different local dataset sizes split the cohort into separate
@@ -220,9 +225,9 @@ class TestSerialBatchedEquivalence:
 
         serial = _server("serial", clients=cohort())
         batched = _server("batched", clients=cohort())
-        serial.run_rounds(2)
-        batched.run_rounds(2)
-        _assert_histories_equal(serial, batched)
+        _assert_rounds_equal(
+            serial, serial.run_rounds(2), batched, batched.run_rounds(2)
+        )
 
     def test_unbatchable_model_falls_back_to_serial_path(self):
         """A model that overrides train_epochs declines fold-batching and
@@ -248,9 +253,9 @@ class TestSerialBatchedEquivalence:
 
         serial = _server("serial", clients=cohort())
         batched = _server("batched", clients=cohort())
-        serial.run_rounds(2)
-        batched.run_rounds(2)
-        _assert_histories_equal(serial, batched)
+        _assert_rounds_equal(
+            serial, serial.run_rounds(2), batched, batched.run_rounds(2)
+        )
 
     def test_partition_groups_by_schedule_and_size(self):
         clients = _clients(n=5, malicious=(4,))  # 4 honest + 1 attacker
@@ -270,9 +275,9 @@ class TestSerialBatchedEquivalence:
     def test_batched_matches_threaded_serial(self):
         serial = _server("serial", max_workers=3)
         batched = _server("batched")
-        serial.run_rounds(2)
-        batched.run_rounds(2)
-        _assert_histories_equal(serial, batched)
+        _assert_rounds_equal(
+            serial, serial.run_rounds(2), batched, batched.run_rounds(2)
+        )
 
 
 class TestCompositeCohortEquivalence:
@@ -336,9 +341,9 @@ class TestCompositeCohortEquivalence:
     def test_safeloc_bit_exact_over_rounds(self):
         serial = self._server("serial", self._safeloc_model)
         batched = self._server("batched", self._safeloc_model)
-        serial.run_rounds(2)
-        batched.run_rounds(2)
-        _assert_histories_equal(serial, batched)
+        _assert_rounds_equal(
+            serial, serial.run_rounds(2), batched, batched.run_rounds(2)
+        )
 
     def test_safeloc_batched_path_engages(self):
         gm = self._safeloc_model(99).state_dict()
@@ -360,9 +365,9 @@ class TestCompositeCohortEquivalence:
     def test_onlad_bit_exact_over_rounds(self):
         serial = self._server("serial", self._onlad_model)
         batched = self._server("batched", self._onlad_model)
-        serial.run_rounds(2)
-        batched.run_rounds(2)
-        _assert_histories_equal(serial, batched)
+        _assert_rounds_equal(
+            serial, serial.run_rounds(2), batched, batched.run_rounds(2)
+        )
 
     def test_onlad_batched_path_engages(self):
         gm = self._onlad_model(99).state_dict()
@@ -380,9 +385,9 @@ class TestCompositeCohortEquivalence:
 
         serial = self._server("serial", middling)
         batched = self._server("batched", middling)
-        serial.run_rounds(2)
-        batched.run_rounds(2)
-        _assert_histories_equal(serial, batched)
+        _assert_rounds_equal(
+            serial, serial.run_rounds(2), batched, batched.run_rounds(2)
+        )
 
     def test_onlad_all_flagged_cohort_still_agrees(self):
         """tau=0 flags every sample: prepare() returns None, every fold
@@ -395,11 +400,50 @@ class TestCompositeCohortEquivalence:
 
         serial = self._server("serial", strict)
         batched = self._server("batched", strict)
-        serial.run_rounds(1)
-        batched.run_rounds(1)
-        _assert_histories_equal(serial, batched)
+        _assert_rounds_equal(
+            serial, serial.run_rounds(1), batched, batched.run_rounds(1)
+        )
         assert all(
             u.train_loss == 0.0 for u in batched.history[0].updates
+        )
+
+
+class TestStackingDrawsNoFallbackStreams:
+    """``fallback_rng``'s call counter is process-global, so a stacking
+    step that drew streams would shift the initial weights of every
+    rng-less component built after it.  Stacking copies weights and
+    draws none: batched rounds and FEDLS detection leave the counter
+    untouched once their components exist."""
+
+    @staticmethod
+    def _assert_no_draws(monkeypatch, run):
+        counter = itertools.count()
+        monkeypatch.setattr(rng_module, "_FALLBACK_COUNTER", counter)
+        run()
+        assert next(counter) == 0
+
+    @pytest.mark.parametrize("model", ["dnn", "safeloc", "onlad"])
+    def test_batched_rounds(self, monkeypatch, model):
+        composite = TestCompositeCohortEquivalence()
+        factory = {
+            "safeloc": composite._safeloc_model,
+            "onlad": composite._onlad_model,
+        }.get(model)
+        server = (
+            composite._server("batched", factory)
+            if factory
+            else _server("batched")
+        )
+        self._assert_no_draws(monkeypatch, lambda: server.run_rounds(2))
+
+    @pytest.mark.parametrize("shared_encoder", [False, True])
+    def test_fedls_detection(self, monkeypatch, shared_encoder):
+        normalized = np.random.default_rng(3).normal(size=(8, 12))
+        agg = LatentSpaceAggregation(
+            seed=7, detector_epochs=5, shared_encoder=shared_encoder
+        )
+        self._assert_no_draws(
+            monkeypatch, lambda: agg.leave_one_out_errors(normalized, 1)
         )
 
 
@@ -422,23 +466,26 @@ class TestCrossEngineRoundCache:
     def test_warm_engine_fully_reused_with_exact_counts(self, first, second):
         cache = self._cache()
         warm = _server(first, cache=cache)
-        warm.run_rounds(self.ROUNDS)
+        warm_records = warm.run_rounds(self.ROUNDS)
         expected = self.N * self.ROUNDS
         stats = cache.artifacts.stats.snapshot()["federate"]
         assert stats == {"hits": 0, "misses": expected}
 
         reuse = _server(second, cache=cache)
-        reuse.run_rounds(self.ROUNDS)
+        reuse_records = reuse.run_rounds(self.ROUNDS)
         stats = cache.artifacts.stats.snapshot()["federate"]
         assert stats == {"hits": expected, "misses": expected}
-        _assert_histories_equal(warm, reuse)
+        _assert_rounds_equal(warm, warm_records, reuse, reuse_records)
 
     def test_cached_federation_matches_uncached(self):
         cached = _server("batched", cache=self._cache())
         uncached = _server("batched")
-        cached.run_rounds(self.ROUNDS)
-        uncached.run_rounds(self.ROUNDS)
-        _assert_histories_equal(cached, uncached)
+        _assert_rounds_equal(
+            cached,
+            cached.run_rounds(self.ROUNDS),
+            uncached,
+            uncached.run_rounds(self.ROUNDS),
+        )
 
 
 # -- sweep-level: engines inside the full experiment pipeline -------------

@@ -1,5 +1,7 @@
 """Integration tests for clients, server, FedAvg and federation assembly."""
 
+from dataclasses import fields, is_dataclass, replace
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,31 @@ class TestFederatedServer:
         assert record.round_index == 1
         assert len(record.updates) == 3
         assert len(server.history) == 1
+
+    def test_history_holds_no_tensors(self):
+        """The history keeps each round's bookkeeping but drops every
+        client's weights; the record run_round returns keeps them."""
+
+        def tensors(value):
+            if isinstance(value, np.ndarray):
+                return 1
+            if is_dataclass(value):
+                value = [getattr(value, f.name) for f in fields(value)]
+            elif isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (list, tuple)):
+                return sum(tensors(item) for item in value)
+            return 0
+
+        server = self._server()
+        records = server.run_rounds(2)
+        assert all(u.state for r in records for u in r.updates)
+        assert tensors(server.history) == 0
+        # everything but the weights survives
+        for kept, full in zip(server.history, records):
+            assert replace(kept, updates=full.updates) == full
+            for update, full_update in zip(kept.updates, full.updates):
+                assert replace(update, state=full_update.state) == full_update
 
     def test_run_rounds(self):
         server = self._server()

@@ -11,9 +11,12 @@ Three contracts:
   float32), which is what FEDLS's detection rewrite stands on.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
+import repro.utils.rng as rng_module
 from repro.data.datasets import FingerprintDataset, iterate_batches
 from repro.nn import (
     Adam,
@@ -85,6 +88,32 @@ class TestBatchedLinear:
         out = batched.forward(x)
         for k, single in enumerate(singles):
             np.testing.assert_array_equal(out[k], single.forward(x[k]))
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_from_linears_copies_exactly_without_init(self, monkeypatch, bias):
+        """Fold k holds an exact copy of source k's tensors, sharing no
+        memory with it, and stacking runs no initializer: the global
+        fallback stream is not drawn."""
+        singles = [
+            Linear(DIN, DOUT, rng, bias=bias) for rng in _rngs(F, seed=9)
+        ]
+        counter = itertools.count()
+        monkeypatch.setattr(rng_module, "_FALLBACK_COUNTER", counter)
+        batched = BatchedLinear.from_linears(singles)
+        assert next(counter) == 0
+        assert (batched.n_folds, batched.in_features, batched.out_features) == (
+            F, DIN, DOUT,
+        )
+        assert batched.use_bias is bias
+        assert len(batched.parameters()) == (2 if bias else 1)
+        for param in batched.parameters():
+            assert param.grad.shape == param.data.shape
+            assert not param.grad.any()
+        for k, single in enumerate(singles):
+            for name, param in single.named_parameters():
+                stacked = getattr(batched, name).data
+                np.testing.assert_array_equal(stacked[k], param.data)
+                assert not np.shares_memory(stacked, param.data)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -596,8 +625,9 @@ class TestIterateFoldBatches:
 
 class TestBatchedAdam:
     def test_one_pass_per_stacked_tensor(self):
-        """The fold-aware contract: 8·n serial parameter updates collapse
-        to 8 stacked arrays, stepped in one elementwise pass each."""
+        """The fold-aware contract: 4·n serial parameter updates collapse
+        to 4 stacked arrays, each stepped by Adam's tiled in-place pass
+        (cache-sized slices, one sweep over the stack)."""
         net = _batched_net(F, DIN, 7)
         optimizer = BatchedAdam(net.trainable_parameters(), lr=0.01)
         assert len(optimizer.parameters) == 4  # 2 layers × (weight, bias)

@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference.adam import ReferenceAdam
 from repro.nn import (
     Adam,
     CompositeLoss,
     Linear,
     MSELoss,
+    Parameter,
     ReLU,
     SGD,
     Sequential,
     SparseCrossEntropyLoss,
     accuracy,
     clone_state,
+    compute_dtype,
     load_state,
     log_softmax,
     one_hot,
@@ -21,6 +26,7 @@ from repro.nn import (
     softmax,
     state_allclose,
 )
+from repro.nn.optim import ADAM_TILE
 
 RNG = np.random.default_rng(99)
 
@@ -215,6 +221,87 @@ class TestOptimizers:
         # With bias correction the first step magnitude is ~lr regardless of
         # the raw gradient scale.
         assert layer.weight.data[0, 0] == pytest.approx(-0.1, rel=1e-6)
+
+
+_TILE_SHAPES = st.sampled_from(
+    [
+        (1,),
+        (7,),
+        (ADAM_TILE - 1,),
+        (ADAM_TILE,),
+        (ADAM_TILE + 1,),
+        (2 * ADAM_TILE,),
+        (2 * ADAM_TILE + 5,),
+        # fold stacks: one exact tile, straddling one, and ~2.8 tiles
+        (4, 128, 64),
+        (3, 101, 109),
+        (28, 203, 16),
+        (28, 203),
+    ]
+)
+
+
+class TestTiledAdam:
+    """The tiled in-place ``Adam.step`` against the textbook expression
+    (``tests/reference/adam.py``): parameters and both moments must agree
+    bit for bit after every step, whatever the tensor's size relative to
+    the tile."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shapes=st.lists(_TILE_SHAPES, min_size=1, max_size=3),
+        frozen=st.lists(st.booleans(), min_size=3, max_size=3),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        weight_decay=st.sampled_from([0.0, 0.01]),
+        steps=st.integers(1, 3),
+        rebind=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_textbook_reference(
+        self, shapes, frozen, dtype, weight_decay, steps, rebind, seed
+    ):
+        rng = np.random.default_rng(seed)
+        with compute_dtype(dtype):
+            tiled = [Parameter(rng.normal(size=shape)) for shape in shapes]
+            textbook = [Parameter(p.data.copy()) for p in tiled]
+        for twins, is_frozen in zip(zip(tiled, textbook), frozen):
+            for param in twins:
+                param.trainable = not is_frozen
+        initial = [p.data.copy() for p in tiled]
+        opt = Adam(tiled, lr=0.01, weight_decay=weight_decay)
+        ref = ReferenceAdam(textbook, lr=0.01, weight_decay=weight_decay)
+        for _ in range(steps):
+            for a, b in zip(tiled, textbook):
+                a.grad[...] = rng.normal(size=a.data.shape)
+                b.grad[...] = a.grad
+            opt.step()
+            ref.step()
+            if rebind:  # the optimizer must step the live array next time
+                for param in tiled:
+                    param.data = param.data.copy()
+        for i, (a, b) in enumerate(zip(tiled, textbook)):
+            assert a.data.dtype == np.dtype(dtype)
+            assert opt._m[i].dtype == opt._v[i].dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_array_equal(opt._m[i], ref.m[i])
+            np.testing.assert_array_equal(opt._v[i], ref.v[i])
+            if not a.trainable:
+                np.testing.assert_array_equal(a.data, initial[i])
+        for pair in opt._scratch.values():
+            assert all(buf.size <= ADAM_TILE for buf in pair)
+
+    def test_non_contiguous_tensor_is_refused_not_copied(self):
+        """A multi-tile tensor that no flat view covers would step a copy
+        and lose the update; Adam refuses it.  Single-tile tensors step
+        in place whatever their layout."""
+        big = Parameter(np.ones((ADAM_TILE, 2)).T)
+        with pytest.raises(ValueError, match="non-contiguous"):
+            Adam([big]).step()
+        small = Parameter(np.ones((3, 4)))
+        small.data = small.data.T.copy().T  # same values, F-order
+        small.grad = np.ones((3, 4))
+        Adam([small], lr=0.1).step()
+        np.testing.assert_allclose(small.data, 0.9)
 
 
 class TestFunctional:
