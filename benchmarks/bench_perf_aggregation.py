@@ -1,20 +1,21 @@
-"""Packed-vs-dict aggregation microbenchmarks (perf trajectory tracker).
+"""Packed-vs-reference aggregation microbenchmarks (perf trajectory).
 
-Times every converted aggregation strategy on both its paths — the
-packed ``(n_clients, n_params)`` engine (``aggregate``) and the original
-per-key dict implementation (``aggregate_dict``) — on identical cohorts
-in the same run, checks they agree to 1e-10, and reports the speedups.
+Times every packed aggregation strategy — the ``(n_clients, n_params)``
+engine behind ``aggregate`` — against its per-key dict reference in
+``tests/reference/aggregation.py`` on identical cohorts in the same run,
+checks they agree to 1e-10, and reports the speedups (the JSON keeps
+the reference timing under its historical ``legacy_ms`` key).
 
 Three model scales bracket the repo's workloads:
 
 * ``ci``: the tier-1 test federation model (``DNNLocalizer(10, 6, (16,))``)
-  — hundreds of parameters, where the dict path's per-key × per-client
+  — hundreds of parameters, where the reference's per-key × per-client
   Python overhead dominates and the packed engine wins the most;
 * ``experiment``: the fused SAFELOC model at the tiny-preset building
   (23 APs / 18 RPs, ~23k params, 11 tensors) — the shape every tiny/fast
   experiment sweep aggregates;
 * ``paper``: the fused model at UJIIndoorLoc scale (520 APs / 120 RPs,
-  ~92k params), where both paths are memory-bandwidth-bound and the win
+  ~92k params), where both are memory-bandwidth-bound and the win
   converges to the ratio of passes over the data.
 
 ``scripts/run_benchmarks.py`` runs the full suite and writes
@@ -27,28 +28,29 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
 import time
-from typing import Callable, Dict, List, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.baselines.dnn import DNNLocalizer
 from repro.baselines.fedcc import ClusteredAggregation
-from repro.baselines.fedhil import SelectiveAggregation
 from repro.baselines.krum import KrumAggregation
 from repro.core.safeloc import SafeLocModel
 from repro.core.saliency import SaliencyAggregation
-from repro.data.datasets import FingerprintDataset
 from repro.fl.aggregation import ClientUpdate, FedAvg
-from repro.fl.client import ClientConfig, FederatedClient
 from repro.fl.robust import CoordinateMedian, NormClipping, TrimmedMean
-from repro.fl.server import FederatedServer
-from repro.utils.rng import SeedSequence
+from repro.fl.state import state_weighted_mean
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_aggregation.json")
 
-#: the acceptance cell: packed must beat the dict path ≥ 5× here
+sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
+from reference import aggregation as ref  # noqa: E402
+
+#: the acceptance cell: packed must beat the reference ≥ 5× here
 HEADLINE_SCALE = "ci"
 HEADLINE_CLIENTS = 32
 
@@ -60,18 +62,36 @@ MODEL_SCALES: Dict[str, Callable[[], object]] = {
     "paper": lambda: SafeLocModel(520, 120, seed=0),
 }
 
-STRATEGIES: Dict[str, Callable[[], object]] = {
-    "saliency": lambda: SaliencyAggregation(),
-    "saliency-absolute": lambda: SaliencyAggregation(
-        mode="absolute", adjustment="scale"
+def _fedavg_reference(gm: dict, updates: Sequence[ClientUpdate]) -> dict:
+    return state_weighted_mean(
+        [u.state for u in updates], [max(1, u.num_samples) for u in updates]
+    )
+
+
+_ABSOLUTE = dict(mode="absolute", adjustment="scale")
+
+#: name → (packed strategy factory, per-key reference function)
+STRATEGIES: Dict[str, Tuple[Callable[[], object], Callable]] = {
+    "saliency": (SaliencyAggregation, ref.saliency),
+    "saliency-absolute": (
+        lambda: SaliencyAggregation(**_ABSOLUTE),
+        partial(ref.saliency, **_ABSOLUTE),
     ),
-    "fedavg": lambda: FedAvg(),
-    "coordinate-median": lambda: CoordinateMedian(),
-    "trimmed-mean": lambda: TrimmedMean(trim=2),
-    "norm-clipping": lambda: NormClipping(),
-    "krum": lambda: KrumAggregation(num_byzantine=2),
-    "fedcc-cluster": lambda: ClusteredAggregation(seed=0),
-    "fedhil-selective": lambda: SelectiveAggregation(),
+    "fedavg": (FedAvg, _fedavg_reference),
+    "coordinate-median": (CoordinateMedian, ref.coordinate_median),
+    "trimmed-mean": (
+        lambda: TrimmedMean(trim=2),
+        partial(ref.trimmed_mean, trim=2),
+    ),
+    "norm-clipping": (NormClipping, ref.norm_clipping),
+    "krum": (
+        lambda: KrumAggregation(num_byzantine=2),
+        partial(ref.krum, num_byzantine=2),
+    ),
+    "fedcc-cluster": (
+        lambda: ClusteredAggregation(seed=0),
+        partial(ref.fedcc, seed=0),
+    ),
 }
 
 
@@ -104,28 +124,23 @@ def _max_state_diff(a: dict, b: dict) -> float:
 
 def bench_cell(
     strategy_factory: Callable[[], object],
+    reference: Callable,
     gm: dict,
     updates: Sequence[ClientUpdate],
     repeats: int,
 ) -> Dict[str, float]:
-    """One (strategy, cohort) cell: both paths timed in the same run.
-
-    Stateful strategies (FedCC's tie-break rng) get one instance per
-    path so neither measurement perturbs the other.
-    """
+    """One (strategy, cohort) cell: packed and reference timed in the
+    same run."""
     packed_strategy = strategy_factory()
-    dict_strategy = strategy_factory()
     packed_out = packed_strategy.aggregate(gm, updates)  # warmup + output
-    dict_out = dict_strategy.aggregate_dict(gm, updates)
+    ref_out = reference(gm, updates)
     packed_s = _time_min(lambda: packed_strategy.aggregate(gm, updates), repeats)
-    dict_s = _time_min(
-        lambda: dict_strategy.aggregate_dict(gm, updates), repeats
-    )
+    ref_s = _time_min(lambda: reference(gm, updates), repeats)
     return {
-        "legacy_ms": round(dict_s * 1e3, 4),
+        "legacy_ms": round(ref_s * 1e3, 4),
         "packed_ms": round(packed_s * 1e3, 4),
-        "speedup": round(dict_s / packed_s, 2),
-        "max_abs_diff": float(_max_state_diff(packed_out, dict_out)),
+        "speedup": round(ref_s / packed_s, 2),
+        "max_abs_diff": float(_max_state_diff(packed_out, ref_out)),
     }
 
 
@@ -159,65 +174,10 @@ def bench_aggregation(
             updates = build_cohort(gm, n_clients)
             for name in strategies:
                 repeats = _repeats_for(n_clients, scale, base_repeats)
-                cell = bench_cell(STRATEGIES[name], gm, updates, repeats)
+                cell = bench_cell(*STRATEGIES[name], gm, updates, repeats)
                 scale_result["cells"][f"{name}/{n_clients}"] = cell
         results[scale] = scale_result
     return results
-
-
-def _round_federation(max_workers) -> FederatedServer:
-    num_aps, num_rps = 16, 8
-    clients = []
-    for i in range(6):
-        rng = np.random.default_rng(100 + i)
-        dataset = FingerprintDataset(
-            rng.uniform(0, 1, size=(40, num_aps)),
-            rng.integers(0, num_rps, size=40),
-            building="bench",
-            device=f"d{i}",
-        )
-        clients.append(
-            FederatedClient(
-                f"c{i}",
-                DNNLocalizer(num_aps, num_rps, hidden=(32,), seed=i),
-                dataset,
-                ClientConfig(epochs=2, lr=0.01),
-                seeds=SeedSequence(i),
-            )
-        )
-    return FederatedServer(
-        DNNLocalizer(num_aps, num_rps, hidden=(32,), seed=99),
-        SaliencyAggregation(),
-        clients,
-        SeedSequence(7),
-        max_workers=max_workers,
-    )
-
-
-def bench_federation_round() -> Dict[str, object]:
-    """One warm federation round, sequential vs threaded client updates.
-
-    Also records whether the two execution modes produced bit-identical
-    global models — the determinism contract of ``max_workers``.
-    """
-    sequential = _round_federation(max_workers=None)
-    parallel = _round_federation(max_workers=4)
-    sequential.run_round()  # warm caches / allocator
-    parallel.run_round()
-    seq_s = _time_min(sequential.run_round, 3)
-    par_s = _time_min(parallel.run_round, 3)
-    seq_state = sequential.model.state_dict()
-    par_state = parallel.model.state_dict()
-    identical = all(
-        np.array_equal(seq_state[k], par_state[k]) for k in seq_state
-    )
-    return {
-        "clients": len(sequential.clients),
-        "sequential_ms": round(seq_s * 1e3, 2),
-        "parallel_ms": round(par_s * 1e3, 2),
-        "max_workers": 4,
-        "parallel_matches_sequential": bool(identical),
-    }
 
 
 def run_all(quick: bool = False) -> Dict[str, object]:
@@ -233,7 +193,7 @@ def run_all(quick: bool = False) -> Dict[str, object]:
     headline = aggregation[HEADLINE_SCALE]["cells"][headline_key]
     return {
         "meta": {
-            "benchmark": "packed vs dict aggregation",
+            "benchmark": "packed vs per-key reference aggregation",
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "numpy": np.__version__,
             "python": platform.python_version(),
@@ -250,16 +210,15 @@ def run_all(quick: bool = False) -> Dict[str, object]:
             **headline,
         },
         "aggregation": aggregation,
-        "federation_round": bench_federation_round(),
     }
 
 
 def format_report(results: Dict[str, object]) -> str:
-    lines = ["packed aggregation engine — speedup vs dict baseline", ""]
+    lines = ["packed aggregation engine — speedup vs per-key reference", ""]
     head = results["headline"]
     lines.append(
         f"HEADLINE  {head['cell']}: {head['speedup']}x "
-        f"(legacy {head['legacy_ms']} ms -> packed {head['packed_ms']} ms, "
+        f"(reference {head['legacy_ms']} ms -> packed {head['packed_ms']} ms, "
         f"max|diff| {head['max_abs_diff']:.2e})"
     )
     for scale, block in results["aggregation"].items():
@@ -273,13 +232,6 @@ def format_report(results: Dict[str, object]) -> str:
                 f"({r['legacy_ms']:9.3f} -> {r['packed_ms']:8.3f} ms, "
                 f"diff {r['max_abs_diff']:.1e})"
             )
-    rnd = results["federation_round"]
-    lines.append(
-        f"\nfederation round ({rnd['clients']} clients): sequential "
-        f"{rnd['sequential_ms']} ms, {rnd['max_workers']}-thread "
-        f"{rnd['parallel_ms']} ms, deterministic="
-        f"{rnd['parallel_matches_sequential']}"
-    )
     return "\n".join(lines)
 
 

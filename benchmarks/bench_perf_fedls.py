@@ -2,18 +2,12 @@
 
 FEDLS trains one leave-one-out autoencoder per client per round — the
 dominant cost of any FEDLS sweep.  This suite times the fold-batched
-engine (all detectors in one stacked training loop) against the serial
-per-fold reference on identical inputs, **re-asserting equivalence on
-every run**:
+detectors (all folds in one stacked training loop) against the per-fold
+reference loop in ``tests/reference/fedls.py`` on identical inputs,
+**re-asserting equivalence on every run**:
 
 * ``detector_fit`` — the round's full leave-one-out detection at
   8/32/128 clients, serial vs batched, max |error diff| pinned ≤1e-10;
-* ``warm_start`` — the opt-in approximate mode's per-round trajectory
-  (round 1 cold, later rounds refit carried weights at a quarter of the
-  epoch budget), with the kept/dropped decision overlap per round;
-* ``fig6_column`` — the end-to-end Fig. 6 FEDLS column at the tiny
-  preset, batched vs serial engines sharing one pre-train through the
-  scenario engine; the error table must be identical;
 * ``client_round`` — one full federation round, the serial per-client
   loop vs the fold-batched client engine (``client_engine="batched"``)
   at 8/32/128/512 clients, with every update state compared bit for bit;
@@ -22,8 +16,9 @@ every run**:
   denoiser+classifier pipeline and ONLAD's detector+localizer pair,
   fold-stacked through the composite stackers, bit-identity asserted;
 * ``sampled_peers`` — FEDLS detection with the O(n·k) seeded peer
-  sampling vs the full O(n²) leave-one-out program, plus the serial vs
-  batched agreement of the sampled path (≤1e-10, the exact contract);
+  sampling vs the full O(n²) leave-one-out program, plus the agreement
+  of the batched sampled path with the reference loop (≤1e-10, the
+  exact contract);
 * ``shared_encoder`` — the O(n) shared-encoder detector (one pooled
   encoder, per-fold batched decoder heads) vs the full per-fold
   leave-one-out fit at 64/256 clients.  Approximate by design, so the
@@ -39,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
 import time
 from typing import Dict, List, Sequence
 
@@ -47,15 +43,15 @@ import numpy as np
 from repro.baselines.dnn import DNNLocalizer
 from repro.baselines.fedls import LatentSpaceAggregation, robust_normalize
 from repro.data import FingerprintDataset
-from repro.experiments.engine import SweepEngine
-from repro.experiments.runner import run_framework
-from repro.experiments.scenarios import tiny_preset
 from repro.fl import FedAvg, FederatedClient, FederatedServer
 from repro.fl.client import ClientConfig
 from repro.utils.rng import SeedSequence
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_fedls.json")
+
+sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
+from reference.fedls import serial_loo_errors  # noqa: E402
 
 #: the acceptance cell: batched must beat serial ≥ 3× here
 HEADLINE_CLIENTS = 32
@@ -84,7 +80,8 @@ def bench_detector_fit(
     epochs: int = 120,
     repeats: int = 3,
 ) -> Dict[str, dict]:
-    """Serial vs batched leave-one-out detection on identical summaries."""
+    """Reference per-fold loop vs batched leave-one-out detection on
+    identical summaries."""
     cells: Dict[str, dict] = {}
     for n_clients in client_counts:
         normalized = _normalized_summaries(n_clients, seed=n_clients)
@@ -92,14 +89,10 @@ def bench_detector_fit(
         serial_best = batched_best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            serial_errors = strategy.leave_one_out_errors(
-                normalized, 1, engine="serial"
-            )
+            serial_errors = serial_loo_errors(strategy, normalized, 1)
             serial_best = min(serial_best, time.perf_counter() - start)
             start = time.perf_counter()
-            batched_errors = strategy.leave_one_out_errors(
-                normalized, 1, engine="batched"
-            )
+            batched_errors = strategy.leave_one_out_errors(normalized, 1)
             batched_best = min(batched_best, time.perf_counter() - start)
         max_diff = float(np.abs(serial_errors - batched_errors).max())
         cells[str(n_clients)] = {
@@ -116,109 +109,6 @@ def bench_detector_fit(
             "equivalence_ok": bool(max_diff < 1e-10),
         }
     return cells
-
-
-def bench_warm_start(
-    n_clients: int = HEADLINE_CLIENTS,
-    epochs: int = 120,
-    n_rounds: int = 5,
-) -> Dict[str, object]:
-    """Warm-start trajectory: carried detectors at a reduced epoch budget.
-
-    Cold = the exact reference (fresh detectors, full budget, every
-    round).  Warm = round 1 cold, then refits of the carried weights.
-    Warm is approximate by design; the per-round kept-set overlap is
-    recorded so drift in the *decisions* stays visible.
-    """
-    cold = LatentSpaceAggregation(detector_epochs=epochs, seed=0)
-    warm = LatentSpaceAggregation(
-        detector_epochs=epochs, seed=0, warm_start=True
-    )
-    rounds: List[dict] = []
-    for round_index in range(1, n_rounds + 1):
-        normalized = _normalized_summaries(n_clients, seed=1000 + round_index)
-        start = time.perf_counter()
-        cold_errors = cold.leave_one_out_errors(normalized, round_index)
-        cold_s = time.perf_counter() - start
-        start = time.perf_counter()
-        warm_errors = warm.leave_one_out_errors(normalized, round_index)
-        warm_s = time.perf_counter() - start
-        cold_kept, warm_kept = _kept_mask(cold_errors), _kept_mask(warm_errors)
-        rounds.append(
-            {
-                "round": round_index,
-                "cold_ms": round(cold_s * 1e3, 2),
-                "warm_ms": round(warm_s * 1e3, 2),
-                "speedup": round(cold_s / warm_s, 2),
-                "kept_set_overlap": float((cold_kept == warm_kept).mean()),
-            }
-        )
-    steady = rounds[1:] or rounds
-    return {
-        "n_clients": n_clients,
-        "epochs": epochs,
-        "warm_epochs": warm.warm_start_epochs,
-        "rounds": rounds,
-        "steady_state_speedup": round(
-            float(np.mean([r["speedup"] for r in steady])), 2
-        ),
-        "min_kept_set_overlap": min(r["kept_set_overlap"] for r in rounds),
-    }
-
-
-def bench_fig6_column(quick: bool = False) -> Dict[str, object]:
-    """The Fig. 6 FEDLS column end to end, batched vs serial engines.
-
-    One shared scenario engine: the detector knobs are pre-train-neutral,
-    so both variants reuse the same data + pre-train artifacts and the
-    comparison times only what changed — federation rounds with batched
-    vs serial leave-one-out detection.  The resulting error table must
-    be identical (the batched engine is exact, not approximate).
-    """
-    preset = tiny_preset()
-    attacks = preset.attacks[:2] if quick else preset.attacks
-    engine = SweepEngine()
-    # prime the shared data + pre-train artifacts so neither variant pays
-    # the cold stages (both engines are pre-train-neutral, so the timed
-    # passes then measure only federate + evaluate)
-    run_framework("fedls", preset, attack=attacks[0],
-                  epsilon=preset.default_epsilon, engine=engine)
-    timings: Dict[str, float] = {}
-    tables: Dict[str, list] = {}
-    for detector_engine in ("serial", "batched"):
-        start = time.perf_counter()
-        rows = []
-        for attack in attacks:
-            result = run_framework(
-                "fedls",
-                preset,
-                attack=attack,
-                epsilon=1.0 if attack == "label_flip" else preset.default_epsilon,
-                framework_kwargs={"detector_engine": detector_engine},
-                engine=engine,
-            )
-            s = result.error_summary
-            rows.append([attack, s.best, s.mean, s.worst, s.median, s.count])
-        timings[detector_engine] = time.perf_counter() - start
-        tables[detector_engine] = rows
-    identical = tables["serial"] == tables["batched"]
-    return {
-        "preset": preset.name,
-        "attacks": list(attacks),
-        "serial_s": round(timings["serial"], 2),
-        "batched_s": round(timings["batched"], 2),
-        "speedup": round(timings["serial"] / timings["batched"], 2),
-        "error_table": [
-            {
-                "attack": row[0],
-                "best": row[1],
-                "mean": row[2],
-                "worst": row[3],
-            }
-            for row in tables["batched"]
-        ],
-        "identical_error_tables": bool(identical),
-    }
 
 
 #: client-round suite shape (synthetic cohort, DNN clients)
@@ -447,8 +337,9 @@ def bench_sampled_peers(
     """The O(n·k) sampled-peers detector vs the full O(n²) LOO program.
 
     Sampling is approximate vs full LOO by design (the kept-set overlap
-    is recorded), but the serial and batched engines must agree on the
-    *sampled* path at ≤1e-10 — that exactness is the gated contract.
+    is recorded), but the batched detectors must match the reference loop
+    on the *sampled* path at ≤1e-10 — that exactness is the gated
+    contract.
     """
     normalized = _normalized_summaries(n_clients, seed=n_clients)
     full = LatentSpaceAggregation(detector_epochs=epochs, seed=0)
@@ -463,9 +354,7 @@ def bench_sampled_peers(
         start = time.perf_counter()
         sampled_errors = sampled.leave_one_out_errors(normalized, 1)
         sampled_best = min(sampled_best, time.perf_counter() - start)
-    serial_sampled = sampled.leave_one_out_errors(
-        normalized, 1, engine="serial"
-    )
+    serial_sampled = serial_loo_errors(sampled, normalized, 1)
     engine_diff = float(np.abs(sampled_errors - serial_sampled).max())
     return {
         "n_clients": n_clients,
@@ -488,8 +377,6 @@ def run_all(quick: bool = False) -> Dict[str, object]:
     epochs = 40 if quick else 120
     fit = bench_detector_fit(client_counts=client_counts, epochs=epochs,
                              repeats=2 if quick else 3)
-    warm = bench_warm_start(epochs=epochs, n_rounds=3 if quick else 5)
-    fig6 = bench_fig6_column(quick=quick)
     round_counts = (8, 32) if quick else ROUND_CLIENT_COUNTS
     client_round = bench_client_round(
         client_counts=round_counts, repeats=2 if quick else 3
@@ -528,8 +415,6 @@ def run_all(quick: bool = False) -> Dict[str, object]:
             **headline,
         },
         "detector_fit": fit,
-        "warm_start": warm,
-        "fig6_column": fig6,
         "client_round": client_round,
         "composite_round": composite_round,
         "sampled_peers": peers,
@@ -548,8 +433,6 @@ def equivalence_failures(results: Dict[str, object]) -> List[str]:
                 f"clients (max|err diff| {cell['max_abs_error_diff']:.2e}, "
                 f"kept-set match {cell['same_kept_set']})"
             )
-    if not results["fig6_column"]["identical_error_tables"]:
-        failures.append("fig6 FEDLS column differs between engines")
     for n_clients, cell in results["client_round"].items():
         if not cell["bit_identical_updates"]:
             failures.append(
@@ -565,8 +448,8 @@ def equivalence_failures(results: Dict[str, object]) -> List[str]:
                 )
     if not results["sampled_peers"]["engine_agreement_ok"]:
         failures.append(
-            "sampled-peers detection disagrees between serial and batched "
-            f"engines (max|err diff| "
+            "sampled-peers detection disagrees with the reference loop "
+            f"(max|err diff| "
             f"{results['sampled_peers']['engine_max_abs_diff']:.2e})"
         )
     for n_clients, cell in results["shared_encoder"].items():
@@ -598,24 +481,6 @@ def format_report(results: Dict[str, object]) -> str:
             f"diff {cell['max_abs_error_diff']:.1e}, "
             f"kept-set match {cell['same_kept_set']})"
         )
-    warm = results["warm_start"]
-    lines.append(
-        f"\nwarm start ({warm['n_clients']} clients, {warm['epochs']} -> "
-        f"{warm['warm_epochs']} epochs once warm):"
-    )
-    for r in warm["rounds"]:
-        lines.append(
-            f"  round {r['round']}: cold {r['cold_ms']:8.2f} ms, warm "
-            f"{r['warm_ms']:8.2f} ms ({r['speedup']:5.2f}x, kept-set "
-            f"overlap {r['kept_set_overlap']:.2f})"
-        )
-    fig6 = results["fig6_column"]
-    lines.append(
-        f"\nfig6 FEDLS column [{fig6['preset']}], {len(fig6['attacks'])} "
-        f"attacks: serial {fig6['serial_s']} s -> batched "
-        f"{fig6['batched_s']} s ({fig6['speedup']}x), identical error "
-        f"tables: {fig6['identical_error_tables']}"
-    )
     lines.append("\nclient round, serial loop -> batched client engine:")
     for n_clients, cell in results["client_round"].items():
         lines.append(

@@ -4,17 +4,16 @@
 Three suites, each writing a JSON record at the repo root so the perf
 trajectory is tracked PR over PR:
 
-* ``aggregation`` — every aggregation strategy on the packed engine vs
-  the legacy dict path (6/32/128-client cohorts at three model scales),
-  plus one federation round sequential vs threaded
-  → ``BENCH_aggregation.json``;
+* ``aggregation`` — every packed aggregation strategy vs its per-key
+  reference in ``tests/reference/aggregation.py`` (6/32/128-client
+  cohorts at three model scales) → ``BENCH_aggregation.json``;
 * ``sweep`` — the scenario engine's staged pipeline (shared data +
   pre-train artifacts, warm resume, the process-pool cell executor and
   the federate round cache) vs the pre-refactor per-cell loop
   → ``BENCH_sweep.json``;
-* ``fedls`` — fold-batched vs serial FEDLS leave-one-out detection
-  (detector fit at 8/32/128 clients, warm-start trajectory, end-to-end
-  fig6 FEDLS column), the batched vs serial **client-round engine**
+* ``fedls`` — fold-batched FEDLS leave-one-out detection vs the per-fold
+  reference loop in ``tests/reference/fedls.py`` (detector fit at
+  8/32/128 clients), the batched vs serial **client-round engine**
   (one stacked matmul program per federation round, 8–512 clients,
   bit-identity asserted — for plain DNN cohorts *and* the composite
   SAFELOC/ONLAD models), sampled-peers vs full leave-one-out detection
@@ -64,11 +63,9 @@ def _run_aggregation(quick: bool, output: str) -> int:
         for cell, r in block["cells"].items():
             if r["max_abs_diff"] >= 1e-10:
                 code |= _fail(
-                    f"packed/legacy disagreement {r['max_abs_diff']:.2e} "
+                    f"packed/reference disagreement {r['max_abs_diff']:.2e} "
                     f"at {scale}/{cell}"
                 )
-    if not results["federation_round"]["parallel_matches_sequential"]:
-        code |= _fail("threaded federation round diverged from sequential")
     return code
 
 

@@ -8,8 +8,7 @@ namespace (metadata, strict kwarg validation, plugin discovery), and
 Unknown kwargs now **raise** with a did-you-mean suggestion unless they
 are accepted by some other registered attack (drivers pass one uniform
 kwargs set across the whole attack sweep, e.g. ``num_classes`` that only
-label flipping consumes).  ``strict=False`` restores the legacy silent
-signature filtering.
+label flipping consumes).
 """
 
 from __future__ import annotations
@@ -52,9 +51,7 @@ ATTACK_NAMES = (*PAPER_ATTACKS, "targeted_label_flip", "gaussian_noise")
 BACKDOOR_ATTACKS = ("clb", "fgsm", "pgd", "mim", "gaussian_noise")
 
 
-def create_attack(
-    name: str, epsilon: float, strict: bool = True, **kwargs
-) -> Attack:
+def create_attack(name: str, epsilon: float, **kwargs) -> Attack:
     """Instantiate a registered attack by name.
 
     Extra keyword arguments are forwarded to the attack constructor
@@ -62,10 +59,9 @@ def create_attack(
     flipping); arguments only *other* attacks accept are dropped so
     sweep drivers can pass one uniform kwargs set, and arguments **no**
     attack accepts raise :class:`~repro.registry.UnknownComponentKwarg`
-    with a did-you-mean hint.  ``strict=False`` silently drops them
-    instead (the pre-redesign behavior).
+    with a did-you-mean hint.
     """
-    return registry.create("attacks", name, epsilon, strict=strict, **kwargs)
+    return registry.create("attacks", name, epsilon, **kwargs)
 
 
 def is_backdoor(name: str) -> bool:

@@ -25,7 +25,6 @@ from repro.baselines.dnn import DNNLocalizer
 from repro.fl.aggregation import AggregationStrategy, ClientUpdate
 from repro.fl.interfaces import FrameworkSpec
 from repro.fl.packed import PackedStates, pairwise_sq_distances
-from repro.fl.state import StateDict, flatten_state, state_sub, state_weighted_mean
 
 #: FEDCC's compact DNN per Table I (42,993 params in the paper).
 FEDCC_HIDDEN = (160, 80)
@@ -160,24 +159,6 @@ class ClusteredAggregation(AggregationStrategy):
         )
         weights = (weights / weights.sum()).astype(packed.matrix.dtype)
         return weights @ packed.matrix[kept]
-
-    def aggregate_dict(
-        self,
-        global_state: StateDict,
-        updates: Sequence[ClientUpdate],
-    ) -> StateDict:
-        updates = self._require_updates(updates)
-        if len(updates) == 1:
-            self.last_dropped_count = 0
-            return {k: v.copy() for k, v in updates[0].state.items()}
-        deltas = [state_sub(u.state, global_state) for u in updates]
-        vectors = np.stack([flatten_state(d)[0] for d in deltas])
-        kept_mask = self._keep_cluster(vectors)
-        self.last_dropped_count = int(len(updates) - kept_mask.sum())
-        kept = [u for u, k in zip(updates, kept_mask) if k]
-        return state_weighted_mean(
-            [u.state for u in kept], [max(1, u.num_samples) for u in kept]
-        )
 
 
 def make_fedcc(input_dim: int, num_classes: int, seed: int = 0) -> FrameworkSpec:

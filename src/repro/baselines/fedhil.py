@@ -23,7 +23,6 @@ import numpy as np
 from repro.baselines.dnn import DNNLocalizer
 from repro.fl.aggregation import AggregationStrategy, ClientUpdate
 from repro.fl.interfaces import FrameworkSpec
-from repro.fl.packed import PackLayout
 from repro.fl.state import StateDict
 
 #: FEDHIL's DNN scale per Table I (97,341 params in the paper).
@@ -61,11 +60,6 @@ class SelectiveAggregation(AggregationStrategy):
 
     name = "fedhil-selective"
 
-    #: the dict path already touches only the selected tensors, so the
-    #: packed rewrite (which must build per-client sub-states) only wins
-    #: once the selected cohort is in the multi-megabyte range
-    PACKED_MIN_ELEMS = 1 << 22
-
     def __init__(self, aggregate_fraction: float = 0.5, server_mixing: float = 1.0):
         if not 0.0 < aggregate_fraction <= 1.0:
             raise ValueError(
@@ -92,40 +86,12 @@ class SelectiveAggregation(AggregationStrategy):
         global_state: StateDict,
         updates: Sequence[ClientUpdate],
     ) -> StateDict:
-        """Packed path over the *selected* tensors only.
+        """Average the selected tensors; unselected ones keep the GM.
 
-        Unselected tensors keep their GM values, so packing them would be
-        pure overhead; the cohort matrix covers just the aggregated
-        sub-state and one axis-0 mean blends it with the GM.
+        Works per key rather than on the packed cohort: only the selected
+        tensors are touched, so packing the whole state would be pure
+        overhead.
         """
-        updates = self._require_updates(updates)
-        selected = self.selected_keys(global_state)
-        cohort_elems = len(updates) * sum(
-            global_state[key].size for key in selected
-        )
-        if cohort_elems < self.PACKED_MIN_ELEMS:
-            return self.aggregate_dict(global_state, updates)
-        sub_gm = {key: global_state[key] for key in selected}
-        layout = PackLayout.for_state(sub_gm)
-        matrix = layout.pack(
-            [{key: u.state[key] for key in selected} for u in updates],
-            scratch=True,
-        )
-        gm_vector = layout.flatten(sub_gm)
-        eta = self.server_mixing
-        blended = layout.unflatten(
-            (1.0 - eta) * gm_vector + eta * matrix.mean(axis=0)
-        )
-        return {
-            key: blended[key] if key in blended else tensor.copy()
-            for key, tensor in global_state.items()
-        }
-
-    def aggregate_dict(
-        self,
-        global_state: StateDict,
-        updates: Sequence[ClientUpdate],
-    ) -> StateDict:
         updates = self._require_updates(updates)
         eta = self.server_mixing
         selected = set(self.selected_keys(global_state))

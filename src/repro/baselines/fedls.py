@@ -8,18 +8,14 @@ before FedAvg.  Training a fresh model-sized detector every round is what
 makes FEDLS "resource-intensive" (§II) — its Table I footprint is the
 largest of all frameworks, which the wide client DNN here reproduces.
 
-Detection is leave-one-out (one detector per client per round), which the
-original reproduction ran as ``n`` independent 120-epoch Python training
-loops.  The default path now trains **all n detectors simultaneously** on
-the fold-batched kernels (:mod:`repro.nn.batched`): the leave-one-out
-peer tensor is gathered once into an ``(n, n−1, feat)`` stack and every
-epoch is a handful of 3-D ``matmul`` contractions — per-fold seeds, init
-and updates are identical to the serial loop, so the batched result
-matches it at ≤1e-10 (float64).  The per-fold loop survives as
-:meth:`LatentSpaceAggregation.aggregate_serial`, the reference for the
-equivalence tests and the benchmark baseline.  An opt-in warm-start mode
-(:class:`LatentSpaceAggregation` ``warm_start=True``) carries detector
-weights across rounds at a reduced epoch budget.
+Detection is leave-one-out (one detector per client per round).  All n
+detectors train **simultaneously** on the fold-batched kernels
+(:mod:`repro.nn.batched`): the leave-one-out peer tensor is gathered once
+into an ``(n, n−1, feat)`` stack and every epoch is a handful of 3-D
+``matmul`` contractions.  Fold ``k`` seeds, initializes and updates
+exactly like an independent :class:`UpdateAutoencoder` trained on its
+peers, so the batched errors match that per-fold loop (kept as the test
+reference) at ≤1e-10 (float64).
 
 Two scalability modes compose on top: ``sampled_peers=k`` shrinks each
 fold's peer tensor from ``n−1`` rows to ``k`` (O(n·k) data), and
@@ -56,13 +52,13 @@ from repro.utils.rng import spawn_rng
 #: FEDLS's client DNN per Table I (282,676 params in the paper — largest).
 FEDLS_HIDDEN = (384, 320)
 
-#: update-detector autoencoder schedule (shared by the serial reference
-#: and the fold-batched engine so the two stay comparable by construction)
+#: update-detector autoencoder schedule (shared by UpdateAutoencoder and
+#: the fold-batched detectors so the two stay comparable by construction)
 DETECTOR_HIDDEN = 16
 DETECTOR_LATENT = 4
 DETECTOR_LR = 0.01
 #: per-fold rng stream label; fold ``k`` of round ``r`` seeds its stream
-#: with ``seed + 1000·r + k`` on both engines
+#: with ``seed + 1000·r + k``
 DETECTOR_STREAM = "fedls-update-ae"
 
 
@@ -210,9 +206,7 @@ def sampled_peer_index(
     instead of all of them, turning the peer tensor (and the stacked
     GEMMs over it) from O(n²) to O(n·k).  Rows are drawn fold by fold in
     index order from ``rng``, so a given ``(seed, round)`` produces one
-    peer assignment that the serial and batched detector paths share —
-    they train on identical data and agree at ≤1e-10 like the full-LOO
-    paths do.
+    peer assignment.
     """
     if not 2 <= k <= n - 1:
         raise ValueError(
@@ -235,37 +229,24 @@ class LatentSpaceAggregation(AggregationStrategy):
     clients per round the outlier even dominates the fit.)
 
     The round's ``n`` detectors are trained **simultaneously** on the
-    fold-batched kernels by default; ``detector_engine="serial"`` (or
-    :meth:`aggregate_serial`) runs the original per-fold loop, which the
-    batched path matches at ≤1e-10 (float64).
+    fold-batched kernels.
 
     Args:
         outlier_factor: An update is dropped when its leave-one-out error
             exceeds ``outlier_factor ×`` the median error of the round.
         detector_epochs: AE fit budget per leave-one-out fold.
         seed: Detector-init seed.
-        detector_engine: ``"batched"`` (default) or ``"serial"``.
-        warm_start: Carry detector weights across rounds instead of
-            re-initializing, refitting for ``warm_start_epochs`` only.
-            Approximate by design (off = the exact reference path);
-            requires the batched engine.  Cleared by :meth:`reset`, so a
-            fresh federation never inherits another run's detectors.
-        warm_start_epochs: Reduced per-round budget once warm
-            (default: ``detector_epochs // 4``, at least 1).
         sampled_peers: When set, each fold's detector trains on this many
             seeded-sampled peers instead of all ``n−1`` — the O(n·k)
             scalability mode for large federations (see
             :func:`sampled_peer_index`).  ``None`` (default) keeps the
             exact full leave-one-out program.  Values ≥ ``n−1`` fall back
             to full LOO, so a fixed ``k`` is safe across cohort sizes.
-            Both detector engines share one peer assignment per round.
         shared_encoder: Train **one** encoder on the pooled cohort and
             only per-fold batched decoder heads on the peer sets — the
             O(n) detection program past peer sampling (composes with
             ``sampled_peers``: the head tensor shrinks to ``(n, k, ·)``).
-            Approximate by design, like ``warm_start`` (with which it is
-            mutually exclusive); requires the batched engine.
-            :meth:`aggregate_serial` stays the exact full-LOO reference.
+            Approximate by design.
     """
 
     name = "fedls-latent"
@@ -275,9 +256,6 @@ class LatentSpaceAggregation(AggregationStrategy):
         outlier_factor: float = 3.0,
         detector_epochs: int = 120,
         seed: int = 0,
-        detector_engine: str = "batched",
-        warm_start: bool = False,
-        warm_start_epochs: Optional[int] = None,
         sampled_peers: Optional[int] = None,
         shared_encoder: bool = False,
     ):
@@ -285,47 +263,22 @@ class LatentSpaceAggregation(AggregationStrategy):
             raise ValueError("outlier_factor must be > 1")
         if detector_epochs <= 0:
             raise ValueError("detector_epochs must be positive")
-        if detector_engine not in ("batched", "serial"):
-            raise ValueError(
-                f"detector_engine must be 'batched' or 'serial', "
-                f"got {detector_engine!r}"
-            )
-        if warm_start and detector_engine == "serial":
-            raise ValueError("warm_start requires the batched engine")
-        if warm_start_epochs is not None and warm_start_epochs <= 0:
-            raise ValueError("warm_start_epochs must be positive")
         if sampled_peers is not None and sampled_peers < 2:
             raise ValueError(
                 f"sampled_peers must be >= 2 when set, got {sampled_peers}"
             )
-        if shared_encoder and detector_engine == "serial":
-            raise ValueError("shared_encoder requires the batched engine")
-        if shared_encoder and warm_start:
-            raise ValueError(
-                "shared_encoder and warm_start are mutually exclusive "
-                "approximations — pick one"
-            )
         self.outlier_factor = float(outlier_factor)
         self.detector_epochs = int(detector_epochs)
         self.seed = int(seed)
-        self.detector_engine = detector_engine
-        self.warm_start = bool(warm_start)
-        self.warm_start_epochs = (
-            int(warm_start_epochs)
-            if warm_start_epochs is not None
-            else max(1, self.detector_epochs // 4)
-        )
         self.sampled_peers = (
             int(sampled_peers) if sampled_peers is not None else None
         )
         self.shared_encoder = bool(shared_encoder)
         self._local_round = 0
-        self._warm_network: Optional[BatchedSequential] = None
 
     def reset(self) -> None:
         super().reset()
         self._local_round = 0
-        self._warm_network = None
 
     def _next_round_index(self) -> int:
         """The server-announced round, or a local counter when undriven."""
@@ -339,22 +292,6 @@ class LatentSpaceAggregation(AggregationStrategy):
         global_state: StateDict,
         updates: Sequence[ClientUpdate],
     ) -> StateDict:
-        return self._aggregate(global_state, updates, self.detector_engine)
-
-    def aggregate_serial(
-        self,
-        global_state: StateDict,
-        updates: Sequence[ClientUpdate],
-    ) -> StateDict:
-        """Reference per-fold loop (equivalence tests, benchmarks)."""
-        return self._aggregate(global_state, updates, "serial")
-
-    def _aggregate(
-        self,
-        global_state: StateDict,
-        updates: Sequence[ClientUpdate],
-        engine: str,
-    ) -> StateDict:
         updates = self._require_updates(updates)
         round_index = self._next_round_index()
         self.last_dropped_count = 0
@@ -364,9 +301,7 @@ class LatentSpaceAggregation(AggregationStrategy):
                 [max(1, u.num_samples) for u in updates],
             )
         normalized = self.normalized_summaries(global_state, updates)
-        errors = self.leave_one_out_errors(
-            normalized, round_index, engine=engine
-        )
+        errors = self.leave_one_out_errors(normalized, round_index)
         threshold = self.outlier_factor * (np.median(errors) + 1e-12)
         kept = [u for u, e in zip(updates, errors) if e <= threshold]
         if not kept:  # never drop everyone
@@ -392,23 +327,9 @@ class LatentSpaceAggregation(AggregationStrategy):
         return robust_normalize(summaries)
 
     def leave_one_out_errors(
-        self,
-        normalized: np.ndarray,
-        round_index: int,
-        engine: Optional[str] = None,
+        self, normalized: np.ndarray, round_index: int
     ) -> np.ndarray:
-        """Each row's reconstruction error under its leave-one-out detector.
-
-        ``engine`` defaults to the instance's configured
-        ``detector_engine``.  Passing ``engine="serial"`` explicitly always
-        runs the exact full-LOO reference, even on a ``shared_encoder``
-        strategy — that is what keeps :meth:`aggregate_serial` usable as
-        the agreement baseline for the approximate mode.
-        """
-        if engine is None:
-            engine = self.detector_engine
-        if engine == "serial":
-            return self._loo_errors_serial(normalized, round_index)
+        """Each row's reconstruction error under its leave-one-out detector."""
         if self.shared_encoder:
             return self._shared_encoder_errors(normalized, round_index)
         return self._loo_errors_batched(normalized, round_index)
@@ -419,13 +340,13 @@ class LatentSpaceAggregation(AggregationStrategy):
         ]
 
     def _peer_index(self, n: int, round_index: int) -> np.ndarray:
-        """The round's peer-gather matrix, shared by both engines.
+        """The round's peer-gather matrix.
 
         Full ``(n, n−1)`` leave-one-out by default; ``(n, k)`` seeded
         sampling when ``sampled_peers`` is active and actually smaller
         than the full peer set.  Recomputing the sample from
-        ``(seed, round)`` each call keeps the serial and batched paths —
-        and repeated runs — on identical peer assignments.
+        ``(seed, round)`` each call keeps repeated runs on identical peer
+        assignments.
         """
         k = self.sampled_peers
         if k is None or k >= n - 1:
@@ -435,26 +356,6 @@ class LatentSpaceAggregation(AggregationStrategy):
         )
         return sampled_peer_index(n, k, rng)
 
-    def _loo_errors_serial(
-        self, normalized: np.ndarray, round_index: int
-    ) -> np.ndarray:
-        """One fresh 120-epoch autoencoder per fold — the reference path."""
-        n = normalized.shape[0]
-        peer_index = self._peer_index(n, round_index)
-        errors = np.empty(n)
-        for idx, fold_seed in enumerate(self._fold_seeds(n, round_index)):
-            peers = normalized[peer_index[idx]]
-            detector = UpdateAutoencoder(
-                normalized.shape[1],
-                epochs=self.detector_epochs,
-                seed=fold_seed,
-            )
-            detector.fit(peers)
-            errors[idx] = detector.reconstruction_errors(
-                normalized[idx : idx + 1]
-            )[0]
-        return errors
-
     def _loo_errors_batched(
         self, normalized: np.ndarray, round_index: int
     ) -> np.ndarray:
@@ -463,29 +364,19 @@ class LatentSpaceAggregation(AggregationStrategy):
         The peer tensor is an ``(n, n−1, feat)`` gather; each of the
         ``detector_epochs`` steps is four stacked GEMMs forward and four
         back, so the per-epoch cost no longer scales with Python-loop
-        round-trips over the cohort.  Fold seeds/init/updates match the
-        serial loop exactly.
+        round-trips over the cohort.  Fold seeds/init/updates match a
+        per-fold :class:`UpdateAutoencoder` loop exactly.
         """
         n, feature_dim = normalized.shape
-        network = None
-        epochs = self.detector_epochs
-        if self.warm_start and self._warm_network is not None:
-            first = self._warm_network.layers[0]
-            if (first.n_folds, first.in_features) == (n, feature_dim):
-                network = self._warm_network
-                epochs = self.warm_start_epochs
-        if network is None:
-            network = self._build_detectors(feature_dim, n, round_index)
+        network = self._build_detectors(feature_dim, n, round_index)
         peers = normalized[self._peer_index(n, round_index)]
         loss = BatchedMSELoss()
         optimizer = BatchedAdam(network.trainable_parameters(), lr=DETECTOR_LR)
-        for _ in range(epochs):
+        for _ in range(self.detector_epochs):
             network.zero_grad()
             loss(network.forward(peers), peers)
             network.backward(loss.backward())
             optimizer.step()
-        if self.warm_start:
-            self._warm_network = network
         recon = network.forward(normalized[:, None, :])
         return np.sqrt(
             ((normalized[:, None, :] - recon) ** 2).mean(axis=2)
@@ -509,10 +400,9 @@ class LatentSpaceAggregation(AggregationStrategy):
         The per-epoch cost is the head GEMMs over an ``(n, p, ·)`` tensor
         with the tiny latent/hidden widths — O(n) when ``sampled_peers``
         pins ``p``, and still far below full LOO's n four-layer detectors
-        otherwise.  Like ``warm_start`` this is approximate by design:
-        determinism and outlier agreement with the exact
-        :meth:`aggregate_serial` reference are what the tests and the
-        benchmark gate pin, not bit-equality.
+        otherwise.  This is approximate by design: determinism and
+        outlier agreement with the exact full leave-one-out detectors are
+        what the tests and the benchmark gate pin, not bit-equality.
         """
         n, feature_dim = normalized.shape
         pooled = UpdateAutoencoder(
@@ -550,11 +440,12 @@ class LatentSpaceAggregation(AggregationStrategy):
         self, feature_dim: int, n_folds: int, round_index: int
     ) -> BatchedSequential:
         """Fold-stacked detectors, fold ``k`` initialized from the same
-        rng stream its serial :class:`UpdateAutoencoder` would use.
+        rng stream a standalone :class:`UpdateAutoencoder` would use.
 
         The per-fold generators are shared across the four layer stacks
         in declaration order, so each generator draws its layers in the
-        same sequence as the serial constructor — identical weights.
+        same sequence as the single-detector constructor — identical
+        weights.
         """
         rngs = [
             spawn_rng(fold_seed, DETECTOR_STREAM)
@@ -577,20 +468,16 @@ def make_fedls(
     seed: int = 0,
     outlier_factor: float = 3.0,
     detector_epochs: int = 120,
-    detector_engine: str = "batched",
-    warm_start: bool = False,
-    warm_start_epochs: Optional[int] = None,
     sampled_peers: Optional[int] = None,
     shared_encoder: bool = False,
 ) -> FrameworkSpec:
     """FEDLS framework bundle.
 
     The detector knobs pass straight through to
-    :class:`LatentSpaceAggregation`, so sweeps can enable the approximate
-    warm-start mode, pin the serial reference engine, or switch to the
-    O(n·k) ``sampled_peers`` / O(n) ``shared_encoder`` detectors per cell
-    via ``framework_kwargs`` — e.g. ``{"warm_start": True}``,
-    ``{"sampled_peers": 16}`` or ``{"shared_encoder": True}``.
+    :class:`LatentSpaceAggregation`, so sweeps can switch to the O(n·k)
+    ``sampled_peers`` / O(n) ``shared_encoder`` detectors per cell via
+    ``framework_kwargs`` — e.g. ``{"sampled_peers": 16}`` or
+    ``{"shared_encoder": True}``.
     """
     return FrameworkSpec(
         name="fedls",
@@ -601,9 +488,6 @@ def make_fedls(
             outlier_factor=outlier_factor,
             detector_epochs=detector_epochs,
             seed=seed,
-            detector_engine=detector_engine,
-            warm_start=warm_start,
-            warm_start_epochs=warm_start_epochs,
             sampled_peers=sampled_peers,
             shared_encoder=shared_encoder,
         ),

@@ -7,10 +7,9 @@ lowest score becomes the new GM.  Because only one client's update
 survives each round, KRUM "fails to incorporate collaborative learning
 from all clients" — the heterogeneity weakness §II describes.
 
-The packed path computes all pairwise distances through one Gram matrix
-(``‖x−y‖² = ‖x‖² + ‖y‖² − 2⟨x,y⟩``) instead of materializing the
-``(n, n, p)`` broadcast difference tensor; the dict path keeps the
-original O(n²) ``state_distance`` formulation as the reference.
+All pairwise distances come from one Gram matrix
+(``‖x−y‖² = ‖x‖² + ‖y‖² − 2⟨x,y⟩``) instead of a materialized
+``(n, n, p)`` broadcast difference tensor.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.baselines.dnn import DNNLocalizer
 from repro.fl.aggregation import AggregationStrategy, ClientUpdate
 from repro.fl.interfaces import FrameworkSpec
 from repro.fl.packed import PackedStates, pairwise_sq_distances
-from repro.fl.state import StateDict, state_distance
 
 #: KRUM used "a simple Multi-Layer Perceptron" (§II).
 KRUM_HIDDEN = (64,)
@@ -56,21 +54,11 @@ class KrumAggregation(AggregationStrategy):
         self.num_byzantine = int(num_byzantine)
 
     def krum_scores(self, updates: Sequence[ClientUpdate]) -> np.ndarray:
-        """Per-client Krum score (lower = more central), packed path."""
+        """Per-client Krum score (lower = more central)."""
         packed = PackedStates.from_updates(updates)
         return _scores_from_sq_distances(
             pairwise_sq_distances(packed.matrix), self.num_byzantine
         )
-
-    def krum_scores_dict(self, updates: Sequence[ClientUpdate]) -> np.ndarray:
-        """Reference scores via O(n²) pairwise ``state_distance`` calls."""
-        n = len(updates)
-        sq_dists = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = state_distance(updates[i].state, updates[j].state)
-                sq_dists[i, j] = sq_dists[j, i] = d * d
-        return _scores_from_sq_distances(sq_dists, self.num_byzantine)
 
     def packed_aggregate(
         self,
@@ -87,19 +75,6 @@ class KrumAggregation(AggregationStrategy):
         # KRUM keeps exactly one LM: everything else is dropped
         self.last_dropped_count = packed.n_clients - 1
         return packed.matrix[int(np.argmin(scores))].copy()
-
-    def aggregate_dict(
-        self,
-        global_state: StateDict,
-        updates: Sequence[ClientUpdate],
-    ) -> StateDict:
-        updates = self._require_updates(updates)
-        if len(updates) == 1:
-            chosen = updates[0]
-        else:
-            chosen = updates[int(np.argmin(self.krum_scores_dict(updates)))]
-        self.last_dropped_count = len(updates) - 1
-        return {k: v.copy() for k, v in chosen.state.items()}
 
 
 def make_krum(input_dim: int, num_classes: int, seed: int = 0) -> FrameworkSpec:

@@ -6,9 +6,7 @@ comparable system (SAFELOC itself included, so drivers can sweep
 :data:`repro.registry.registry` under the ``frameworks`` namespace, and
 :func:`make_framework` delegates to :meth:`Registry.create`.
 
-Unknown kwargs raise with a did-you-mean suggestion (``strict=False``
-restores the legacy pass-through, where the factory's own ``TypeError``
-was the only guard).
+Unknown kwargs raise with a did-you-mean suggestion.
 """
 
 from __future__ import annotations
@@ -81,7 +79,6 @@ def make_framework(
     input_dim: int,
     num_classes: int,
     seed: int = 0,
-    strict: bool = True,
     **kwargs,
 ) -> FrameworkSpec:
     """Build a framework bundle by name.
@@ -90,10 +87,8 @@ def make_framework(
     and ``server_mixing`` for SAFELOC).  Kwargs no registered framework
     accepts raise :class:`~repro.registry.UnknownComponentKwarg` with a
     did-you-mean hint; kwargs only another framework accepts are
-    filtered so sweeps can share one kwargs set.  ``strict=False``
-    restores silent filtering.
+    filtered so sweeps can share one kwargs set.
     """
     return registry.create(
-        "frameworks", name, input_dim, num_classes,
-        strict=strict, seed=seed, **kwargs,
+        "frameworks", name, input_dim, num_classes, seed=seed, **kwargs
     )

@@ -4,8 +4,8 @@
   global model with gradient-frozen (weight-tied) decoder,
 * :mod:`repro.core.detection` — reconstruction-error (RCE) computation and
   the τ-threshold backdoor detector,
-* :mod:`repro.core.saliency` — deviation/saliency matrices (eq. 6-8) and
-  the saliency-map aggregation strategy (eq. 9),
+* :mod:`repro.core.saliency` — the saliency-map aggregation strategy
+  (eq. 6-9),
 * :mod:`repro.core.safeloc` — the client/server pipeline tying it together
   as a :class:`~repro.fl.interfaces.LocalizationModel` plus strategy.
 """
@@ -16,13 +16,7 @@ from repro.core.detection import (
     calibrate_tau,
     reconstruction_errors,
 )
-from repro.core.saliency import (
-    SaliencyAggregation,
-    adjust_weights,
-    deviation_matrix,
-    relative_saliency_matrices,
-    saliency_matrix,
-)
+from repro.core.saliency import SaliencyAggregation
 from repro.core.analysis import (
     DetectionQuality,
     auc,
@@ -36,10 +30,6 @@ __all__ = [
     "ThresholdDetector",
     "reconstruction_errors",
     "calibrate_tau",
-    "deviation_matrix",
-    "saliency_matrix",
-    "relative_saliency_matrices",
-    "adjust_weights",
     "SaliencyAggregation",
     "SafeLocModel",
     "make_safeloc",

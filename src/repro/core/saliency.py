@@ -38,90 +38,11 @@ import numpy as np
 
 from repro.fl.aggregation import AggregationStrategy, ClientUpdate
 from repro.fl.packed import PackedStates, _workspace, cohort_median_abs
-from repro.fl.state import StateDict
 
 ADJUSTMENTS = ("blend", "scale")
 MODES = ("relative", "absolute")
 
 _EPS = 1e-12
-
-
-def deviation_matrix(lm_state: StateDict, gm_state: StateDict) -> StateDict:
-    """Eq. 6: elementwise ``ΔW_i = |W_LM,i − W_GM,i|`` per weight tensor."""
-    if set(lm_state) != set(gm_state):
-        raise ValueError(
-            f"LM/GM key mismatch: {sorted(set(lm_state) ^ set(gm_state))}"
-        )
-    return {key: np.abs(lm_state[key] - gm_state[key]) for key in lm_state}
-
-
-def saliency_matrix(deviation: StateDict, sharpness: float = 1.0) -> StateDict:
-    """Eq. 7 (absolute form): ``S_i = 1 / (1 + k·ΔW_i)``.
-
-    ``sharpness`` (k) controls how quickly saliency decays with deviation;
-    k = 1 is the paper's verbatim formula.  Values lie in (0, 1], equal to
-    1 exactly where LM and GM agree.
-    """
-    if sharpness <= 0:
-        raise ValueError(f"sharpness must be positive, got {sharpness}")
-    return {key: 1.0 / (1.0 + sharpness * dev) for key, dev in deviation.items()}
-
-
-def relative_saliency_matrices(
-    deviations: Sequence[StateDict],
-    tolerance: float = 2.0,
-    power: float = 4.0,
-) -> list:
-    """Scale-free eq. 7: saliency from deviation relative to the cohort.
-
-    For every element, each client's deviation is divided by the
-    cross-client median deviation of that element; the saliency is
-    ``S = 1 / (1 + (Δ_rel / tolerance)^power)``.  ``tolerance`` is how many
-    multiples of the median deviation stay salient (≥ 0.5), ``power`` how
-    hard larger deviations are cut.
-
-    Returns one saliency state-dict per input deviation.
-    """
-    if not deviations:
-        raise ValueError("need at least one deviation matrix")
-    if tolerance <= 0 or power <= 0:
-        raise ValueError("tolerance and power must be positive")
-    keys = deviations[0].keys()
-    out = [dict() for _ in deviations]
-    for key in keys:
-        stack = np.stack([dev[key] for dev in deviations])
-        median = np.median(stack, axis=0)
-        relative = stack / (tolerance * median + _EPS)
-        # float32 compute: x^p may saturate to inf, which reciprocates to
-        # the correct saliency limit of 0 — not an error
-        with np.errstate(over="ignore"):
-            saliency = 1.0 / (1.0 + relative**power)
-        for idx in range(len(deviations)):
-            out[idx][key] = saliency[idx]
-    return out
-
-
-def adjust_weights(
-    lm_state: StateDict,
-    gm_state: StateDict,
-    saliency: StateDict,
-    adjustment: str = "blend",
-) -> StateDict:
-    """Eq. 8: apply the saliency to the LM weight tensors.
-
-    ``blend``: ``W_adj = W_GM + S ∘ (W_LM − W_GM)`` (default, GM-anchored).
-    ``scale``: ``W_adj = S ∘ W_LM`` (verbatim eq. 8).
-    """
-    if adjustment not in ADJUSTMENTS:
-        raise ValueError(
-            f"unknown adjustment {adjustment!r}; choices: {ADJUSTMENTS}"
-        )
-    if adjustment == "scale":
-        return {key: saliency[key] * lm_state[key] for key in lm_state}
-    return {
-        key: gm_state[key] + saliency[key] * (lm_state[key] - gm_state[key])
-        for key in lm_state
-    }
 
 
 class SaliencyAggregation(AggregationStrategy):
@@ -132,8 +53,9 @@ class SaliencyAggregation(AggregationStrategy):
         mode: ``"relative"`` (default, cohort-normalized saliency) or
             ``"absolute"`` (verbatim eq. 7).
         sharpness: Gain k for ``mode="absolute"``.
-        tolerance / power: Shape parameters for ``mode="relative"``
-            (see :func:`relative_saliency_matrices`).
+        tolerance / power: Shape parameters for ``mode="relative"``:
+            ``S = 1 / (1 + (Δ / (tolerance·median))^power)``, where the
+            median is the cross-client median deviation of the element.
         adjustment: ``"blend"`` (default) or ``"scale"`` (verbatim eq. 8).
     """
 
@@ -166,17 +88,6 @@ class SaliencyAggregation(AggregationStrategy):
         self.tolerance = float(tolerance)
         self.power = float(power)
         self.adjustment = adjustment
-
-    def saliency_for(
-        self,
-        deviations: Sequence[StateDict],
-    ) -> list:
-        """One saliency matrix per client deviation (eq. 7)."""
-        if self.mode == "relative":
-            return relative_saliency_matrices(
-                deviations, tolerance=self.tolerance, power=self.power
-            )
-        return [saliency_matrix(dev, self.sharpness) for dev in deviations]
 
     def _packed_saliency(self, delta: np.ndarray) -> np.ndarray:
         """Eq. 7 over the packed delta matrix, written into a new buffer.
@@ -264,24 +175,3 @@ class SaliencyAggregation(AggregationStrategy):
         if eta == 1.0:
             return mean_adj
         return (1.0 - eta) * gm_vector + eta * mean_adj
-
-    def aggregate_dict(
-        self,
-        global_state: StateDict,
-        updates: Sequence[ClientUpdate],
-    ) -> StateDict:
-        updates = self._require_updates(updates)
-        deviations = [
-            deviation_matrix(update.state, global_state) for update in updates
-        ]
-        saliencies = self.saliency_for(deviations)
-        adjusted = [
-            adjust_weights(update.state, global_state, sal, self.adjustment)
-            for update, sal in zip(updates, saliencies)
-        ]
-        eta = self.server_mixing
-        new_state: StateDict = {}
-        for key in global_state:
-            mean_adj = np.mean([adj[key] for adj in adjusted], axis=0)
-            new_state[key] = (1.0 - eta) * global_state[key] + eta * mean_adj
-        return new_state

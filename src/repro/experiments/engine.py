@@ -93,7 +93,7 @@ logger = get_logger("experiments.engine")
 #: the meaning of a serialized plan changes; :mod:`repro.experiments.specio`
 #: rejects files written under any other version with a clear message.
 SPEC_FORMAT = "repro.sweep-plan"
-SPEC_SCHEMA_VERSION = 1
+SPEC_SCHEMA_VERSION = 2
 
 #: cell-executor choices (``SweepEngine(executor=...)`` / ``--executor``).
 #: ``serial`` forces inline execution regardless of ``jobs``; ``thread``
@@ -120,14 +120,11 @@ PRETRAIN_NEUTRAL_KWARGS: Dict[str, frozenset] = {
         }
     ),
     # FEDLS's detector knobs configure server-side aggregation only, so
-    # warm-start/engine sweeps share the reference cell's pre-train
+    # detector sweeps share the reference cell's pre-train
     "fedls": frozenset(
         {
             "outlier_factor",
             "detector_epochs",
-            "detector_engine",
-            "warm_start",
-            "warm_start_epochs",
             "sampled_peers",
             "shared_encoder",
         }
@@ -135,10 +132,9 @@ PRETRAIN_NEUTRAL_KWARGS: Dict[str, frozenset] = {
 }
 
 #: preset fields that cannot influence a single cell's numbers (grids the
-#: drivers expand into explicit spec fields, display metadata, and the
-#: scheduling knobs that are bit-neutral by construction — ``max_workers``
-#: reorders nothing and ``client_engine`` is pinned bit-identical to the
-#: serial loop, so cells resumed across engines share one entry).
+#: drivers expand into explicit spec fields, display metadata, and
+#: ``client_engine``, which is pinned bit-identical to the serial loop, so
+#: cells resumed across engines share one entry).
 _CELL_NEUTRAL_PRESET_FIELDS = frozenset(
     {
         "name",
@@ -149,7 +145,6 @@ _CELL_NEUTRAL_PRESET_FIELDS = frozenset(
         "default_epsilon",
         "scalability_grid",
         "latency_repeats",
-        "max_workers",
         "client_engine",
     }
 )

@@ -12,7 +12,7 @@ Three scales, identical code paths:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.data.buildings import Building, get_building, scaled_building
 from repro.fl.simulation import FederationConfig
@@ -66,8 +66,6 @@ class Preset:
     default_epsilon: float = 0.5
     scalability_grid: Tuple[Tuple[int, int], ...] = ((6, 1), (12, 3), (18, 6), (24, 12))
     latency_repeats: int = 30
-    #: client-update thread count per round (None = sequential reference)
-    max_workers: Optional[int] = None
     #: client execution engine: "serial" (per-client loop, the bit-exact
     #: reference) or "batched" (fold-stacked cohort training; identical
     #: results at float64 — see :mod:`repro.fl.batched_round`)
@@ -104,7 +102,6 @@ class Preset:
             num_rounds=self.num_rounds,
             pretrain_epochs=self.pretrain_epochs,
             pretrain_lr=self.pretrain_lr,
-            max_workers=self.max_workers,
             client_engine=self.client_engine,
         )
 
@@ -134,7 +131,6 @@ class Preset:
             "default_epsilon": self.default_epsilon,
             "scalability_grid": [list(pair) for pair in self.scalability_grid],
             "latency_repeats": self.latency_repeats,
-            "max_workers": self.max_workers,
             "client_engine": self.client_engine,
             "compute_dtype": self.compute_dtype,
         }

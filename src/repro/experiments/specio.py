@@ -55,9 +55,15 @@ _PRESET_FIELD_TYPES = {
     "default_epsilon": (int, float),
     "scalability_grid": list,
     "latency_repeats": int,
-    "max_workers": (int, type(None)),
     "client_engine": str,
     "compute_dtype": str,
+}
+
+#: what changed since each older schema version — appended to the
+#: version-mismatch error so an old file says exactly what to edit
+_SCHEMA_CHANGES = {
+    1: "version 2 removed preset.max_workers (thread-pool client rounds); "
+    "delete that field and set schema_version to 2",
 }
 
 _CELL_FIELD_TYPES = {
@@ -334,11 +340,15 @@ def validate_plan_payload(
             f"is {SPEC_SCHEMA_VERSION})"
         )
     elif isinstance(version, bool) or version != SPEC_SCHEMA_VERSION:
+        hint = _SCHEMA_CHANGES.get(version) if type(version) is int else None
         errors.append(
             f"schema_version: this build reads version "
             f"{SPEC_SCHEMA_VERSION}, the file says {version!r} — "
-            f"regenerate the spec (e.g. repro.api.experiment(...).save_spec) "
-            f"or run it with a matching repro build"
+            + (
+                hint
+                or "regenerate the spec (e.g. repro.api.experiment(...)"
+                ".save_spec) or run it with a matching repro build"
+            )
         )
     if errors:
         # a wrong version makes every downstream check unreliable

@@ -5,12 +5,11 @@ The strategy is the locus of every defense compared in the paper: FedAvg
 filtering (FEDLS), Krum selection, and SAFELOC's saliency-map aggregation —
 all implement :class:`AggregationStrategy`.
 
-Strategies run on the **packed path** by default: the cohort is flattened
-once into a ``(n_clients, n_params)`` matrix (:mod:`repro.fl.packed`) and
-the defense becomes a handful of vectorized ops over axis 0.  Every
-converted strategy keeps its original per-key dict implementation as
-``aggregate_dict`` — the reference the equivalence tests and the
-aggregation benchmarks compare the packed path against.
+Strategies run on the **packed path**: the cohort is flattened once into
+a ``(n_clients, n_params)`` matrix (:mod:`repro.fl.packed`) and the
+defense becomes a handful of vectorized ops over axis 0.  The per-key
+reference implementations the packed path must match live with the
+tests (``tests/reference/aggregation.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.fl.packed import PackedStates
-from repro.fl.state import StateDict, state_weighted_mean
+from repro.fl.state import StateDict
 
 
 @dataclass
@@ -110,19 +109,6 @@ class AggregationStrategy:
         """Vectorized form: flat GM + packed cohort → new flat GM."""
         raise NotImplementedError
 
-    def aggregate_dict(
-        self,
-        global_state: StateDict,
-        updates: Sequence[ClientUpdate],
-    ) -> StateDict:
-        """Legacy per-key reference path (equivalence tests, benchmarks).
-
-        Strategies converted to the packed engine keep their original
-        dict implementation here; the default falls through to
-        :meth:`aggregate` for strategies that only have one path.
-        """
-        return self.aggregate(global_state, updates)
-
     @staticmethod
     def _require_updates(updates: Sequence[ClientUpdate]) -> Sequence[ClientUpdate]:
         if not updates:
@@ -167,21 +153,3 @@ class FedAvg(AggregationStrategy):
             return averaged
         m = self.server_momentum
         return m * gm_vector + (1.0 - m) * averaged
-
-    def aggregate_dict(
-        self,
-        global_state: StateDict,
-        updates: Sequence[ClientUpdate],
-    ) -> StateDict:
-        updates = self._require_updates(updates)
-        averaged = state_weighted_mean(
-            [u.state for u in updates],
-            [max(1, u.num_samples) for u in updates],
-        )
-        if self.server_momentum == 0.0:
-            return averaged
-        m = self.server_momentum
-        return {
-            key: m * global_state[key] + (1.0 - m) * averaged[key]
-            for key in global_state
-        }

@@ -97,24 +97,22 @@ class FederatedClient:
         # repro: allow[REP501] standalone-construction fallback; the engine always threads spec-derived seeds
         self.seeds = seeds or SeedSequence(0)
         self.self_labeling = bool(self_labeling)
-        self._round = 0
 
     @property
     def is_malicious(self) -> bool:
         return self.attack is not None
 
-    def resolve_round(self, round_index: Optional[int]) -> int:
-        """Pin the client to ``round_index`` (1-based) and return it.
+    def resolve_round(self, round_index: int) -> int:
+        """Validate the server-announced 1-based ``round_index``.
 
-        ``None`` keeps the legacy self-counting behavior.  Both engines
-        call this first, so a server that satisfied earlier rounds from
-        the federate cache can still request round ``r`` and get
+        Both engines call this first.  The round index alone keys every
+        per-round rng stream, so a server that satisfied earlier rounds
+        from the federate cache can still request round ``r`` and get
         bit-identical randomness to an uncached federation.
         """
-        if round_index is None:
-            round_index = self._round + 1
-        self._round = round_index
-        return round_index
+        if round_index < 1:
+            raise ValueError(f"round_index must be >= 1, got {round_index}")
+        return int(round_index)
 
     def begin_local_round(
         self, global_state: StateDict, round_index: int
@@ -155,7 +153,7 @@ class FederatedClient:
         )
 
     def local_update(
-        self, global_state: StateDict, round_index: Optional[int] = None
+        self, global_state: StateDict, round_index: int
     ) -> ClientUpdate:
         """Run one round of local training and return the LM.
 

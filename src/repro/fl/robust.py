@@ -10,8 +10,7 @@ localization-specific design buys over generic robustness:
 * update norm clipping.
 
 All three run on the packed ``(n_clients, n_params)`` matrix (one
-reduction over axis 0 each); the original per-key implementations remain
-as ``aggregate_dict`` for the equivalence tests and benchmarks.
+reduction over axis 0 each).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.fl.packed import (
     cohort_median,
     cohort_sort,
 )
-from repro.fl.state import StateDict
 
 
 class CoordinateMedian(AggregationStrategy):
@@ -47,19 +45,6 @@ class CoordinateMedian(AggregationStrategy):
     ) -> np.ndarray:
         return cohort_median(packed.matrix)
 
-    def aggregate_dict(
-        self,
-        global_state: StateDict,
-        updates: Sequence[ClientUpdate],
-    ) -> StateDict:
-        updates = self._require_updates(updates)
-        return {
-            key: np.median(
-                np.stack([u.state[key] for u in updates]), axis=0
-            )
-            for key in global_state
-        }
-
 
 class TrimmedMean(AggregationStrategy):
     """Elementwise mean after dropping the k largest and k smallest values.
@@ -71,28 +56,10 @@ class TrimmedMean(AggregationStrategy):
 
     name = "trimmed-mean"
 
-    #: below this cohort size (clients × params) the per-key dict path is
-    #: at parity or better — both paths are sort-bound, and the packed
-    #: transpose only pays off once the cohort matrix is large
-    PACKED_MIN_ELEMS = 1 << 19
-
     def __init__(self, trim: int = 1):
         if trim < 0:
             raise ValueError(f"trim must be >= 0, got {trim}")
         self.trim = int(trim)
-
-    def aggregate(
-        self,
-        global_state: StateDict,
-        updates: Sequence[ClientUpdate],
-    ) -> StateDict:
-        updates = self._require_updates(updates)
-        cohort_elems = len(updates) * sum(
-            v.size for v in global_state.values()
-        )
-        if cohort_elems < self.PACKED_MIN_ELEMS:
-            return self.aggregate_dict(global_state, updates)
-        return super().aggregate(global_state, updates)
 
     def packed_aggregate(
         self,
@@ -107,22 +74,6 @@ class TrimmedMean(AggregationStrategy):
             return matrix.mean(axis=0)
         srt = cohort_sort(matrix)
         return srt[:, trim : n - trim].mean(axis=1)
-
-    def aggregate_dict(
-        self,
-        global_state: StateDict,
-        updates: Sequence[ClientUpdate],
-    ) -> StateDict:
-        updates = self._require_updates(updates)
-        n = len(updates)
-        trim = min(self.trim, (n - 1) // 2)
-        new_state: StateDict = {}
-        for key in global_state:
-            stack = np.sort(np.stack([u.state[key] for u in updates]), axis=0)
-            if trim > 0:
-                stack = stack[trim : n - trim]
-            new_state[key] = stack.mean(axis=0)
-        return new_state
 
 
 class NormClipping(AggregationStrategy):
@@ -163,36 +114,3 @@ class NormClipping(AggregationStrategy):
         # mean of scaled deltas as one BLAS matvec: (s/n) @ D
         clipped = (scales / matrix.shape[0]).astype(deltas.dtype) @ deltas
         return gm_vector + clipped
-
-    def aggregate_dict(
-        self,
-        global_state: StateDict,
-        updates: Sequence[ClientUpdate],
-    ) -> StateDict:
-        updates = self._require_updates(updates)
-        deltas = []
-        norms = []
-        for update in updates:
-            delta = {
-                key: update.state[key] - global_state[key]
-                for key in global_state
-            }
-            deltas.append(delta)
-            norms.append(
-                float(
-                    np.sqrt(sum(float((v**2).sum()) for v in delta.values()))
-                )
-            )
-        budget = (
-            self.clip_norm
-            if self.clip_norm is not None
-            else float(np.median(norms)) + 1e-12
-        )
-        new_state: StateDict = {}
-        scales = [min(1.0, budget / (n + 1e-12)) for n in norms]
-        for key in global_state:
-            clipped = np.mean(
-                [s * d[key] for s, d in zip(scales, deltas)], axis=0
-            )
-            new_state[key] = global_state[key] + clipped
-        return new_state

@@ -19,10 +19,10 @@ extension, its default kwargs, the kwarg names it accepts and a one-line
 doc — which is what ``repro info`` enumerates and what the spec
 validator (:mod:`repro.experiments.specio`) checks names against.
 
-Kwarg validation is **strict by default**: :meth:`Registry.create`
-raises :class:`UnknownComponentKwarg` (with a did-you-mean suggestion)
-for any kwarg no component in the sweep set accepts, instead of the old
-silent signature filtering that swallowed typos like ``num_step=10``.
+Kwarg validation is **strict**: :meth:`Registry.create` raises
+:class:`UnknownComponentKwarg` (with a did-you-mean suggestion) for any
+kwarg no component in the sweep set accepts, so a typo like
+``num_step=10`` fails instead of being silently dropped.
 Kwargs accepted by *some* component of the sweep set but not the target
 are still filtered, so drivers can pass one uniform kwargs set across
 e.g. all five attacks (``num_classes`` only reaches label flipping).
@@ -498,7 +498,6 @@ class Registry:
         namespace: str,
         name: str,
         *args: Any,
-        strict: bool = True,
         sweep: Optional[Iterable[str]] = None,
         **kwargs: Any,
     ) -> Any:
@@ -506,12 +505,10 @@ class Registry:
 
         Kwargs the target does not accept but another component of the
         sweep set does are filtered out (uniform kwargs across a sweep);
-        kwargs nobody accepts raise — unless ``strict=False``, which
-        restores the legacy silent filtering.
+        kwargs nobody accepts raise.
         """
         info = self.get(namespace, name)
-        if strict:
-            self.validate_kwargs(namespace, name, kwargs, sweep=sweep)
+        self.validate_kwargs(namespace, name, kwargs, sweep=sweep)
         if not info.open_kwargs:
             kwargs = {k: v for k, v in kwargs.items() if k in info.accepts}
         return info.factory(*args, **kwargs)

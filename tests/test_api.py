@@ -77,7 +77,7 @@ class TestBuilder:
     def test_spec_and_json_shapes(self):
         builder = api.experiment("fig1").preset("tiny")
         payload = builder.spec()
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert builder.to_json().endswith("\n")
 
     def test_save_spec_writes_loadable_file(self, tmp_path):

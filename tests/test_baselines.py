@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference.fedls import serial_loo_errors, with_serial_detectors
 from repro.baselines import (
     ClusteredAggregation,
     DNNLocalizer,
@@ -295,16 +296,11 @@ class TestLatentSpaceAggregation:
             LatentSpaceAggregation(outlier_factor=1.0)
         with pytest.raises(ValueError):
             LatentSpaceAggregation(detector_epochs=0)
-        with pytest.raises(ValueError):
-            LatentSpaceAggregation(detector_engine="gpu")
-        with pytest.raises(ValueError):
-            LatentSpaceAggregation(warm_start=True, detector_engine="serial")
-        with pytest.raises(ValueError):
-            LatentSpaceAggregation(warm_start=True, warm_start_epochs=0)
 
 
 class TestFedlsBatchedEquivalence:
-    """The fold-batched detection path vs the serial per-fold reference."""
+    """The fold-batched detectors vs the per-fold reference loop
+    (``tests/reference/fedls.py``)."""
 
     def _cohort(self, n=6, seed=0):
         gm = _gm_state(0)
@@ -316,9 +312,11 @@ class TestFedlsBatchedEquivalence:
     def test_aggregate_matches_serial(self, n_clients):
         gm, updates = self._cohort(n_clients)
         batched = LatentSpaceAggregation(seed=0, detector_epochs=40)
-        serial = LatentSpaceAggregation(seed=0, detector_epochs=40)
+        serial = with_serial_detectors(
+            LatentSpaceAggregation(seed=0, detector_epochs=40)
+        )
         out_b = batched.aggregate(gm, updates)
-        out_s = serial.aggregate_serial(gm, updates)
+        out_s = serial.aggregate(gm, updates)
         for key in gm:
             np.testing.assert_allclose(out_b[key], out_s[key], atol=1e-10)
 
@@ -326,12 +324,8 @@ class TestFedlsBatchedEquivalence:
         normalized = np.random.default_rng(3).normal(size=(6, 20))
         agg = LatentSpaceAggregation(seed=7, detector_epochs=30)
         for round_index in (1, 2, 5):
-            e_serial = agg.leave_one_out_errors(
-                normalized, round_index, engine="serial"
-            )
-            e_batched = agg.leave_one_out_errors(
-                normalized, round_index, engine="batched"
-            )
+            e_serial = serial_loo_errors(agg, normalized, round_index)
+            e_batched = agg.leave_one_out_errors(normalized, round_index)
             np.testing.assert_allclose(e_serial, e_batched, atol=1e-10)
         # different rounds draw different detector seeds
         assert not np.allclose(
@@ -354,20 +348,10 @@ class TestFedlsBatchedEquivalence:
                 for u in updates
             ]
             batched = LatentSpaceAggregation(seed=0, detector_epochs=40)
-            serial = LatentSpaceAggregation(seed=0, detector_epochs=40)
             norm_b = batched.normalized_summaries(gm32, ups32)
-            e_b = batched.leave_one_out_errors(norm_b, 1, engine="batched")
-            e_s = serial.leave_one_out_errors(norm_b, 1, engine="serial")
+            e_b = batched.leave_one_out_errors(norm_b, 1)
+            e_s = serial_loo_errors(batched, norm_b, 1)
         assert float(np.abs(e_b - e_s).max()) <= 1e-4
-
-    def test_serial_engine_selectable_via_factory(self):
-        spec = make_framework("fedls", D, C, seed=0, detector_engine="serial")
-        assert spec.strategy.detector_engine == "serial"
-        gm, updates = self._cohort(5)
-        out = spec.strategy.aggregate(gm, updates)
-        ref = LatentSpaceAggregation(seed=0).aggregate_serial(gm, updates)
-        for key in gm:
-            np.testing.assert_allclose(out[key], ref[key], atol=1e-10)
 
 
 class TestFedlsSampledPeers:
@@ -399,12 +383,8 @@ class TestFedlsSampledPeers:
             seed=7, detector_epochs=30, sampled_peers=4
         )
         for round_index in (1, 2, 5):
-            e_serial = agg.leave_one_out_errors(
-                normalized, round_index, engine="serial"
-            )
-            e_batched = agg.leave_one_out_errors(
-                normalized, round_index, engine="batched"
-            )
+            e_serial = serial_loo_errors(agg, normalized, round_index)
+            e_batched = agg.leave_one_out_errors(normalized, round_index)
             np.testing.assert_allclose(e_serial, e_batched, atol=1e-10)
 
     def test_peer_assignment_deterministic_per_round(self):
@@ -507,70 +487,6 @@ class TestFedlsRoundDeterminism:
         np.testing.assert_equal(run(), run())
 
 
-class TestFedlsWarmStart:
-    def _cohort(self, round_seed):
-        gm = _gm_state(0)
-        updates = [
-            _update(100 * round_seed + i, gm, jitter=0.01) for i in range(5)
-        ]
-        updates.append(
-            _update(9000 + round_seed, gm, jitter=1.5, malicious=True)
-        )
-        return gm, updates
-
-    def test_warm_start_defaults_and_factory_keying(self):
-        agg = LatentSpaceAggregation(detector_epochs=120, warm_start=True)
-        assert agg.warm_start_epochs == 30
-        spec = make_framework(
-            "fedls", D, C, seed=0, warm_start=True, warm_start_epochs=10
-        )
-        assert spec.strategy.warm_start
-        assert spec.strategy.warm_start_epochs == 10
-
-    def test_warm_rounds_reuse_detectors_and_still_filter(self):
-        agg = LatentSpaceAggregation(
-            seed=0, detector_epochs=60, warm_start=True, warm_start_epochs=15
-        )
-        assert agg._warm_network is None
-        for round_seed in (1, 2, 3):
-            gm, updates = self._cohort(round_seed)
-            agg.begin_round(round_seed)
-            out = agg.aggregate(gm, updates)
-            # the poisoned update must not drag the aggregate away
-            shift = max(np.abs(out[k] - gm[k]).max() for k in gm)
-            assert shift < 0.5
-        assert agg._warm_network is not None
-        warm_net = agg._warm_network
-        gm, updates = self._cohort(4)
-        agg.begin_round(4)
-        agg.aggregate(gm, updates)
-        assert agg._warm_network is warm_net  # carried, not rebuilt
-
-    def test_cohort_size_change_cold_rebuilds(self):
-        agg = LatentSpaceAggregation(
-            seed=0, detector_epochs=40, warm_start=True
-        )
-        gm, updates = self._cohort(1)
-        agg.begin_round(1)
-        agg.aggregate(gm, updates)
-        warm_net = agg._warm_network
-        agg.begin_round(2)
-        agg.aggregate(gm, updates[:-1])  # one client fewer
-        assert agg._warm_network is not warm_net
-        assert agg._warm_network.n_folds == len(updates) - 1
-
-    def test_reset_clears_warm_state(self):
-        agg = LatentSpaceAggregation(
-            seed=0, detector_epochs=40, warm_start=True
-        )
-        gm, updates = self._cohort(1)
-        agg.aggregate(gm, updates)
-        assert agg._warm_network is not None
-        agg.reset()
-        assert agg._warm_network is None
-        assert agg._local_round == 0
-
-
 class TestFedlsSharedEncoder:
     """The O(n) detector mode: pooled encoder + per-fold batched heads."""
 
@@ -579,14 +495,6 @@ class TestFedlsSharedEncoder:
         honest = [_update(i, gm, jitter=0.01) for i in range(1, n_honest + 1)]
         poisoned = _update(88, gm, jitter=2.0, malicious=True)
         return gm, honest + [poisoned]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LatentSpaceAggregation(
-                shared_encoder=True, detector_engine="serial"
-            )
-        with pytest.raises(ValueError):
-            LatentSpaceAggregation(shared_encoder=True, warm_start=True)
 
     def test_errors_deterministic_and_round_keyed(self):
         normalized = np.random.default_rng(3).normal(size=(10, 20))
@@ -612,12 +520,11 @@ class TestFedlsSharedEncoder:
         shift = max(np.abs(merged[k] - gm[k]).max() for k in gm)
         assert shift < 0.5
         assert shared.last_dropped_count >= 1
-        # the exact full-LOO reference stays reachable on the same
-        # instance: the shared mode is server-side only, so agreement on
-        # the kept set is the contract (not bit-equality)
+        # agreement with the exact full-LOO reference on the kept set is
+        # the contract (not bit-equality)
         normalized = shared.normalized_summaries(gm, updates)
         e_shared = shared.leave_one_out_errors(normalized, 1)
-        e_ref = shared.leave_one_out_errors(normalized, 1, engine="serial")
+        e_ref = serial_loo_errors(shared, normalized, 1)
 
         def flags(errors):
             threshold = shared.outlier_factor * (np.median(errors) + 1e-12)

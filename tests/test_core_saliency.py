@@ -1,17 +1,23 @@
-"""Tests for the saliency-map aggregation (eq. 6-9), incl. properties."""
+"""Tests for the saliency-map aggregation (eq. 6-9), incl. properties.
+
+The per-tensor eq. 6-8 helpers live in ``tests/reference/aggregation.py``
+(the packed strategy is pinned to them by
+``test_packed_aggregation.py``); the helper tests here check that the
+reference itself has the properties the paper describes.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.saliency import (
-    SaliencyAggregation,
+from reference.aggregation import (
     adjust_weights,
     deviation_matrix,
     relative_saliency_matrices,
     saliency_matrix,
 )
+from repro.core.saliency import SaliencyAggregation
 from repro.fl.aggregation import ClientUpdate
 
 
@@ -35,10 +41,6 @@ class TestDeviationMatrix:
         dev = deviation_matrix(lm, gm)
         np.testing.assert_allclose(dev["w"], [0.5, 3.0])
 
-    def test_key_mismatch(self):
-        with pytest.raises(ValueError):
-            deviation_matrix({"a": np.zeros(2)}, {"b": np.zeros(2)})
-
 
 class TestAbsoluteSaliency:
     def test_bounds(self):
@@ -56,10 +58,6 @@ class TestAbsoluteSaliency:
         low = saliency_matrix(dev, sharpness=1.0)["w"][0]
         high = saliency_matrix(dev, sharpness=50.0)["w"][0]
         assert high < low
-
-    def test_invalid_sharpness(self):
-        with pytest.raises(ValueError):
-            saliency_matrix({"w": np.zeros(1)}, sharpness=0.0)
 
 
 class TestRelativeSaliency:
@@ -88,12 +86,6 @@ class TestRelativeSaliency:
         for a, b in zip(s1, s2):
             np.testing.assert_allclose(a["w"], b["w"], rtol=1e-6)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            relative_saliency_matrices([])
-        with pytest.raises(ValueError):
-            relative_saliency_matrices([{"w": np.zeros(1)}], tolerance=0)
-
 
 class TestAdjustWeights:
     def test_blend_anchors_at_gm(self):
@@ -109,10 +101,6 @@ class TestAdjustWeights:
         sal = {"w": np.array([0.5, 0.25])}
         adj = adjust_weights(lm, gm, sal, "scale")
         np.testing.assert_allclose(adj["w"], [1.0, 1.0])
-
-    def test_unknown_adjustment(self):
-        with pytest.raises(ValueError):
-            adjust_weights(_state(0), _state(0), _state(0), "magic")
 
 
 class TestSaliencyAggregation:

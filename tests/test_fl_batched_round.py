@@ -86,13 +86,12 @@ def _clients(n=5, malicious=(4,), n_samples=30):
     return clients
 
 
-def _server(engine, clients=None, cache=None, max_workers=None):
+def _server(engine, clients=None, cache=None):
     return FederatedServer(
         _model(99),
         FedAvg(),
         clients if clients is not None else _clients(),
         seeds=SeedSequence(7),
-        max_workers=max_workers,
         update_cache=cache,
         client_engine=engine,
     )
@@ -177,12 +176,11 @@ class TestRoundSeedHelper:
                     update.state[key], expected.state[key]
                 )
 
-    def test_resolve_round_keeps_legacy_self_counting(self):
+    def test_resolve_round_validates_round_index(self):
         client = _clients(n=1, malicious=())[0]
-        assert client.resolve_round(None) == 1
-        assert client.resolve_round(None) == 2
         assert client.resolve_round(7) == 7
-        assert client.resolve_round(None) == 8
+        with pytest.raises(ValueError):
+            client.resolve_round(0)
 
 
 class TestEngineValidation:
@@ -271,13 +269,6 @@ class TestSerialBatchedEquivalence:
         groups = cohort._partition(pending, prepared, {}, {})
         sizes = sorted(len(group) for group in groups)
         assert sizes == [1, 4]  # honest fold group + attacker singleton
-
-    def test_batched_matches_threaded_serial(self):
-        serial = _server("serial", max_workers=3)
-        batched = _server("batched")
-        _assert_rounds_equal(
-            serial, serial.run_rounds(2), batched, batched.run_rounds(2)
-        )
 
 
 class TestCompositeCohortEquivalence:

@@ -56,7 +56,7 @@ class TestFederatedClient:
             seeds=SeedSequence(3),
         )
         gm = _model(9).state_dict()
-        update = client.local_update(gm)
+        update = client.local_update(gm, round_index=1)
         assert isinstance(update, ClientUpdate)
         assert update.client_name == "c0"
         assert update.num_samples == 30
@@ -69,7 +69,7 @@ class TestFederatedClient:
             seeds=SeedSequence(3),
         )
         gm = _model(9).state_dict()
-        update = client.local_update(gm)
+        update = client.local_update(gm, round_index=1)
         # at lr 1e-6 the LM barely moves: it must be near the broadcast GM,
         # not near the client model's original weights
         for key in gm:
@@ -83,7 +83,7 @@ class TestFederatedClient:
             seeds=SeedSequence(3),
         )
         assert client.is_malicious
-        update = client.local_update(_model(9).state_dict())
+        update = client.local_update(_model(9).state_dict(), round_index=1)
         assert update.is_malicious
 
     def test_self_labeling_uses_model_predictions(self):
@@ -93,7 +93,7 @@ class TestFederatedClient:
             "c0", model, ds, ClientConfig(epochs=1, lr=1e-6),
             seeds=SeedSequence(3), self_labeling=True,
         )
-        client.local_update(_model(9).state_dict())
+        client.local_update(_model(9).state_dict(), round_index=1)
         # the client's own dataset must stay untouched
         assert ds.labels.max() < NUM_RPS
 

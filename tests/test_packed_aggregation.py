@@ -1,32 +1,34 @@
-"""Packed-engine equivalence, parallel-round determinism, dtype policy.
+"""Packed-engine equivalence and dtype policy.
 
-Every aggregation strategy now runs on the packed ``(n_clients,
-n_params)`` matrix; these tests pin the packed path to the legacy
-per-key dict path within 1e-10 for random cohorts (honest-only,
-single-attacker, and the coordinated multi-attacker shapes from
-``test_multi_attacker``), and pin the new execution knobs: threaded
-client rounds must be bit-identical to the sequential loop, and the
-compute-dtype switch must thread float32 end to end.
+Every aggregation strategy runs on the packed ``(n_clients, n_params)``
+matrix; a Hypothesis property pins each one to its per-key reference in
+``tests/reference/aggregation.py`` within 1e-10 over generated cohorts
+(1–16 clients, up to half of them attackers, coordinated or not), and
+the compute-dtype tests pin float32 threading end to end.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import aggregation as ref
 from repro.baselines.dnn import DNNLocalizer
 from repro.baselines.fedcc import ClusteredAggregation
-from repro.baselines.fedhil import SelectiveAggregation
 from repro.baselines.fedls import summarize_delta, summarize_packed_deltas
 from repro.baselines.krum import KrumAggregation
 from repro.core.saliency import SaliencyAggregation
-from repro.data.datasets import FingerprintDataset
-from repro.fl import FedAvg, FederatedClient, FederatedServer, PackedStates, PackLayout
+from repro.fl import FedAvg, PackedStates, PackLayout
 from repro.fl.aggregation import ClientUpdate
-from repro.fl.client import ClientConfig
 from repro.fl.packed import cosine_similarity_matrix, pairwise_sq_distances
 from repro.fl.robust import CoordinateMedian, NormClipping, TrimmedMean
-from repro.fl.state import state_cosine_similarity, state_sub
+from repro.fl.state import (
+    state_cosine_similarity,
+    state_sub,
+    state_weighted_mean,
+)
 from repro.nn import Linear, Sigmoid, compute_dtype, default_dtype, sigmoid
-from repro.utils.rng import SeedSequence, fallback_rng, seed_fallback_rng
+from repro.utils.rng import fallback_rng, seed_fallback_rng
 
 TOL = 1e-10
 
@@ -80,60 +82,74 @@ def _assert_states_close(a, b, tol=TOL):
         np.testing.assert_allclose(a[key], b[key], rtol=0, atol=tol)
 
 
-STRATEGY_FACTORIES = [
-    pytest.param(lambda: FedAvg(), id="fedavg"),
-    pytest.param(lambda: FedAvg(server_momentum=0.4), id="fedavg-momentum"),
-    pytest.param(lambda: CoordinateMedian(), id="coordinate-median"),
-    pytest.param(lambda: TrimmedMean(trim=1), id="trimmed-mean-1"),
-    pytest.param(lambda: TrimmedMean(trim=2), id="trimmed-mean-2"),
-    pytest.param(lambda: NormClipping(), id="norm-clipping-adaptive"),
-    pytest.param(lambda: NormClipping(clip_norm=0.5), id="norm-clipping-fixed"),
-    pytest.param(lambda: SaliencyAggregation(), id="saliency-relative-blend"),
-    pytest.param(
-        lambda: SaliencyAggregation(
-            mode="absolute", adjustment="scale", server_mixing=0.7
-        ),
-        id="saliency-absolute-scale",
-    ),
-    pytest.param(lambda: KrumAggregation(num_byzantine=2), id="krum"),
-    pytest.param(lambda: SelectiveAggregation(), id="fedhil-selective"),
-    pytest.param(
-        lambda: SelectiveAggregation(aggregate_fraction=1.0, server_mixing=0.6),
-        id="fedhil-all-layers",
-    ),
-    pytest.param(lambda: ClusteredAggregation(seed=3), id="fedcc-cluster"),
-]
+def _fedavg(gm, updates, server_momentum=0.0):
+    averaged = state_weighted_mean(
+        [u.state for u in updates], [max(1, u.num_samples) for u in updates]
+    )
+    m = server_momentum
+    return {key: m * gm[key] + (1.0 - m) * averaged[key] for key in gm}
 
-COHORTS = [
-    pytest.param({"n_clients": 5, "n_attackers": 0}, id="honest-5"),
-    pytest.param({"n_clients": 6, "n_attackers": 1}, id="one-attacker-6"),
-    pytest.param(
-        {"n_clients": 6, "n_attackers": 2, "coordinated": True},
-        id="coordinated-2-of-6",
+
+_SALIENCY_ABSOLUTE = dict(
+    mode="absolute", adjustment="scale", server_mixing=0.7
+)
+
+#: id → (packed strategy factory, per-key reference)
+STRATEGY_CASES = {
+    "fedavg": (FedAvg, _fedavg),
+    "fedavg-momentum": (
+        lambda: FedAvg(server_momentum=0.4),
+        lambda gm, ups: _fedavg(gm, ups, server_momentum=0.4),
     ),
-    pytest.param({"n_clients": 12, "n_attackers": 4}, id="multi-attacker-12"),
-]
+    "coordinate-median": (CoordinateMedian, ref.coordinate_median),
+    "trimmed-mean-1": (lambda: TrimmedMean(trim=1), ref.trimmed_mean),
+    "trimmed-mean-2": (
+        lambda: TrimmedMean(trim=2),
+        lambda gm, ups: ref.trimmed_mean(gm, ups, trim=2),
+    ),
+    "norm-clipping-adaptive": (NormClipping, ref.norm_clipping),
+    "norm-clipping-fixed": (
+        lambda: NormClipping(clip_norm=0.5),
+        lambda gm, ups: ref.norm_clipping(gm, ups, clip_norm=0.5),
+    ),
+    "saliency-relative-blend": (SaliencyAggregation, ref.saliency),
+    "saliency-absolute-scale": (
+        lambda: SaliencyAggregation(**_SALIENCY_ABSOLUTE),
+        lambda gm, ups: ref.saliency(gm, ups, **_SALIENCY_ABSOLUTE),
+    ),
+    "krum": (
+        lambda: KrumAggregation(num_byzantine=2),
+        lambda gm, ups: ref.krum(gm, ups, num_byzantine=2),
+    ),
+    "fedcc-cluster": (
+        lambda: ClusteredAggregation(seed=3),
+        lambda gm, ups: ref.fedcc(gm, ups, seed=3),
+    ),
+}
+
+
+@st.composite
+def cohorts(draw):
+    """Cohort shape: 1–16 clients, 0 to half of them attackers."""
+    n_clients = draw(st.integers(1, 16))
+    return {
+        "n_clients": n_clients,
+        "n_attackers": draw(st.integers(0, n_clients // 2)),
+        "coordinated": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**16)),
+    }
 
 
 class TestPackedEquivalence:
-    @pytest.mark.parametrize("make_strategy", STRATEGY_FACTORIES)
-    @pytest.mark.parametrize("cohort_kw", COHORTS)
-    def test_packed_matches_dict_path(self, make_strategy, cohort_kw):
+    @pytest.mark.parametrize("case", sorted(STRATEGY_CASES))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(cohort_kw=cohorts())
+    def test_packed_matches_reference(self, case, cohort_kw):
+        make_strategy, reference = STRATEGY_CASES[case]
         gm = _gm()
         updates = _cohort(gm, **cohort_kw)
-        # two instances: stateful strategies (FedCC's tie-break rng) must
-        # not share consumed state between the two paths
-        packed_out = make_strategy().aggregate(gm, updates)
-        dict_out = make_strategy().aggregate_dict(gm, updates)
-        _assert_states_close(packed_out, dict_out)
-
-    @pytest.mark.parametrize("make_strategy", STRATEGY_FACTORIES)
-    def test_single_client_cohort(self, make_strategy):
-        gm = _gm()
-        updates = _cohort(gm, 1)
         _assert_states_close(
-            make_strategy().aggregate(gm, updates),
-            make_strategy().aggregate_dict(gm, updates),
+            make_strategy().aggregate(gm, updates), reference(gm, updates)
         )
 
     def test_krum_scores_match_reference(self):
@@ -142,7 +158,7 @@ class TestPackedEquivalence:
         strategy = KrumAggregation(num_byzantine=2)
         np.testing.assert_allclose(
             strategy.krum_scores(updates),
-            strategy.krum_scores_dict(updates),
+            ref.krum_scores(updates, num_byzantine=2),
             rtol=1e-9,
         )
 
@@ -256,67 +272,6 @@ class TestPackedStates:
 
 
 NUM_APS, NUM_RPS = 10, 6
-
-
-def _dataset(seed, n=24):
-    rng = np.random.default_rng(seed)
-    return FingerprintDataset(
-        rng.uniform(0, 1, size=(n, NUM_APS)),
-        rng.integers(0, NUM_RPS, size=n),
-        building="b",
-        device="d",
-    )
-
-
-def _federation(max_workers, strategy=None, num_clients=4):
-    clients = [
-        FederatedClient(
-            f"c{i}",
-            DNNLocalizer(NUM_APS, NUM_RPS, hidden=(12,), seed=i),
-            _dataset(i),
-            ClientConfig(epochs=2, lr=0.01),
-            seeds=SeedSequence(i),
-        )
-        for i in range(num_clients)
-    ]
-    return FederatedServer(
-        DNNLocalizer(NUM_APS, NUM_RPS, hidden=(12,), seed=99),
-        strategy or FedAvg(),
-        clients,
-        SeedSequence(7),
-        max_workers=max_workers,
-    )
-
-
-class TestParallelRounds:
-    def test_parallel_matches_sequential_bit_for_bit(self):
-        sequential = _federation(max_workers=None)
-        parallel = _federation(max_workers=4)
-        for _ in range(2):
-            sequential.run_round()
-            parallel.run_round()
-        seq_state = sequential.model.state_dict()
-        par_state = parallel.model.state_dict()
-        for key in seq_state:
-            np.testing.assert_array_equal(seq_state[key], par_state[key])
-
-    def test_parallel_preserves_client_order(self):
-        record = _federation(max_workers=3).run_round()
-        assert [u.client_name for u in record.updates] == [
-            "c0", "c1", "c2", "c3",
-        ]
-
-    def test_parallel_with_saliency_strategy(self):
-        seq = _federation(None, SaliencyAggregation())
-        par = _federation(2, SaliencyAggregation())
-        seq.run_round()
-        par.run_round()
-        for key, value in seq.model.state_dict().items():
-            np.testing.assert_array_equal(value, par.model.state_dict()[key])
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            _federation(max_workers=0)
 
 
 class TestComputeDtype:

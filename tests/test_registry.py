@@ -73,12 +73,6 @@ class TestStrictKwargs:
                 "attacks", "fgsm", 0.1, num_classes=12, sweep=("fgsm", "pgd")
             )
 
-    def test_strict_false_restores_silent_filtering(self):
-        attack = registry.create(
-            "attacks", "pgd", 0.1, strict=False, num_step=3
-        )
-        assert attack.num_steps == 10  # typo'd kwarg silently dropped
-
     def test_validate_kwargs_accepts_known(self):
         registry.validate_kwargs(
             "frameworks", "safeloc", {"tau": 0.1, "server_mixing": 0.5}
@@ -96,7 +90,6 @@ class TestShims:
 
         with pytest.raises(TypeError, match="num_steps"):
             create_attack("mim", 0.2, num_step=4)
-        assert create_attack("mim", 0.2, num_step=4, strict=False).num_steps == 10
         assert create_attack("mim", 0.2, num_steps=4).num_steps == 4
 
     def test_make_framework_strict_default(self):
@@ -104,7 +97,7 @@ class TestShims:
 
         with pytest.raises(TypeError, match="did you mean 'tau'"):
             make_framework("safeloc", 8, 5, seed=0, taus=0.1)
-        spec = make_framework("safeloc", 8, 5, seed=0, strict=False, taus=0.1)
+        spec = make_framework("safeloc", 8, 5, seed=0, tau=0.1)
         assert spec.name == "safeloc"
 
     def test_legacy_name_tuples_preserved(self):

@@ -105,6 +105,15 @@ class TestValidation:
         with pytest.raises(SpecValidationError, match="schema_version"):
             validate_plan_payload(payload)
 
+    def test_version_1_rejection_names_the_removed_field(self):
+        payload = self.payload()
+        payload["schema_version"] = 1
+        payload["preset"]["max_workers"] = None
+        with pytest.raises(
+            SpecValidationError, match="removed preset.max_workers"
+        ):
+            validate_plan_payload(payload)
+
     def test_missing_schema_version_rejected(self):
         payload = self.payload()
         del payload["schema_version"]
