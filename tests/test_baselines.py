@@ -297,6 +297,14 @@ class TestLatentSpaceAggregation:
         with pytest.raises(ValueError):
             LatentSpaceAggregation(detector_epochs=0)
 
+    @pytest.mark.parametrize(
+        "removed", ["detector_engine", "warm_start", "warm_start_epochs"]
+    )
+    def test_removed_detector_options_rejected(self, removed):
+        """FEDLS has one detector path: a config still carrying the
+        serial-engine or warm-start knobs fails loudly, not silently."""
+        with pytest.raises(TypeError, match=removed):
+            make_framework("fedls", D, C, seed=0, **{removed: 1})
 
 class TestFedlsBatchedEquivalence:
     """The fold-batched detectors vs the per-fold reference loop
@@ -386,6 +394,21 @@ class TestFedlsSampledPeers:
             e_serial = serial_loo_errors(agg, normalized, round_index)
             e_batched = agg.leave_one_out_errors(normalized, round_index)
             np.testing.assert_allclose(e_serial, e_batched, atol=1e-10)
+
+    def test_aggregate_matches_serial(self):
+        gm = _gm_state(0)
+        updates = [_update(200 + i, gm, jitter=0.01) for i in range(9)]
+        updates.append(_update(998, gm, jitter=1.5, malicious=True))
+
+        def make():
+            return LatentSpaceAggregation(
+                seed=0, detector_epochs=40, sampled_peers=4
+            )
+
+        out_b = make().aggregate(gm, updates)
+        out_s = with_serial_detectors(make()).aggregate(gm, updates)
+        for key in gm:
+            np.testing.assert_allclose(out_b[key], out_s[key], atol=1e-10)
 
     def test_peer_assignment_deterministic_per_round(self):
         agg = LatentSpaceAggregation(seed=7, sampled_peers=3)

@@ -3,7 +3,8 @@
 The per-tensor eq. 6-8 helpers live in ``tests/reference/aggregation.py``
 (the packed strategy is pinned to them by
 ``test_packed_aggregation.py``); the helper tests here check that the
-reference itself has the properties the paper describes.
+reference itself has the properties the paper describes, and that the
+strategy rejects the parameters each equation cannot take.
 """
 
 import numpy as np
@@ -41,6 +42,12 @@ class TestDeviationMatrix:
         dev = deviation_matrix(lm, gm)
         np.testing.assert_allclose(dev["w"], [0.5, 3.0])
 
+    def test_key_mismatch(self):
+        """Eq. 6 needs the LM and GM over the same tensors."""
+        update = ClientUpdate("c0", {"a": np.zeros(2)}, 10)
+        with pytest.raises(ValueError):
+            SaliencyAggregation().aggregate({"b": np.zeros(2)}, [update])
+
 
 class TestAbsoluteSaliency:
     def test_bounds(self):
@@ -58,6 +65,10 @@ class TestAbsoluteSaliency:
         low = saliency_matrix(dev, sharpness=1.0)["w"][0]
         high = saliency_matrix(dev, sharpness=50.0)["w"][0]
         assert high < low
+
+    def test_invalid_sharpness(self):
+        with pytest.raises(ValueError):
+            SaliencyAggregation(mode="absolute", sharpness=0.0)
 
 
 class TestRelativeSaliency:
@@ -86,6 +97,12 @@ class TestRelativeSaliency:
         for a, b in zip(s1, s2):
             np.testing.assert_allclose(a["w"], b["w"], rtol=1e-6)
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            SaliencyAggregation(tolerance=0)
+        with pytest.raises(ValueError):
+            SaliencyAggregation(tolerance=-1.0)
+
 
 class TestAdjustWeights:
     def test_blend_anchors_at_gm(self):
@@ -101,6 +118,10 @@ class TestAdjustWeights:
         sal = {"w": np.array([0.5, 0.25])}
         adj = adjust_weights(lm, gm, sal, "scale")
         np.testing.assert_allclose(adj["w"], [1.0, 1.0])
+
+    def test_unknown_adjustment(self):
+        with pytest.raises(ValueError, match="unknown adjustment"):
+            SaliencyAggregation(adjustment="magic")
 
 
 class TestSaliencyAggregation:
@@ -156,8 +177,6 @@ class TestSaliencyAggregation:
             SaliencyAggregation(server_mixing=0.0)
         with pytest.raises(ValueError):
             SaliencyAggregation(mode="psychic")
-        with pytest.raises(ValueError):
-            SaliencyAggregation(adjustment="magic")
         with pytest.raises(ValueError):
             SaliencyAggregation(power=-1)
 

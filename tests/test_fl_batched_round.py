@@ -25,6 +25,7 @@ import repro.utils.rng as rng_module
 from repro.attacks import LabelFlip
 from repro.baselines import LatentSpaceAggregation
 from repro.baselines.dnn import DNNLocalizer
+from repro.core.saliency import SaliencyAggregation
 from repro.data import FingerprintDataset
 from repro.experiments.artifacts import ArtifactCache, RoundCache
 from repro.experiments.engine import SweepEngine, SweepPlan, scenario
@@ -86,10 +87,10 @@ def _clients(n=5, malicious=(4,), n_samples=30):
     return clients
 
 
-def _server(engine, clients=None, cache=None):
+def _server(engine, clients=None, cache=None, strategy=None):
     return FederatedServer(
         _model(99),
-        FedAvg(),
+        strategy or FedAvg(),
         clients if clients is not None else _clients(),
         seeds=SeedSequence(7),
         update_cache=cache,
@@ -202,6 +203,15 @@ class TestSerialBatchedEquivalence:
         batched = _server("batched")
         _assert_rounds_equal(
             serial, serial.run_rounds(3), batched, batched.run_rounds(3)
+        )
+
+    def test_bit_exact_under_saliency_aggregation(self):
+        """A GM that SAFELOC's saliency strategy moves (not a plain mean)
+        still reaches both engines identically in later rounds."""
+        serial = _server("serial", strategy=SaliencyAggregation())
+        batched = _server("batched", strategy=SaliencyAggregation())
+        _assert_rounds_equal(
+            serial, serial.run_rounds(2), batched, batched.run_rounds(2)
         )
 
     def test_bit_exact_with_heterogeneous_sample_counts(self):

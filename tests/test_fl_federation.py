@@ -11,6 +11,7 @@ from repro.data import FingerprintDataset, scaled_building
 from repro.data.devices import ATTACKER_DEVICE, TRAIN_DEVICE
 from repro.data.fingerprints import paper_protocol
 from repro.fl import (
+    CLIENT_ENGINES,
     ClientUpdate,
     FedAvg,
     FederatedClient,
@@ -86,6 +87,16 @@ class TestFederatedClient:
         update = client.local_update(_model(9).state_dict(), round_index=1)
         assert update.is_malicious
 
+    def test_round_index_required(self):
+        """Both engines pass the round explicitly; a client keeps no
+        round counter of its own to fall back on."""
+        client = FederatedClient(
+            "c0", _model(1), _dataset(0), ClientConfig(epochs=1),
+            seeds=SeedSequence(3),
+        )
+        with pytest.raises(TypeError, match="round_index"):
+            client.local_update(_model(9).state_dict())
+
     def test_self_labeling_uses_model_predictions(self):
         ds = _dataset()
         model = _model()
@@ -139,7 +150,7 @@ class TestFedAvg:
 
 
 class TestFederatedServer:
-    def _server(self, num_clients=3):
+    def _server(self, num_clients=3, **kwargs):
         clients = [
             FederatedClient(
                 f"c{i}", _model(i), _dataset(i),
@@ -147,7 +158,9 @@ class TestFederatedServer:
             )
             for i in range(num_clients)
         ]
-        return FederatedServer(_model(99), FedAvg(), clients, SeedSequence(7))
+        return FederatedServer(
+            _model(99), FedAvg(), clients, SeedSequence(7), **kwargs
+        )
 
     def test_round_updates_history(self):
         server = self._server()
@@ -180,6 +193,17 @@ class TestFederatedServer:
             assert replace(kept, updates=full.updates) == full
             for update, full_update in zip(kept.updates, full.updates):
                 assert replace(update, state=full_update.state) == full_update
+
+    @pytest.mark.parametrize("engine", CLIENT_ENGINES)
+    def test_round_preserves_client_order(self, engine):
+        record = self._server(4, client_engine=engine).run_round()
+        assert [u.client_name for u in record.updates] == [
+            "c0", "c1", "c2", "c3",
+        ]
+
+    def test_thread_pool_option_removed(self):
+        with pytest.raises(TypeError, match="max_workers"):
+            self._server(max_workers=2)
 
     def test_run_rounds(self):
         server = self._server()

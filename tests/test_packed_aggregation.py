@@ -3,8 +3,9 @@
 Every aggregation strategy runs on the packed ``(n_clients, n_params)``
 matrix; a Hypothesis property pins each one to its per-key reference in
 ``tests/reference/aggregation.py`` within 1e-10 over generated cohorts
-(1–16 clients, up to half of them attackers, coordinated or not), and
-the compute-dtype tests pin float32 threading end to end.
+(1–16 clients, up to half of them attackers, coordinated or not) and on
+a fixed set of pinned cohort shapes, and the compute-dtype tests pin
+float32 threading end to end.
 """
 
 import numpy as np
@@ -128,6 +129,20 @@ STRATEGY_CASES = {
 }
 
 
+#: Pinned cohort shapes every strategy runs on, whatever Hypothesis draws:
+#: honest-only, one attacker, the coordinated multi-attacker fixture of
+#: ``test_multi_attacker``, a large mixed cohort and a lone client.
+PINNED_COHORTS = {
+    "honest-5": {"n_clients": 5, "n_attackers": 0},
+    "one-attacker-6": {"n_clients": 6, "n_attackers": 1},
+    "coordinated-2-of-6": {
+        "n_clients": 6, "n_attackers": 2, "coordinated": True,
+    },
+    "multi-attacker-12": {"n_clients": 12, "n_attackers": 4},
+    "single-client": {"n_clients": 1},
+}
+
+
 @st.composite
 def cohorts(draw):
     """Cohort shape: 1–16 clients, 0 to half of them attackers."""
@@ -148,6 +163,16 @@ class TestPackedEquivalence:
         make_strategy, reference = STRATEGY_CASES[case]
         gm = _gm()
         updates = _cohort(gm, **cohort_kw)
+        _assert_states_close(
+            make_strategy().aggregate(gm, updates), reference(gm, updates)
+        )
+
+    @pytest.mark.parametrize("case", sorted(STRATEGY_CASES))
+    @pytest.mark.parametrize("cohort", list(PINNED_COHORTS))
+    def test_pinned_cohort_matches_reference(self, case, cohort):
+        make_strategy, reference = STRATEGY_CASES[case]
+        gm = _gm()
+        updates = _cohort(gm, **PINNED_COHORTS[cohort])
         _assert_states_close(
             make_strategy().aggregate(gm, updates), reference(gm, updates)
         )

@@ -73,6 +73,12 @@ class TestStrictKwargs:
                 "attacks", "fgsm", 0.1, num_classes=12, sweep=("fgsm", "pgd")
             )
 
+    def test_strict_is_not_an_escape_hatch(self):
+        """There is no lenient mode: ``strict`` is just another unknown
+        kwarg, and the typo next to it is still reported."""
+        with pytest.raises(UnknownComponentKwarg, match="strict"):
+            registry.create("attacks", "pgd", 0.1, strict=False, num_step=3)
+
     def test_validate_kwargs_accepts_known(self):
         registry.validate_kwargs(
             "frameworks", "safeloc", {"tau": 0.1, "server_mixing": 0.5}

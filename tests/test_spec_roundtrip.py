@@ -114,6 +114,12 @@ class TestValidation:
         ):
             validate_plan_payload(payload)
 
+    def test_version_2_rejects_max_workers(self):
+        payload = self.payload()
+        payload["preset"]["max_workers"] = 4
+        with pytest.raises(SpecValidationError, match="max_workers"):
+            validate_plan_payload(payload)
+
     def test_missing_schema_version_rejected(self):
         payload = self.payload()
         del payload["schema_version"]
