@@ -17,8 +17,8 @@ Commands:
 * ``sweep --spec plan.json`` — execute a serialized sweep spec;
 * ``validate <spec.json> [...]`` — schema-check spec files;
 * ``lint [paths...]`` — the AST-based repo invariant linter
-  (determinism, registry contracts, executor safety, equivalence
-  coverage; see :mod:`repro.lint` and docs/LINTING.md);
+  (determinism, executor safety, seed provenance, cache-key soundness,
+  scheduler races; see :mod:`repro.lint` and docs/LINTING.md);
 * ``info`` — the unified component registry's inventory.
 
 ``experiment``, ``ablation`` and ``sweep`` accept ``--jobs N``
@@ -210,8 +210,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    # deferred: the linter (and its registry introspection) must not
-    # weigh down `repro --version` or unrelated subcommands
+    # deferred: the linter must not weigh down `repro --version` or
+    # unrelated subcommands
     from repro.lint.cli import run_command
 
     return run_command(
@@ -219,8 +219,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         select=args.select,
         fmt=args.format,
         show_rules=args.list_rules,
-        baseline=args.baseline,
-        update_baseline=args.write_baseline,
     )
 
 
@@ -378,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="AST-based repo invariant linter (determinism, registry "
-        "contracts, executor safety, equivalence coverage)",
+        help="AST-based repo invariant linter (determinism, executor "
+        "safety, seed provenance, cache-key soundness, scheduler races)",
     )
     lint.add_argument(
         "paths",
@@ -404,18 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalog (id, title, rationale) and exit",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="subtract a committed findings snapshot: only findings "
-        "beyond the recorded (path, rule) counts are reported",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current findings to --baseline FILE and exit 0",
     )
     lint.set_defaults(func=_cmd_lint)
 

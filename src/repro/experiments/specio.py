@@ -83,15 +83,16 @@ _CELL_FIELD_TYPES = {
 
 
 def preset_field_names() -> FrozenSet[str]:
-    """The preset fields the validator knows (the ``repro lint`` REP202
-    hook: cross-checked against ``Preset``'s dataclass fields so the
-    validation table cannot silently drift from the spec format)."""
+    """The preset fields the validator knows (cross-checked against
+    ``Preset``'s dataclass fields and ``to_dict`` keys by
+    ``tests/test_spec_roundtrip.py`` so the validation table cannot
+    silently drift from the spec format)."""
     return frozenset(_PRESET_FIELD_TYPES)
 
 
 def cell_field_names() -> FrozenSet[str]:
-    """The cell fields the validator knows (REP202 hook, see
-    :func:`preset_field_names`)."""
+    """The cell fields the validator knows (checked against
+    ``ScenarioSpec`` like :func:`preset_field_names`)."""
     return frozenset(_CELL_FIELD_TYPES)
 
 

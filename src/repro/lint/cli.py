@@ -1,13 +1,10 @@
 """``repro lint`` — the CLI face of the invariant linter.
 
 Exit codes match the contract checker convention the rest of the repo
-uses: **0** clean, **1** findings, **2** usage error (unknown rule
-selector, missing path, bad baseline).  ``--format json`` emits the
-stable machine report (:mod:`repro.lint.report`); CI runs exactly that
-and fails the build on any finding.  ``--baseline FILE`` subtracts a
-committed findings snapshot (``--write-baseline`` records one), so a
-new rule family can land and gate on *new* findings while recorded
-debt is burned down.
+uses: **0** clean, **1** findings, **2** usage error (unknown or empty
+rule selection, missing path).  ``--format json`` emits the stable
+machine report (:mod:`repro.lint.report`); CI runs exactly that and
+fails the build on any finding.
 """
 
 from __future__ import annotations
@@ -15,12 +12,6 @@ from __future__ import annotations
 import sys
 from typing import IO, Optional, Sequence
 
-from repro.lint.baseline import (
-    BaselineError,
-    filter_findings,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.report import render_json, render_text
 from repro.lint.rules import rule_catalog
 from repro.lint.runner import LintError, run_lint
@@ -41,8 +32,6 @@ def run_command(
     fmt: str = "text",
     show_rules: bool = False,
     root: str = ".",
-    baseline: Optional[str] = None,
-    update_baseline: bool = False,
     out: Optional[IO[str]] = None,
     err: Optional[IO[str]] = None,
 ) -> int:
@@ -55,27 +44,11 @@ def run_command(
     if fmt not in ("text", "json"):
         print(f"unknown format {fmt!r} (choose text or json)", file=err)
         return 2
-    if update_baseline and not baseline:
-        print(
-            "--write-baseline requires --baseline FILE (where to write)",
-            file=err,
-        )
-        return 2
     try:
         findings, files, selected = run_lint(
             paths=paths, select=select, root=root
         )
-        if baseline is not None:
-            if update_baseline:
-                entries = write_baseline(findings, baseline)
-                print(
-                    f"baseline written: {baseline} "
-                    f"({len(findings)} finding(s), {entries} entries)",
-                    file=out,
-                )
-                return 0
-            findings = filter_findings(findings, load_baseline(baseline))
-    except (LintError, BaselineError) as error:
+    except LintError as error:
         print(f"repro lint: {error}", file=err)
         return 2
     render = render_json if fmt == "json" else render_text

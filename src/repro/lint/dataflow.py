@@ -248,7 +248,7 @@ class DataflowAnalysis:
     ) -> Provenance:
         # `preset.seed`, `self.root_seed`, `spec.seeds` — a seed-ish
         # terminal attribute is spec-owned provenance by contract: the
-        # REP2xx family pins spec/preset field definitions separately.
+        # spec field-table tests pin spec/preset field definitions.
         if is_seed_name(expr.attr):
             return frozenset({SEED})
         dotted = module.dotted_name(expr)

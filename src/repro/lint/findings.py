@@ -10,8 +10,9 @@ The bracket names one or more rule ids (``REP302``) or rule families
 mandatory human reason.  A pragma suppresses matching findings on its
 own line, and — when it is a standalone comment line — on the next
 line, so long statements can carry their suppression above them.
-A pragma without a reason is itself a finding (:data:`PRAGMA_RULE_ID`):
-the linter documents exceptions, it does not let them go unexplained.
+A pragma without a reason, or naming a rule or family that does not
+exist, is itself a finding (:data:`PRAGMA_RULE_ID`): the linter
+documents exceptions, it does not let them go unexplained.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 #: rule id for pragma-hygiene findings (reason-less or malformed pragmas)
 PRAGMA_RULE_ID = "REP001"
@@ -34,8 +35,7 @@ class Finding:
     """One rule violation at one source location.
 
     ``line``/``col`` are 1-based line and 0-based column, matching what
-    editors and CI annotations expect; project-level rules that have no
-    single source location report line 1, col 0 of their contract file.
+    editors and CI annotations expect.
     """
 
     rule: str
@@ -61,7 +61,16 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
-@dataclass
+def _names(token: str, rule_id: str) -> bool:
+    """Does a pragma token (``REP302`` or family ``REP3xx``) name
+    ``rule_id``?"""
+    token, rule_id = token.upper(), rule_id.upper()
+    if token.endswith("XX"):
+        return rule_id.startswith(token[:-2])
+    return token == rule_id
+
+
+@dataclass(frozen=True)
 class Pragma:
     """One ``# repro: allow[...]`` comment and its suppression scope."""
 
@@ -69,17 +78,10 @@ class Pragma:
     rules: Tuple[str, ...]
     reason: str
     standalone: bool = False
-    used: bool = field(default=False, compare=False)
 
     def allows(self, rule_id: str) -> bool:
         """Does this pragma suppress ``rule_id``?"""
-        for token in self.rules:
-            if token.lower().endswith("xx"):
-                if rule_id.upper().startswith(token[:-2].upper()):
-                    return True
-            elif token.upper() == rule_id.upper():
-                return True
-        return False
+        return any(_names(token, rule_id) for token in self.rules)
 
     def covers_line(self, line: int) -> bool:
         """Pragmas cover their own line; standalone comment lines also
@@ -108,14 +110,16 @@ def _comment_tokens(source: str) -> List[Tuple[int, int, str, bool]]:
     return comments
 
 
-def parse_pragmas(source: str) -> Tuple[List[Pragma], List[Finding]]:
+def parse_pragmas(
+    source: str, known_rules: Sequence[str]
+) -> Tuple[List[Pragma], List[Finding]]:
     """Extract suppression pragmas from a file's comment tokens.
 
-    Returns ``(pragmas, hygiene_findings)`` — a pragma with no reason or
-    with tokens that are not rule ids/families produces a
-    :data:`PRAGMA_RULE_ID` finding instead of silently suppressing
-    nothing.  The returned findings carry an empty ``path``; the caller
-    stamps the real one.
+    Returns ``(pragmas, hygiene_findings)`` — a pragma with no reason,
+    with tokens that are not rule ids/families, or with a token naming
+    no rule in ``known_rules`` produces a :data:`PRAGMA_RULE_ID` finding
+    instead of silently suppressing nothing.  The returned findings
+    carry an empty ``path``; the caller stamps the real one.
     """
     pragmas: List[Pragma] = []
     problems: List[Finding] = []
@@ -128,59 +132,58 @@ def parse_pragmas(source: str) -> Tuple[List[Pragma], List[Finding]]:
             token.strip() for token in raw_rules.split(",") if token.strip()
         )
         bad = [t for t in tokens if not _RULE_TOKEN_RE.match(t)]
+        unknown = [
+            t
+            for t in tokens
+            if not any(_names(t, rule_id) for rule_id in known_rules)
+        ]
         if not tokens or bad:
-            problems.append(
-                Finding(
-                    rule=PRAGMA_RULE_ID,
-                    path="",
+            message = (
+                "malformed pragma: allow[...] must name rule ids like "
+                f"REP302 or families like REP3xx, got {bad or ['(empty)']}"
+            )
+        elif unknown:
+            message = (
+                f"pragma names no existing rule: {unknown} — see "
+                f"'repro lint --list-rules'"
+            )
+        elif not reason:
+            message = (
+                "pragma without a reason: every '# repro: allow[...]' "
+                "must say why the rule is waived here"
+            )
+        else:
+            pragmas.append(
+                Pragma(
                     line=lineno,
-                    col=col,
-                    message=(
-                        "malformed pragma: allow[...] must name rule ids "
-                        f"like REP302 or families like REP3xx, got "
-                        f"{bad or ['(empty)']}"
-                    ),
+                    rules=tokens,
+                    reason=reason,
+                    standalone=standalone,
                 )
             )
             continue
-        if not reason:
-            problems.append(
-                Finding(
-                    rule=PRAGMA_RULE_ID,
-                    path="",
-                    line=lineno,
-                    col=col,
-                    message=(
-                        "pragma without a reason: every "
-                        "'# repro: allow[...]' must say why the rule is "
-                        "waived here"
-                    ),
-                )
-            )
-            continue
-        pragmas.append(
-            Pragma(
+        problems.append(
+            Finding(
+                rule=PRAGMA_RULE_ID,
+                path="",
                 line=lineno,
-                rules=tokens,
-                reason=reason,
-                standalone=standalone,
+                col=col,
+                message=message,
             )
         )
     return pragmas, problems
 
 
 def apply_pragmas(
-    findings: Sequence[Finding], pragmas: Sequence[Pragma]
+    findings: Sequence[Finding],
+    pragmas_by_path: Mapping[str, Sequence[Pragma]],
 ) -> List[Finding]:
-    """Drop findings a pragma suppresses (marking the pragma used)."""
-    kept: List[Finding] = []
-    for finding in findings:
-        suppressed = False
-        for pragma in pragmas:
-            if pragma.covers_line(finding.line) and pragma.allows(finding.rule):
-                pragma.used = True
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(finding)
-    return kept
+    """Drop findings a pragma in their own file suppresses."""
+    return [
+        finding
+        for finding in findings
+        if not any(
+            pragma.covers_line(finding.line) and pragma.allows(finding.rule)
+            for pragma in pragmas_by_path.get(finding.path, ())
+        )
+    ]

@@ -1,16 +1,18 @@
-"""Whole-program view for the interprocedural rule families.
+"""The one index every lint rule reads: modules, functions, call graph.
 
-The per-file rules (REP1xx/REP3xx) see one AST at a time; the REP5xx
-seed-provenance, REP6xx cache-key-soundness and REP7xx scheduler-race
-families need to answer questions that span modules — *which function
-does this call resolve to*, *who calls this function and with what
-arguments*, *which functions end up running on worker threads*.  This
-module builds that view once per lint invocation:
+Every rule is a :class:`ProgramRule` checked once per lint invocation
+against one :class:`ProgramGraph`.  The local rules (REP1xx/REP3xx)
+walk each module's nodes with its alias-resolved names and ancestor
+chain; the REP5xx seed-provenance, REP6xx cache-key-soundness and
+REP7xx scheduler-race families also ask questions that span modules —
+*which function does this call resolve to*, *who calls this function
+and with what arguments*, *which functions end up running on worker
+threads*.  This module builds that view once per lint invocation:
 
 * a :class:`ModuleInfo` per parsed file with alias- and import-resolved
   symbol tables (``np.random.default_rng`` and
   ``from repro.utils.rng import spawn_rng as s`` both resolve to their
-  canonical dotted origins);
+  canonical dotted origins), a parent map and a node-type index;
 * a :class:`FunctionInfo` per function/method — including nested defs —
   with parameter lists, defaults, and the enclosing class;
 * a best-effort static call graph: every call site resolved to a
@@ -31,9 +33,23 @@ from __future__ import annotations
 import ast
 import os
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 from repro.lint.findings import Finding
+
+NodeT = TypeVar("NodeT", bound=ast.AST)
+
+#: def/lambda nodes: the scopes a node's enclosing-function chain names
+SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 #: path components / basenames that mark a module as test code — the
 #: interprocedural families skip tests (literal seeds in fixtures are
@@ -197,10 +213,13 @@ class ModuleInfo:
         self.global_assigns: Dict[str, List[ast.AST]] = {}
         #: name → parent node, for ancestor queries
         self.parents: Dict[ast.AST, ast.AST] = {}
+        #: node type → every node of that type, in walk order
+        self.by_type: Dict[type, List[ast.AST]] = {}
         self._index()
 
     def _index(self) -> None:
         for node in ast.walk(self.tree):
+            self.by_type.setdefault(type(node), []).append(node)
             for child in ast.iter_child_nodes(node):
                 self.parents[child] = node
             if isinstance(node, ast.Import):
@@ -241,6 +260,15 @@ class ModuleInfo:
         parts.append(head)
         return ".".join(reversed(parts))
 
+    def nodes(self, kind: Type[NodeT]) -> List[NodeT]:
+        """Every node of one AST type, in walk order (the local rules'
+        walk)."""
+        return [
+            node
+            for node in self.by_type.get(kind, ())
+            if isinstance(node, kind)
+        ]
+
     def ancestors(self, node: ast.AST) -> Iterable[ast.AST]:
         """The node's ancestor chain, innermost first."""
         current = self.parents.get(node)
@@ -251,11 +279,18 @@ class ModuleInfo:
     def enclosing_function_node(self, node: ast.AST) -> Optional[ast.AST]:
         """Innermost enclosing def/lambda node, or ``None``."""
         for ancestor in self.ancestors(node):
-            if isinstance(
-                ancestor, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
+            if isinstance(ancestor, SCOPE_NODES):
                 return ancestor
         return None
+
+    def scope_names(self, node: ast.AST) -> List[str]:
+        """Enclosing def/lambda names, innermost first (a lambda is
+        ``"<lambda>"``); empty at module level."""
+        return [
+            getattr(ancestor, "name", "<lambda>")
+            for ancestor in self.ancestors(node)
+            if isinstance(ancestor, SCOPE_NODES)
+        ]
 
     def in_class_body_default(self, node: ast.AST) -> bool:
         """Is ``node`` part of a class-attribute default value (e.g. a
@@ -283,7 +318,7 @@ class ModuleInfo:
 
 
 class ProgramGraph:
-    """The whole-program index the interprocedural rules ride.
+    """The whole-program index every rule rides.
 
     Built once per lint invocation from every file that parsed; rules
     query modules, functions, resolved call sites, and the reverse
@@ -291,6 +326,12 @@ class ProgramGraph:
     """
 
     def __init__(self, files: Sequence[Tuple[str, str, ast.Module]]) -> None:
+        #: every parsed file, sorted by path (the rule iteration order)
+        self.files: List[ModuleInfo] = sorted(
+            (ModuleInfo(path, source, tree) for path, source, tree in files),
+            key=lambda m: m.path,
+        )
+        #: dotted module name → module (name resolution)
         self.modules: Dict[str, ModuleInfo] = {}
         #: qualname → FunctionInfo (methods: ``module.Class.method``)
         self.functions: Dict[str, FunctionInfo] = {}
@@ -298,15 +339,14 @@ class ProgramGraph:
         self.by_node: Dict[ast.AST, FunctionInfo] = {}
         #: class qualname → {method name → FunctionInfo}
         self.classes: Dict[str, Dict[str, FunctionInfo]] = {}
-        for path, source, tree in files:
-            module = ModuleInfo(path, source, tree)
-            self.modules[module.name] = module
-        for module in self.modules.values():
+        for module in self.files:
+            self.modules.setdefault(module.name, module)
+        for module in self.files:
             self._index_functions(module)
         #: callee qualname → resolved call sites (the reverse index)
         self.callers: Dict[str, List[CallSite]] = {}
         self.call_sites: List[CallSite] = []
-        for module in self.modules.values():
+        for module in self.files:
             self._index_calls(module)
 
     # -- construction ------------------------------------------------------
@@ -407,11 +447,9 @@ class ProgramGraph:
         return self.functions.get(qualname) if qualname else None
 
     def project_modules(self) -> List[ModuleInfo]:
-        """Non-test modules, sorted by path (the rule iteration order)."""
-        return sorted(
-            (m for m in self.modules.values() if not m.is_test),
-            key=lambda m: m.path,
-        )
+        """Non-test modules, sorted by path (what the interprocedural
+        families check)."""
+        return [module for module in self.files if not module.is_test]
 
     def enclosing_function(
         self, module: ModuleInfo, node: ast.AST
@@ -426,14 +464,15 @@ class ProgramGraph:
 
 
 class ProgramRule:
-    """Base class for whole-program rules (REP5xx/6xx/7xx).
+    """Base class for every lint rule.
 
     ``check(graph, analysis)`` runs once per lint invocation against the
     :class:`ProgramGraph` plus a shared
     :class:`~repro.lint.dataflow.DataflowAnalysis`, and returns findings
     anchored at real file/line positions — the runner applies each
-    file's suppression pragmas to them exactly as it does for file
-    rules.
+    file's suppression pragmas to them.  Local rules iterate
+    ``graph.files`` (test modules included); the interprocedural
+    families iterate ``graph.project_modules()``.
     """
 
     id: str = ""

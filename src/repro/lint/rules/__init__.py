@@ -1,34 +1,33 @@
 """Rule registry: one module per family, aggregated here.
 
-``FILE_RULES`` run inside the shared single-pass AST visitor, once per
-file; ``PROGRAM_RULES`` run once per invocation against the
-whole-program graph (:mod:`repro.lint.program`) with the shared
-dataflow analysis; ``PROJECT_RULES`` run once per invocation against
-the repository tree (registry introspection, spec-schema cross-checks,
-golden specs, coverage parametrization).  :data:`PRAGMA_RULE_ID`
-(REP001) is emitted by the runner itself while parsing suppression
-pragmas.
+Every rule is a :class:`~repro.lint.program.ProgramRule` run once per
+invocation against the whole-program graph
+(:mod:`repro.lint.program`) with the shared dataflow analysis.
+:data:`PRAGMA_RULE_ID` (REP001) is emitted by the runner itself while
+parsing suppression pragmas.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.lint.findings import PRAGMA_RULE_ID
 from repro.lint.rules.cachekeys import CACHEKEY_RULES
-from repro.lint.rules.contracts import CONTRACT_RULES
-from repro.lint.rules.coverage import COVERAGE_RULES
 from repro.lint.rules.determinism import DETERMINISM_RULES
 from repro.lint.rules.executor import EXECUTOR_RULES
 from repro.lint.rules.provenance import PROVENANCE_RULES
 from repro.lint.rules.races import RACE_RULES
 
-FILE_RULES = (*DETERMINISM_RULES, *EXECUTOR_RULES)
-PROJECT_RULES = (*CONTRACT_RULES, *COVERAGE_RULES)
-PROGRAM_RULES = (*PROVENANCE_RULES, *CACHEKEY_RULES, *RACE_RULES)
+RULES = (
+    *DETERMINISM_RULES,
+    *EXECUTOR_RULES,
+    *PROVENANCE_RULES,
+    *CACHEKEY_RULES,
+    *RACE_RULES,
+)
 
-#: (id, title, rationale) for every rule, REP001 included — the
-#: ``--list-rules`` catalog and the docs' rule table source of truth
+#: (id, title, rationale) for REP001 — the ``--list-rules`` catalog and
+#: the docs' rule table source of truth, with every rule's own row
 PRAGMA_RULE_ROW = (
     PRAGMA_RULE_ID,
     "pragma hygiene",
@@ -41,17 +40,9 @@ PRAGMA_RULE_ROW = (
 def rule_catalog() -> List[Tuple[str, str, str]]:
     """``(id, title, rationale)`` rows for every rule, sorted by id."""
     rows = [PRAGMA_RULE_ROW]
-    for rule in (*FILE_RULES, *PROGRAM_RULES, *PROJECT_RULES):
+    for rule in RULES:
         rows.append((rule.id, rule.title, rule.rationale))
     return sorted(rows)
 
 
-def rule_ids() -> Dict[str, object]:
-    """id → rule object (REP001 maps to ``None``: runner-emitted)."""
-    table: Dict[str, object] = {PRAGMA_RULE_ID: None}
-    for rule in (*FILE_RULES, *PROGRAM_RULES, *PROJECT_RULES):
-        table[rule.id] = rule
-    return table
-
-
-ALL_RULES = tuple(sorted(rule_ids()))
+ALL_RULES = tuple(row[0] for row in rule_catalog())

@@ -11,8 +11,17 @@ feeding cache keys and state signatures.
 from __future__ import annotations
 
 import ast
+import re
+from typing import Iterator, List, Optional, Tuple, Union
 
-from repro.lint.visitor import FileContext, FileRule
+from repro.lint.findings import Finding
+from repro.lint.program import ModuleInfo, ProgramGraph, ProgramRule
+
+#: function names treated as cache-key/signature scope by REP104/REP105:
+#: anything a cache key, content hash or state signature flows through.
+KEY_SCOPE_RE = re.compile(
+    r"(^|_)(key|keys|signature|signatures)($|_)|cache_key|content_hash"
+)
 
 #: numpy.random attributes that are *constructors*, not legacy
 #: module-state draws — calling these is how seeding is done right
@@ -52,6 +61,25 @@ _NONDETERMINISTIC_CALLS = frozenset(
 )
 
 
+def _calls(graph: ProgramGraph) -> Iterator[Tuple[ModuleInfo, ast.Call, str]]:
+    """Every call in every module (tests included) whose target is a
+    plain dotted chain, with that chain alias-resolved."""
+    for module in graph.files:
+        for node in module.nodes(ast.Call):
+            dotted = module.dotted_name(node.func)
+            if dotted:
+                yield module, node, dotted
+
+
+def _key_scope(module: ModuleInfo, node: ast.AST) -> Optional[str]:
+    """The innermost enclosing def/lambda name when ``node`` sits inside
+    a cache-key/signature function, else ``None``."""
+    names = module.scope_names(node)
+    if any(KEY_SCOPE_RE.search(name) for name in names):
+        return names[0]
+    return None
+
+
 def _is_set_expr(node: ast.AST) -> bool:
     """A value that is definitely an unordered set: a set literal, a set
     comprehension, or a direct ``set(...)``/``frozenset(...)`` call."""
@@ -64,7 +92,7 @@ def _is_set_expr(node: ast.AST) -> bool:
     )
 
 
-class LegacyNumpyRandom(FileRule):
+class LegacyNumpyRandom(ProgramRule):
     """REP101: calls into numpy's legacy global-state random API."""
 
     id = "REP101"
@@ -76,22 +104,24 @@ class LegacyNumpyRandom(FileRule):
         "np.random.default_rng(seed)."
     )
 
-    def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        dotted = ctx.dotted_name(node.func)
-        if not dotted or not dotted.startswith("numpy.random."):
-            return
-        tail = dotted.split(".")[-1]
-        if tail not in _NUMPY_RANDOM_OK:
-            ctx.add(
-                self.id,
-                node,
-                f"legacy numpy.random.{tail}() draws from hidden global "
-                f"state; spawn a seeded Generator instead "
-                f"(repro.utils.rng.spawn_rng)",
-            )
+    def check(self, graph: ProgramGraph, analysis: object) -> List[Finding]:
+        findings: List[Finding] = []
+        for module, node, dotted in _calls(graph):
+            if not dotted.startswith("numpy.random."):
+                continue
+            tail = dotted.split(".")[-1]
+            if tail not in _NUMPY_RANDOM_OK:
+                findings.append(self._finding(
+                    module,
+                    node,
+                    f"legacy numpy.random.{tail}() draws from hidden global "
+                    f"state; spawn a seeded Generator instead "
+                    f"(repro.utils.rng.spawn_rng)",
+                ))
+        return findings
 
 
-class UnseededDefaultRng(FileRule):
+class UnseededDefaultRng(ProgramRule):
     """REP102: ``np.random.default_rng()`` with no seed argument."""
 
     id = "REP102"
@@ -103,20 +133,22 @@ class UnseededDefaultRng(FileRule):
         "components built without one)."
     )
 
-    def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        dotted = ctx.dotted_name(node.func)
-        if dotted != "numpy.random.default_rng":
-            return
-        if not node.args and not node.keywords:
-            ctx.add(
-                self.id,
+    def check(self, graph: ProgramGraph, analysis: object) -> List[Finding]:
+        return [
+            self._finding(
+                module,
                 node,
                 "default_rng() without a seed draws OS entropy; pass a "
                 "seed/SeedSequence (or use repro.utils.rng.fallback_rng)",
             )
+            for module, node, dotted in _calls(graph)
+            if dotted == "numpy.random.default_rng"
+            and not node.args
+            and not node.keywords
+        ]
 
 
-class StdlibRandom(FileRule):
+class StdlibRandom(ProgramRule):
     """REP103: stdlib ``random`` module usage."""
 
     id = "REP103"
@@ -127,20 +159,20 @@ class StdlibRandom(FileRule):
         "(repro.utils.rng) are the only sanctioned randomness."
     )
 
-    def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        dotted = ctx.dotted_name(node.func)
-        if not dotted:
-            return
-        if dotted.startswith("random.") and dotted.count(".") == 1:
-            ctx.add(
-                self.id,
+    def check(self, graph: ProgramGraph, analysis: object) -> List[Finding]:
+        return [
+            self._finding(
+                module,
                 node,
                 f"stdlib {dotted}() uses the process-global twister; use "
                 f"a seeded numpy Generator (repro.utils.rng.spawn_rng)",
             )
+            for module, node, dotted in _calls(graph)
+            if dotted.startswith("random.") and dotted.count(".") == 1
+        ]
 
 
-class WallClockInKeyScope(FileRule):
+class WallClockInKeyScope(ProgramRule):
     """REP104: wall-clock/OS-entropy reads inside key/signature scope."""
 
     id = "REP104"
@@ -152,25 +184,32 @@ class WallClockInKeyScope(FileRule):
         "and resume ledger into a cache-miss generator."
     )
 
-    def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        if not ctx.in_key_scope():
-            return
-        dotted = ctx.dotted_name(node.func)
-        if not dotted:
-            return
-        for forbidden in _NONDETERMINISTIC_CALLS:
-            if dotted == forbidden or dotted.endswith(f".{forbidden}"):
-                ctx.add(
-                    self.id,
+    def check(self, graph: ProgramGraph, analysis: object) -> List[Finding]:
+        findings: List[Finding] = []
+        for module, node, dotted in _calls(graph):
+            forbidden = next(
+                (
+                    name
+                    for name in sorted(_NONDETERMINISTIC_CALLS)
+                    if dotted == name or dotted.endswith(f".{name}")
+                ),
+                None,
+            )
+            if forbidden is None:
+                continue
+            scope = _key_scope(module, node)
+            if scope is not None:
+                findings.append(self._finding(
+                    module,
                     node,
-                    f"{forbidden}() inside {ctx.current_function()!r} "
-                    f"makes the key/signature time-dependent; derive it "
-                    f"from the content being keyed",
-                )
-                return
+                    f"{forbidden}() inside {scope!r} makes the "
+                    f"key/signature time-dependent; derive it from the "
+                    f"content being keyed",
+                ))
+        return findings
 
 
-class SetIterationInKeyScope(FileRule):
+class SetIterationInKeyScope(ProgramRule):
     """REP105: unordered-set iteration feeding key/signature scope."""
 
     id = "REP105"
@@ -183,43 +222,44 @@ class SetIterationInKeyScope(FileRule):
 
     _JOINERS = ("tuple", "list")
 
-    def _flag(self, node: ast.AST, ctx: FileContext, how: str) -> None:
-        ctx.add(
-            self.id,
-            node,
-            f"{how} iterates a set in {ctx.current_function()!r}; "
-            f"iteration order is not deterministic — use sorted(...)",
-        )
+    def check(self, graph: ProgramGraph, analysis: object) -> List[Finding]:
+        findings: List[Finding] = []
+        for module in graph.files:
+            for node, iterated, how in self._iterations(module):
+                scope = _key_scope(module, node)
+                if scope is not None and _is_set_expr(iterated):
+                    findings.append(self._finding(
+                        module,
+                        iterated,
+                        f"{how} iterates a set in {scope!r}; iteration "
+                        f"order is not deterministic — use sorted(...)",
+                    ))
+        return findings
 
-    def visit_For(self, node: ast.For, ctx: FileContext) -> None:
-        if ctx.in_key_scope() and _is_set_expr(node.iter):
-            self._flag(node.iter, ctx, "for loop")
-
-    def _check_comp(self, node: ast.AST, ctx: FileContext) -> None:
-        if not ctx.in_key_scope():
-            return
-        for generator in node.generators:
-            if _is_set_expr(generator.iter):
-                self._flag(generator.iter, ctx, "comprehension")
-
-    visit_ListComp = _check_comp
-    visit_GeneratorExp = _check_comp
-    visit_DictComp = _check_comp
-
-    def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        if not ctx.in_key_scope():
-            return
-        is_join = (
-            isinstance(node.func, ast.Attribute) and node.func.attr == "join"
-        )
-        is_caster = (
-            isinstance(node.func, ast.Name) and node.func.id in self._JOINERS
-        )
-        if not (is_join or is_caster):
-            return
-        for arg in node.args:
-            if _is_set_expr(arg):
-                self._flag(arg, ctx, "join/cast")
+    def _iterations(
+        self, module: ModuleInfo
+    ) -> Iterator[Tuple[ast.AST, ast.AST, str]]:
+        """``(node, iterated expression, how)`` for every for loop,
+        list/generator/dict comprehension, and join/tuple/list call."""
+        for node in module.nodes(ast.For):
+            yield node, node.iter, "for loop"
+        comprehensions: List[
+            Union[ast.ListComp, ast.GeneratorExp, ast.DictComp]
+        ] = [
+            *module.nodes(ast.ListComp),
+            *module.nodes(ast.GeneratorExp),
+            *module.nodes(ast.DictComp),
+        ]
+        for comp in comprehensions:
+            for generator in comp.generators:
+                yield comp, generator.iter, "comprehension"
+        for node in module.nodes(ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "join") or (
+                isinstance(func, ast.Name) and func.id in self._JOINERS
+            ):
+                for arg in node.args:
+                    yield node, arg, "join/cast"
 
 
 DETERMINISM_RULES = (

@@ -2,7 +2,7 @@
 
 The determinism contract says every generator in the tree is spawned
 off a spec-owned seed (``Preset.seed``, ``FederationConfig`` fields, a
-``SeedSequence`` threaded down from the engine).  The REP1xx file rules
+``SeedSequence`` threaded down from the engine).  The local REP1xx rules
 catch *unseeded* construction; this family catches the subtler leaks a
 single file cannot see — a literal seed buried three calls down, a
 wall-clock value laundered through a helper, a call chain that simply

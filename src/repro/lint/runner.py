@@ -1,15 +1,11 @@
 """The lint runner: file discovery, rule selection, the passes.
 
-``run_lint`` is the one entry point the CLI and tests share: it expands
+``run_lint`` is the entry point the CLI shares with tests: it expands
 rule selectors, walks the requested paths (default: ``src`` and
-``tests``), parses every file once, then layers three passes over the
-parsed set — the per-file AST visitor (REP1xx/REP3xx), the
-whole-program pass (REP5xx/6xx/7xx over the
-:class:`~repro.lint.program.ProgramGraph` with the shared dataflow
-analysis), and the project-level contract rules (REP2xx/REP4xx).
-Suppression pragmas apply uniformly: a program-rule finding is waived
-by a pragma in the file it anchors to, exactly like a file-rule
-finding.
+``tests``) and hands the files to :func:`lint_sources`, which parses
+each once into one :class:`~repro.lint.program.ProgramGraph` and runs
+every selected rule against it.  A finding is waived by a pragma in
+the file it anchors to.
 
 Paths in findings are normalized to repo-relative POSIX form (forward
 slashes, rooted at ``root``), so reports are byte-stable across
@@ -20,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import os
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.lint.dataflow import DataflowAnalysis
@@ -31,13 +28,7 @@ from repro.lint.findings import (
     parse_pragmas,
 )
 from repro.lint.program import ProgramGraph
-from repro.lint.rules import (
-    ALL_RULES,
-    FILE_RULES,
-    PROGRAM_RULES,
-    PROJECT_RULES,
-)
-from repro.lint.visitor import FileContext, LintVisitor
+from repro.lint.rules import ALL_RULES, RULES
 
 #: directories linted when the CLI gets no explicit paths
 DEFAULT_PATHS = ("src", "tests")
@@ -46,17 +37,19 @@ _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
 
 
 class LintError(ValueError):
-    """A usage problem (unknown rule selector, missing path) — exit 2."""
+    """A usage problem (unknown or empty rule selection, missing path) —
+    exit 2."""
 
 
 def expand_selectors(select: Optional[str]) -> Tuple[str, ...]:
     """``--select`` string → concrete rule ids.
 
     Accepts exact ids (``REP302``), family prefixes (``REP3`` or
-    ``REP3xx``), comma-separated.  ``None``/empty selects everything.
-    Unknown selectors raise :class:`LintError`.
+    ``REP3xx``), comma-separated.  ``None`` selects everything.  Unknown
+    selectors, and a string that selects no rule at all (``","``), raise
+    :class:`LintError`.
     """
-    if not select:
+    if select is None:
         return tuple(ALL_RULES)
     chosen: List[str] = []
     for token in select.split(","):
@@ -77,6 +70,8 @@ def expand_selectors(select: Optional[str]) -> Tuple[str, ...]:
                 f"{', '.join(ALL_RULES)}"
             )
         chosen.extend(matches)
+    if not chosen:
+        raise LintError(f"--select {select!r} names no rules")
     return tuple(dict.fromkeys(chosen))
 
 
@@ -112,77 +107,19 @@ def normalize_path(path: str, root: str = ".") -> str:
     return normalized.replace(os.sep, "/")
 
 
-def _lint_tree(
-    source: str,
-    path: str,
-    tree: ast.Module,
-    selected: Sequence[str],
-    pragmas: Sequence[Pragma],
-    pragma_problems: Sequence[Finding],
-) -> List[Finding]:
-    """The per-file pass over an already-parsed tree."""
-    ctx = FileContext(path, source, tree)
-    rules = [rule for rule in FILE_RULES if rule.id in selected]
-    LintVisitor(ctx, rules).visit(tree)
-    findings = apply_pragmas(ctx.findings, pragmas)
-    if PRAGMA_RULE_ID in selected:
-        for problem in pragma_problems:
-            findings.append(
-                Finding(
-                    rule=problem.rule,
-                    path=path,
-                    line=problem.line,
-                    col=problem.col,
-                    message=problem.message,
-                )
-            )
-    return findings
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Sequence[str]] = None,
-) -> List[Finding]:
-    """Lint one source string (the per-file pass; what tests drive).
-
-    Runs the selected file rules through the shared single-pass visitor,
-    then applies suppression pragmas.  Syntax errors become a single
-    REP001 finding rather than a crash: the linter must be runnable on
-    work-in-progress trees.
-    """
-    selected = tuple(select) if select is not None else tuple(ALL_RULES)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as error:
-        return [_syntax_finding(path, error)]
-    pragmas, pragma_problems = parse_pragmas(source)
-    return _lint_tree(
-        source, path, tree, selected, pragmas, pragma_problems
-    )
-
-
-def _syntax_finding(path: str, error: SyntaxError) -> Finding:
-    return Finding(
-        rule=PRAGMA_RULE_ID,
-        path=path,
-        line=error.lineno or 1,
-        col=(error.offset or 1) - 1,
-        message=f"file does not parse: {error.msg}",
-    )
-
-
-def lint_program_sources(
+def lint_sources(
     sources: Dict[str, str], select: Optional[Sequence[str]] = None
 ) -> List[Finding]:
-    """Run the whole-program rules over an in-memory multi-file tree.
+    """Lint an in-memory tree: ``{path: source}`` → sorted findings.
 
-    ``sources`` maps paths (used for module naming, e.g.
-    ``"proj/engine.py"``) to source text.  This is the fixture entry
-    point for the REP5xx/6xx/7xx families — the cross-module shapes
-    they exist for cannot be expressed through :func:`lint_source`.
-    Suppression pragmas in each file apply to the findings anchored in
-    it, exactly as in a real run.
+    Paths name the modules (``"proj/engine.py"`` → ``proj.engine``), so
+    multi-file fixtures exercise cross-module resolution exactly like a
+    real run.  Every file is parsed once into one
+    :class:`~repro.lint.program.ProgramGraph`; the selected rules run
+    against it with one shared dataflow analysis, and each file's
+    suppression pragmas waive the findings anchored in it.  Syntax
+    errors become a single REP001 finding rather than a crash: the
+    linter must be runnable on work-in-progress trees.
     """
     selected = tuple(select) if select is not None else tuple(ALL_RULES)
     parsed: List[Tuple[str, str, ast.Module]] = []
@@ -192,44 +129,29 @@ def lint_program_sources(
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as error:
-            findings.append(_syntax_finding(path, error))
+            findings.append(
+                Finding(
+                    rule=PRAGMA_RULE_ID,
+                    path=path,
+                    line=error.lineno or 1,
+                    col=(error.offset or 1) - 1,
+                    message=f"file does not parse: {error.msg}",
+                )
+            )
             continue
         parsed.append((path, source, tree))
-        pragmas, _ = parse_pragmas(source)
-        pragma_map[path] = list(pragmas)
-    findings.extend(_lint_program(parsed, selected, pragma_map))
-    return findings
-
-
-def _lint_program(
-    parsed: Sequence[Tuple[str, str, ast.Module]],
-    selected: Sequence[str],
-    pragma_map: Dict[str, List[Pragma]],
-) -> List[Finding]:
-    """The whole-program pass: graph, dataflow, REP5xx/6xx/7xx."""
-    rules = [rule for rule in PROGRAM_RULES if rule.id in selected]
-    if not rules or not parsed:
-        return []
-    graph = ProgramGraph(parsed)
-    analysis = DataflowAnalysis(graph)
-    findings: List[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(graph, analysis))
-    # program findings anchor at real file positions, so each file's
-    # pragmas waive them exactly like file-rule findings
-    out: List[Finding] = []
-    for path, group in _group_by_path(findings).items():
-        out.extend(apply_pragmas(group, pragma_map.get(path, [])))
-    return out
-
-
-def _group_by_path(
-    findings: Iterable[Finding],
-) -> Dict[str, List[Finding]]:
-    grouped: Dict[str, List[Finding]] = {}
-    for finding in findings:
-        grouped.setdefault(finding.path, []).append(finding)
-    return grouped
+        pragma_map[path], problems = parse_pragmas(source, ALL_RULES)
+        if PRAGMA_RULE_ID in selected:
+            findings.extend(replace(problem, path=path) for problem in problems)
+    rules = [rule for rule in RULES if rule.id in selected]
+    if rules and parsed:
+        graph = ProgramGraph(parsed)
+        analysis = DataflowAnalysis(graph)
+        for rule in rules:
+            findings.extend(
+                apply_pragmas(rule.check(graph, analysis), pragma_map)
+            )
+    return sorted(findings, key=Finding.sort_key)
 
 
 def lint_paths(
@@ -237,50 +159,13 @@ def lint_paths(
 ) -> Tuple[List[Finding], int]:
     """Lint files/directories; returns ``(findings, files_checked)``.
 
-    Runs both the per-file pass and the whole-program pass over the
-    discovered set (each file parsed exactly once).
+    Reads every discovered file into :func:`lint_sources`.
     """
-    selected = tuple(select) if select is not None else tuple(ALL_RULES)
-    findings: List[Finding] = []
-    parsed: List[Tuple[str, str, ast.Module]] = []
-    pragma_map: Dict[str, List[Pragma]] = {}
-    files = 0
+    sources: Dict[str, str] = {}
     for path in _iter_python_files(paths):
         with open(path, encoding="utf-8") as handle:
-            source = handle.read()
-        files += 1
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as error:
-            findings.append(_syntax_finding(path, error))
-            continue
-        pragmas, pragma_problems = parse_pragmas(source)
-        pragma_map[path] = list(pragmas)
-        findings.extend(
-            _lint_tree(
-                source, path, tree, selected, pragmas, pragma_problems
-            )
-        )
-        parsed.append((path, source, tree))
-    findings.extend(_lint_program(parsed, selected, pragma_map))
-    return findings, files
-
-
-def lint_project(
-    root: str = ".", select: Optional[Sequence[str]] = None
-) -> List[Finding]:
-    """Run the project-level contract rules (REP2xx/REP4xx) once.
-
-    Rules whose target files are absent under ``root`` skip silently, so
-    the runner works from any directory (fixtures, downstream repos);
-    CI runs it from the repo root where everything is present.
-    """
-    selected = tuple(select) if select is not None else tuple(ALL_RULES)
-    findings: List[Finding] = []
-    for rule in PROJECT_RULES:
-        if rule.id in selected:
-            findings.extend(rule.check(root))
-    return findings
+            sources[path] = handle.read()
+    return lint_sources(sources, select), len(sources)
 
 
 def run_lint(
@@ -288,8 +173,7 @@ def run_lint(
     select: Optional[str] = None,
     root: str = ".",
 ) -> Tuple[List[Finding], int, Tuple[str, ...]]:
-    """The full gate: file + program rules over ``paths``, then project
-    rules.
+    """The full gate: every selected rule over ``paths``.
 
     Returns ``(findings, files_checked, selected_rule_ids)``.  With no
     explicit paths, lints :data:`DEFAULT_PATHS` (the ones that exist
@@ -307,15 +191,8 @@ def run_lint(
             if os.path.isdir(os.path.join(root, name))
         ]
     findings, files = lint_paths(targets, select=selected)
-    findings.extend(lint_project(root, select=selected))
     findings = [
-        Finding(
-            rule=finding.rule,
-            path=normalize_path(finding.path, root),
-            line=finding.line,
-            col=finding.col,
-            message=finding.message,
-        )
+        replace(finding, path=normalize_path(finding.path, root))
         for finding in findings
     ]
     return findings, files, selected

@@ -175,7 +175,7 @@ def _signature_surface(
 
 
 def _info_problems(info: "ComponentInfo") -> List[str]:
-    """Contract discrepancies for one registered component (REP201)."""
+    """Contract discrepancies for one registered component."""
     where = f"{info.namespace}/{info.name}"
     if not callable(info.factory):
         return [f"{where}: registered factory is not callable"]
@@ -474,7 +474,7 @@ class Registry:
             if kwarg not in universe:
                 raise UnknownComponentKwarg(namespace, name, kwarg, universe)
 
-    # -- contract introspection (the `repro lint` REP201 hook) -------------
+    # -- contract introspection --------------------------------------------
     def contract_problems(self) -> "List[str]":
         """Registration metadata inconsistent with factory signatures.
 
@@ -482,8 +482,8 @@ class Registry:
         calling the factory, so metadata that disagrees with the live
         signature surfaces as a ``TypeError`` (or a silently dropped
         knob) at sweep time.  This hook re-derives each factory's
-        signature and reports every discrepancy as one message —
-        ``repro lint`` (REP201) turns them into findings.
+        signature and reports every discrepancy as one message;
+        ``tests/test_registry.py`` asserts the list is empty.
         """
         problems: List[str] = []
         with self._lock:

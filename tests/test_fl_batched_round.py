@@ -623,11 +623,11 @@ class TestAnyTwoPathsAgree:
 class TestAllAdvertisedFrameworksBatched:
     """Every framework that advertises ``supports_batched_clients`` must
     prove it: one tiny cell per framework, batched vs. serial client
-    engines, identical tables.  The explicit name list below is what the
-    REP401 coverage rule scans; the drift guard pins it to the registry
-    so a newly-advertising framework fails here until it is added."""
+    engines, identical tables.  The drift guard pins the explicit name
+    list below to the registry, so a newly-advertising framework fails
+    here until it is added."""
 
-    #: every advertised framework, spelled out for the coverage scan
+    #: every advertised framework, spelled out
     ADVERTISED = (
         "fedcc",
         "fedhil",

@@ -1,12 +1,12 @@
 """The `repro lint` invariant linter (`repro.lint`).
 
-Covers every rule family with minimal good/bad fixtures — including
-the whole-program REP5xx/6xx/7xx families via multi-file in-memory
-trees — the pragma suppression contract (reasons mandatory, families
-allowed, strings are not comments), the stable JSON report schema,
-baselines, the CLI exit-code contract (0 clean / 1 findings / 2
-usage), and — the actual gate — that the real repository tree lints
-clean.
+Covers every rule family with minimal good/bad fixtures, all driven
+through ``lint_sources`` as in-memory trees (multi-file where the
+whole-program REP5xx/6xx/7xx families need it), the pragma suppression
+contract (reasons mandatory, real rules only, families allowed, strings
+are not comments), the stable JSON report schema, the CLI exit-code
+contract (0 clean / 1 findings / 2 usage), and — the actual gate — that
+the real repository tree lints clean.
 """
 
 import json
@@ -19,9 +19,7 @@ from repro.lint import (
     REPORT_SCHEMA_VERSION,
     LintError,
     expand_selectors,
-    lint_program_sources,
-    lint_project,
-    lint_source,
+    lint_sources,
     parse_pragmas,
     render_json,
     run_lint,
@@ -33,12 +31,13 @@ def rules_of(findings):
     return [finding.rule for finding in findings]
 
 
-def lint(source, select=None):
-    return lint_source(source, path="probe.py", select=select)
-
-
-def lint_program(sources, select):
-    return lint_program_sources(sources, select=expand_selectors(select))
+def lint(sources, select="REP001,REP1xx,REP3xx"):
+    """Lint a ``{path: source}`` tree (a bare string is ``probe.py``)
+    under a ``--select`` string; the default is the local families the
+    single-file fixtures target."""
+    if isinstance(sources, str):
+        sources = {"probe.py": sources}
+    return lint_sources(sources, select=expand_selectors(select))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +195,7 @@ class TestSeedProvenanceRules:
                 "    return default_rng(1234)\n"
             ),
         }
-        findings = lint_program(sources, "REP501")
+        findings = lint(sources, "REP501")
         assert rules_of(findings) == ["REP501"]
         assert "1234" in findings[0].message
 
@@ -215,7 +214,7 @@ class TestSeedProvenanceRules:
                 "    return default_rng(entropy)\n"
             ),
         }
-        findings = lint_program(sources, "REP501")
+        findings = lint(sources, "REP501")
         assert rules_of(findings) == ["REP501"]
         assert findings[0].path == "proj/b.py"
 
@@ -232,7 +231,7 @@ class TestSeedProvenanceRules:
                 "    return default_rng(entropy)\n"
             ),
         }
-        assert lint_program(sources, "REP501") == []
+        assert lint(sources, "REP501") == []
 
     def test_seed_named_parameter_clean(self):
         sources = {
@@ -242,7 +241,7 @@ class TestSeedProvenanceRules:
                 "    return default_rng(seed)\n"
             ),
         }
-        assert lint_program(sources, "REP501") == []
+        assert lint(sources, "REP501") == []
 
     def test_dataclass_field_default_exempt(self):
         # spec-owned defaults *define* the seed; they are the origin
@@ -257,7 +256,7 @@ class TestSeedProvenanceRules:
                 "    )\n"
             ),
         }
-        assert lint_program(sources, "REP501") == []
+        assert lint(sources, "REP501") == []
 
     def test_test_modules_skipped(self):
         sources = {
@@ -267,7 +266,7 @@ class TestSeedProvenanceRules:
                 "    assert default_rng(1234) is not None\n"
             ),
         }
-        assert lint_program(sources, "REP501") == []
+        assert lint(sources, "REP501") == []
 
     def test_pragma_suppresses_program_finding(self):
         sources = {
@@ -278,7 +277,7 @@ class TestSeedProvenanceRules:
                 "    return default_rng(1234)\n"
             ),
         }
-        assert lint_program(sources, "REP501") == []
+        assert lint(sources, "REP501") == []
 
     def test_wall_clock_seed_flagged(self):
         sources = {
@@ -290,7 +289,7 @@ class TestSeedProvenanceRules:
                 "    return default_rng(seed)\n"
             ),
         }
-        findings = lint_program(sources, "REP502")
+        findings = lint(sources, "REP502")
         assert rules_of(findings) == ["REP502"]
 
     def test_wall_clock_laundered_through_helper_flagged(self):
@@ -307,7 +306,7 @@ class TestSeedProvenanceRules:
                 "    return default_rng(int(entropy))\n"
             ),
         }
-        findings = lint_program(sources, "REP502")
+        findings = lint(sources, "REP502")
         assert rules_of(findings) == ["REP502"]
         assert findings[0].path == "proj/b.py"
 
@@ -319,7 +318,7 @@ class TestSeedProvenanceRules:
                 "    return time.monotonic() - start\n"
             ),
         }
-        assert lint_program(sources, "REP502") == []
+        assert lint(sources, "REP502") == []
 
     def test_seed_dropping_call_flagged(self):
         sources = {
@@ -334,7 +333,7 @@ class TestSeedProvenanceRules:
                 "    return (name, seed)\n"
             ),
         }
-        findings = lint_program(sources, "REP503")
+        findings = lint(sources, "REP503")
         assert rules_of(findings) == ["REP503"]
         assert "make_building" in findings[0].message
 
@@ -350,7 +349,7 @@ class TestSeedProvenanceRules:
                 "    return (name, seed)\n"
             ),
         }
-        assert lint_program(sources, "REP503") == []
+        assert lint(sources, "REP503") == []
 
     def test_no_seed_in_scope_clean(self):
         # a caller with no seed provenance has nothing to forward
@@ -365,7 +364,7 @@ class TestSeedProvenanceRules:
                 "    return (name, seed)\n"
             ),
         }
-        assert lint_program(sources, "REP503") == []
+        assert lint(sources, "REP503") == []
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +405,7 @@ class TestCacheKeyRules:
                 "            lambda: train_model(spec, preset.seed))\n"
             ),
         }
-        findings = lint_program(sources, "REP601")
+        findings = lint(sources, "REP601")
         assert rules_of(findings) == ["REP601"]
         assert "spec.tau" in findings[0].message
         assert findings[0].path == "proj/engine.py"
@@ -434,7 +433,7 @@ class TestCacheKeyRules:
                 "            lambda: train_model(spec, preset.seed))\n"
             ),
         }
-        assert lint_program(sources, "REP601") == []
+        assert lint(sources, "REP601") == []
 
     def test_whole_object_dump_covers_every_field(self):
         sources = {
@@ -449,7 +448,7 @@ class TestCacheKeyRules:
                 "            'fit', key, lambda: spec.framework + spec.tau)\n"
             ),
         }
-        assert lint_program(sources, "REP601") == []
+        assert lint(sources, "REP601") == []
 
     def test_opaque_key_parameter_skipped(self):
         # cache plumbing receives key/compute as parameters: the
@@ -463,7 +462,7 @@ class TestCacheKeyRules:
                 "            'x', key, compute)\n"
             ),
         }
-        assert lint_program(sources, "REP601") == []
+        assert lint(sources, "REP601") == []
 
     def test_pragma_justifies_deliberate_omission(self):
         sources = {
@@ -479,7 +478,7 @@ class TestCacheKeyRules:
                 "            lambda: (spec.framework, spec.label))\n"
             ),
         }
-        assert lint_program(sources, "REP601") == []
+        assert lint(sources, "REP601") == []
 
     def test_volatile_id_in_key_payload_flagged(self):
         sources = {
@@ -490,7 +489,7 @@ class TestCacheKeyRules:
             ),
             "proj/cache.py": _CACHE_STUB,
         }
-        findings = lint_program(sources, "REP602")
+        findings = lint(sources, "REP602")
         assert rules_of(findings) == ["REP602"]
 
     def test_wall_clock_in_key_payload_flagged(self):
@@ -505,7 +504,7 @@ class TestCacheKeyRules:
             ),
             "proj/cache.py": _CACHE_STUB,
         }
-        findings = lint_program(sources, "REP602")
+        findings = lint(sources, "REP602")
         assert rules_of(findings) == ["REP602"]
 
     def test_content_derived_payload_clean(self):
@@ -518,7 +517,7 @@ class TestCacheKeyRules:
             ),
             "proj/cache.py": _CACHE_STUB,
         }
-        assert lint_program(sources, "REP602") == []
+        assert lint(sources, "REP602") == []
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +540,7 @@ class TestRaceRules:
                 "        self.count = 0\n"
             ),
         }
-        findings = lint_program(sources, "REP701")
+        findings = lint(sources, "REP701")
         assert rules_of(findings) == ["REP701"]
         assert "Stats.count" in findings[0].message
 
@@ -561,7 +560,7 @@ class TestRaceRules:
                 "            self.count = 0\n"
             ),
         }
-        assert lint_program(sources, "REP701") == []
+        assert lint(sources, "REP701") == []
 
     def test_callback_write_flagged(self):
         sources = {
@@ -575,7 +574,7 @@ class TestRaceRules:
                 "        self.done = True\n"
             ),
         }
-        findings = lint_program(sources, "REP702")
+        findings = lint(sources, "REP702")
         assert rules_of(findings) == ["REP702"]
         assert "self.done" in findings[0].message
 
@@ -601,7 +600,7 @@ class TestRaceRules:
                 "        return ThreadBackend(self._runner())\n"
             ),
         }
-        findings = lint_program(sources, "REP702")
+        findings = lint(sources, "REP702")
         assert rules_of(findings) == ["REP702"]
         assert "self.hits" in findings[0].message
 
@@ -618,7 +617,7 @@ class TestRaceRules:
                 "            self.done = True\n"
             ),
         }
-        assert lint_program(sources, "REP702") == []
+        assert lint(sources, "REP702") == []
 
     def test_loop_thread_writes_clean(self):
         # writes from the scheduler's own loop (not reachable from any
@@ -632,7 +631,7 @@ class TestRaceRules:
                 "            self.results = fut\n"
             ),
         }
-        assert lint_program(sources, "REP702") == []
+        assert lint(sources, "REP702") == []
 
     def test_sleep_under_lock_flagged(self):
         sources = {
@@ -644,7 +643,7 @@ class TestRaceRules:
                 "            time.sleep(0.5)\n"
             ),
         }
-        findings = lint_program(sources, "REP703")
+        findings = lint(sources, "REP703")
         assert rules_of(findings) == ["REP703"]
 
     def test_future_result_under_lock_flagged(self):
@@ -656,7 +655,7 @@ class TestRaceRules:
                 "            return future.result()\n"
             ),
         }
-        findings = lint_program(sources, "REP703")
+        findings = lint(sources, "REP703")
         assert rules_of(findings) == ["REP703"]
 
     def test_sleep_outside_lock_clean(self):
@@ -671,7 +670,7 @@ class TestRaceRules:
                 "            self.value = result\n"
             ),
         }
-        assert lint_program(sources, "REP703") == []
+        assert lint(sources, "REP703") == []
 
     def test_str_join_not_confused_with_thread_join(self):
         sources = {
@@ -682,7 +681,7 @@ class TestRaceRules:
                 "            return ', '.join(parts)\n"
             ),
         }
-        assert lint_program(sources, "REP703") == []
+        assert lint(sources, "REP703") == []
 
 
 # ---------------------------------------------------------------------------
@@ -739,13 +738,28 @@ class TestPragmas:
         assert rules_of(findings) == ["REP001"]
         assert "malformed" in findings[0].message
 
+    def test_unknown_rule_pragma_is_a_finding(self):
+        src = "x = 1  # repro: allow[REP999] no such rule\n"
+        findings = lint(src)
+        assert rules_of(findings) == ["REP001"]
+        assert "REP999" in findings[0].message
+
+    def test_unknown_family_pragma_does_not_suppress(self):
+        src = (
+            "try:\n"
+            "    work()\n"
+            "except Exception:  # repro: allow[REP4xx] retired family\n"
+            "    pass\n"
+        )
+        assert rules_of(lint(src)) == ["REP302", "REP001"]
+
     def test_pragma_inside_string_is_not_a_pragma(self):
         src = "doc = \"use '# repro: allow[...]' comments\"\n"
         assert lint(src) == []
 
     def test_parse_pragmas_reports_position(self):
         pragmas, problems = parse_pragmas(
-            "a = 1\nb = 2  # repro: allow[REP104] pure helper\n"
+            "a = 1\nb = 2  # repro: allow[REP104] pure helper\n", ALL_RULES
         )
         assert problems == []
         assert len(pragmas) == 1
@@ -772,6 +786,10 @@ class TestSelectionAndReport:
         with pytest.raises(LintError):
             expand_selectors("REP999")
 
+    def test_expand_empty_selection_raises(self):
+        with pytest.raises(LintError, match="names no rules"):
+            expand_selectors(",")
+
     def test_select_filters_rules(self):
         src = (
             "import random\n"
@@ -780,7 +798,7 @@ class TestSelectionAndReport:
             "except Exception:\n"
             "    pass\n"
         )
-        assert rules_of(lint(src, select=["REP103"])) == ["REP103"]
+        assert rules_of(lint(src, "REP103")) == ["REP103"]
 
     def test_json_schema_shape(self):
         src = "import numpy as np\nnp.random.rand()\n"
@@ -839,6 +857,14 @@ class TestCliAndGate:
         assert code == 2
         assert "unknown rule selector" in err
 
+    def test_exit_two_on_empty_selection(self, tmp_path):
+        clean = tmp_path / "clean.py"
+        clean.write_text("x = 1\n")
+        code, out, err = self._run(str(clean), select=",")
+        assert code == 2
+        assert out == ""
+        assert "names no rules" in err
+
     def test_exit_two_on_missing_path(self):
         code, _, err = self._run("no/such/dir")
         assert code == 2
@@ -855,11 +881,16 @@ class TestCliAndGate:
     def test_list_rules(self):
         code, out, _ = self._run(show_rules=True)
         assert code == 0
-        for rule_id in ALL_RULES:
-            assert rule_id in out
-
-    def test_project_rules_clean_on_real_repo(self):
-        assert lint_project(".") == []
+        listed = [line.split()[0] for line in out.splitlines() if line[0] != " "]
+        assert listed == list(ALL_RULES) == [
+            "REP001",
+            *(f"REP10{i}" for i in range(1, 6)),
+            *(f"REP30{i}" for i in range(1, 4)),
+            *(f"REP50{i}" for i in range(1, 4)),
+            "REP601",
+            "REP602",
+            *(f"REP70{i}" for i in range(1, 4)),
+        ]
 
     def test_repository_tree_lints_clean(self):
         findings, files, selected = run_lint()
@@ -869,77 +900,7 @@ class TestCliAndGate:
 
 
 # ---------------------------------------------------------------------------
-# Baselines + path normalization
-
-
-class TestBaseline:
-    def _run(self, *argv_paths, **kwargs):
-        out, err = StringIO(), StringIO()
-        code = run_command(list(argv_paths), out=out, err=err, **kwargs)
-        return code, out.getvalue(), err.getvalue()
-
-    def test_baseline_round_trip(self, tmp_path):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\nrandom.random()\n")
-        baseline = tmp_path / "lint-baseline.json"
-        # write: findings present, exit 0, snapshot lands on disk
-        code, out, _ = self._run(
-            str(dirty), baseline=str(baseline), update_baseline=True
-        )
-        assert code == 0
-        assert "baseline written" in out
-        payload = json.loads(baseline.read_text())
-        assert payload["schema_version"] == 1
-        assert sum(payload["entries"].values()) == 1
-        # compare: the recorded finding is suppressed, tree gates clean
-        code, out, _ = self._run(str(dirty), baseline=str(baseline))
-        assert code == 0
-        assert "clean" in out
-        # a new finding (new file) still fails the gate
-        fresh = tmp_path / "fresh.py"
-        fresh.write_text("import random\nrandom.choice([1])\n")
-        code, out, _ = self._run(
-            str(dirty), str(fresh), baseline=str(baseline)
-        )
-        assert code == 1
-        assert "fresh.py" in out
-        assert "dirty.py" not in out
-
-    def test_extra_finding_in_known_file_reported(self, tmp_path):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\nrandom.random()\n")
-        baseline = tmp_path / "bl.json"
-        self._run(str(dirty), baseline=str(baseline), update_baseline=True)
-        dirty.write_text(
-            "import random\nrandom.random()\nrandom.choice([1])\n"
-        )
-        code, out, _ = self._run(str(dirty), baseline=str(baseline))
-        assert code == 1
-        assert "REP103" in out
-
-    def test_write_baseline_requires_baseline_path(self, tmp_path):
-        clean = tmp_path / "clean.py"
-        clean.write_text("x = 1\n")
-        code, _, err = self._run(str(clean), update_baseline=True)
-        assert code == 2
-        assert "--baseline" in err
-
-    def test_malformed_baseline_is_usage_error(self, tmp_path):
-        clean = tmp_path / "clean.py"
-        clean.write_text("x = 1\n")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _, err = self._run(str(clean), baseline=str(bad))
-        assert code == 2
-        assert "baseline" in err
-
-    def test_missing_baseline_is_usage_error(self, tmp_path):
-        clean = tmp_path / "clean.py"
-        clean.write_text("x = 1\n")
-        code, _, err = self._run(
-            str(clean), baseline=str(tmp_path / "absent.json")
-        )
-        assert code == 2
+# Path normalization
 
 
 class TestPathNormalization:

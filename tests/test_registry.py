@@ -56,6 +56,34 @@ class TestRegistryCore:
         assert names == sorted(names)
 
 
+class TestContracts:
+    """Registration metadata agrees with every factory signature:
+    create() filters kwargs to the declared surface, so drift would
+    surface as a TypeError or a silently dropped knob at sweep time."""
+
+    def test_registrations_match_their_factories(self):
+        assert registry.contract_problems() == []
+
+    def test_bad_registration_is_reported(self):
+        fresh = Registry(("frameworks",))
+        fresh.add(
+            "frameworks", "closed", lambda clients, seed=0: None,
+            extra_kwargs=("lost",),
+        )
+        fresh.add(
+            "frameworks", "stray", lambda clients, seed=0: None,
+            defaults={"tau": 0.5},
+        )
+        problems = fresh.contract_problems()
+        assert len(problems) == 2
+        assert problems[0].startswith(
+            "frameworks/closed: accepted kwarg 'lost'"
+        )
+        assert problems[1].startswith(
+            "frameworks/stray: declared default 'tau'"
+        )
+
+
 class TestStrictKwargs:
     def test_typo_raises_with_suggestion(self):
         with pytest.raises(UnknownComponentKwarg, match="did you mean 'num_steps'"):

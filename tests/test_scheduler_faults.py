@@ -21,17 +21,27 @@ from repro.experiments.chaos import (
     WorkerKilled,
     resolve_chaos,
 )
-from repro.experiments.engine import SweepEngine, SweepPlan, scenario
+from repro.experiments.engine import (
+    EXECUTORS,
+    SweepEngine,
+    SweepPlan,
+    scenario,
+)
 from repro.experiments.scenarios import tiny_preset
 from repro.experiments.scheduler import (
     CellFailure,
     CellScheduler,
     CellTimeout,
+    ExecutorBackend,
     SerialBackend,
     SweepInterrupted,
     ThreadBackend,
     backoff_delay,
 )
+
+
+#: every executor that runs cells on a pool (the fault matrix's axis)
+POOLED_EXECUTORS = tuple(name for name in EXECUTORS if name != "serial")
 
 
 def mini_preset(seed: int = 42):
@@ -258,6 +268,12 @@ class TestEngineKnobValidation:
         with pytest.raises(ValueError):
             SweepEngine(chaos="not-a-token")
 
+    def test_every_backend_is_selectable(self):
+        """Each ExecutorBackend is reachable from the frontends, so the
+        fault matrix below (pooled EXECUTORS) covers every pool."""
+        backends = {cls.name for cls in ExecutorBackend.__subclasses__()}
+        assert backends == set(EXECUTORS)
+
     def test_serial_executor_is_accepted(self):
         sweep = SweepEngine(jobs=4, executor="serial").run(
             SweepPlan(
@@ -289,7 +305,7 @@ class TestFaultMatrix:
     def reference(self):
         return SweepEngine().run(tri_plan(mini_preset()))
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", POOLED_EXECUTORS)
     @pytest.mark.parametrize("mode", ["raise", "hang", "kill"])
     def test_injured_sweep_completes_and_resumes(
         self, mode, executor, reference, tmp_path
@@ -332,7 +348,7 @@ class TestFaultMatrix:
             c.flagged_per_round for c in reference.cells
         ]
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", POOLED_EXECUTORS)
     def test_retry_heals_bit_identically(
         self, executor, reference
     ):

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -15,8 +16,10 @@ from repro.experiments.engine import (
 from repro.experiments.scenarios import Preset, get_preset, tiny_preset
 from repro.experiments.specio import (
     SpecValidationError,
+    cell_field_names,
     load_plan,
     plan_to_json,
+    preset_field_names,
     save_plan,
     validate_plan_payload,
 )
@@ -69,6 +72,27 @@ class TestRoundTrip:
         path = str(tmp_path / "fig7.json")
         save_plan(plan, path)
         assert load_plan(path) == plan
+
+
+class TestFieldTables:
+    """The validator's hand-maintained field tables, each spec
+    dataclass's fields and its ``to_dict`` keys name the same set: a
+    field missing from a table fails validation of specs that set it, a
+    stale table entry promises a field ``from_dict`` refuses, and a
+    field ``to_dict`` drops makes saved specs lossy."""
+
+    @pytest.mark.parametrize(
+        "cls, table, probe",
+        [
+            (Preset, preset_field_names, lambda: Preset("probe")),
+            (ScenarioSpec, cell_field_names, ScenarioSpec),
+        ],
+        ids=["preset", "cell"],
+    )
+    def test_tables_match_dataclass_and_to_dict(self, cls, table, probe):
+        declared = {f.name for f in fields(cls)}
+        assert table() == declared
+        assert set(probe().to_dict()) == declared
 
 
 class TestGoldenFiles:
