@@ -13,14 +13,11 @@ attack × ε cells that all share one pre-trained GM):
   every cell skipped (the ``--resume`` path);
 * ``process``: the same sweep on a ``ProcessPoolExecutor``
   (``--executor process``) — cells cross the pool as JSON-native
-  payloads, scaling past the GIL on multi-core hosts;
-* ``round_cache``: an ε-heavy grid with the federate-stage client-update
-  cache on vs off — every ε cell after the first reuses the honest
-  majority of its first round.
+  payloads, scaling past the GIL on multi-core hosts.
 
 Every execution path must produce bit-identical error summaries
 (asserted on every run; ``scripts/run_benchmarks.py`` exits non-zero on
-any divergence, and on a round cache that never hits).  ``--suite
+any divergence).  ``--suite
 sweep`` writes ``BENCH_sweep.json`` at the repo root; the pytest entry
 point runs the reduced shape and stores a text report under
 ``benchmarks/results/``.
@@ -67,14 +64,6 @@ def bench_plan(preset, attacks=("fgsm", "label_flip", "pgd"), epsilons=(0.1, 0.5
     return SweepPlan(name="bench-sweep", preset=preset, cells=cells)
 
 
-def bench_eps_plan(preset, epsilons=(0.05, 0.1, 0.2, 0.5)):
-    """One attack × many ε — the round cache's best-case sharing shape."""
-    cells = tuple(
-        scenario("safeloc", attack="fgsm", epsilon=eps) for eps in epsilons
-    )
-    return SweepPlan(name="bench-eps", preset=preset, cells=cells)
-
-
 def _summaries(sweep):
     return [cell.error_summary for cell in sweep.cells]
 
@@ -118,17 +107,6 @@ def run_all(quick: bool = False) -> Dict[str, object]:
     process_s = time.perf_counter() - start
     process_ok = _summaries(pooled) == _summaries(engine_sweep)
 
-    # federate round cache: ε-heavy grid, cache off (reference) vs on
-    eps_grid = bench_eps_plan(preset)
-    start = time.perf_counter()
-    uncached = SweepEngine(round_cache=False).run(eps_grid)
-    uncached_s = time.perf_counter() - start
-    start = time.perf_counter()
-    round_cached = SweepEngine(round_cache=True).run(eps_grid)
-    cached_s = time.perf_counter() - start
-    round_ok = _summaries(round_cached) == _summaries(uncached)
-    updates_trained, updates_reused = round_cached.update_counts()
-
     trained, reused = engine_sweep.pretrain_counts()
     n_cells = len(plan.cells)
     return {
@@ -142,8 +120,7 @@ def run_all(quick: bool = False) -> Dict[str, object]:
             "preset": preset.name,
             "protocol": "same cells, same process; engine shares staged "
             "artifacts, naive pays data+pretrain per cell; process pool "
-            "and federate round cache re-run the grid; bit-equality "
-            "asserted for every path",
+            "re-runs the grid; bit-equality asserted for every path",
         },
         "headline": {
             "cell": f"{n_cells}-cell attack×ε sweep, one building",
@@ -173,15 +150,6 @@ def run_all(quick: bool = False) -> Dict[str, object]:
             "engine_s": round(engine_s, 3),
             "identical_summaries": bool(process_ok),
         },
-        "round_cache": {
-            "cell": f"{len(eps_grid.cells)}-cell single-attack ε grid",
-            "uncached_s": round(uncached_s, 3),
-            "cached_s": round(cached_s, 3),
-            "speedup": round(uncached_s / cached_s, 2),
-            "updates_trained": updates_trained,
-            "updates_reused": updates_reused,
-            "identical_summaries": bool(round_ok),
-        },
     }
 
 
@@ -190,7 +158,6 @@ def format_report(results: Dict[str, object]) -> str:
     sweep = results["sweep"]
     resume = results["resume"]
     process = results["process"]
-    rcache = results["round_cache"]
     lines = [
         "scenario engine — staged sweep vs per-cell loop",
         "",
@@ -208,11 +175,6 @@ def format_report(results: Dict[str, object]) -> str:
         f"  process pool: {process['cell']} in {process['process_s']} s "
         f"vs {process['engine_s']} s in-process "
         f"(identical={process['identical_summaries']})",
-        f"  round cache: {rcache['cell']} {rcache['speedup']}x "
-        f"(uncached {rcache['uncached_s']} s -> cached "
-        f"{rcache['cached_s']} s, {rcache['updates_reused']} updates "
-        f"reused / {rcache['updates_trained']} trained, "
-        f"identical={rcache['identical_summaries']})",
     ]
     return "\n".join(lines)
 
@@ -232,7 +194,5 @@ def test_perf_sweep(save_report):
     assert head["identical_summaries"]
     assert results["resume"]["identical_summaries"]
     assert results["process"]["identical_summaries"]
-    assert results["round_cache"]["identical_summaries"]
-    assert results["round_cache"]["updates_reused"] > 0
     assert head["pretrain_cache_hit_rate"] > 0.5
     assert head["speedup"] > 1.0

@@ -8,9 +8,8 @@ trajectory is tracked PR over PR:
   reference in ``tests/reference/aggregation.py`` (6/32/128-client
   cohorts at three model scales) → ``BENCH_aggregation.json``;
 * ``sweep`` — the scenario engine's staged pipeline (shared data +
-  pre-train artifacts, warm resume, the process-pool cell executor and
-  the federate round cache) vs the pre-refactor per-cell loop
-  → ``BENCH_sweep.json``;
+  pre-train artifacts, warm resume and the process-pool cell executor)
+  vs the pre-refactor per-cell loop → ``BENCH_sweep.json``;
 * ``fedls`` — fold-batched FEDLS leave-one-out detection vs the per-fold
   reference loop in ``tests/reference/fedls.py`` (detector fit at
   8/32/128 clients), the batched vs serial **client-round engine**
@@ -85,15 +84,6 @@ def _run_sweep(quick: bool, output: str) -> int:
         code |= _fail(
             "process-pool sweep (--executor process) diverged from the "
             "in-process run"
-        )
-    if not results["round_cache"]["identical_summaries"]:
-        code |= _fail(
-            "round-cached ε sweep diverged from the uncached reference"
-        )
-    if results["round_cache"]["updates_reused"] <= 0:
-        code |= _fail(
-            "federate round cache reported zero client-update hits on an "
-            "ε grid (cache is dead)"
         )
     return code
 

@@ -45,11 +45,12 @@ from repro.experiments.artefact_registry import (
 )
 from repro.experiments.engine import (
     EXECUTORS,
+    CellResult,
     SweepEngine,
     SweepPlan,
     SweepResult,
+    scenario,
 )
-from repro.experiments.runner import ExperimentResult, run_framework
 from repro.experiments.scenarios import Preset, get_preset
 from repro.experiments.scheduler import ON_ERROR_MODES, SweepInterrupted
 from repro.experiments.specio import (
@@ -67,6 +68,7 @@ from repro.utils.tables import format_table
 __all__ = [
     "ABLATION_ARTEFACTS",
     "PAPER_ARTEFACTS",
+    "CellResult",
     "ExperimentBuilder",
     "SpecValidationError",
     "SweepInterrupted",
@@ -98,7 +100,6 @@ class ExperimentBuilder:
         self._options: Dict[str, object] = {}
         self._jobs: Optional[int] = None
         self._executor: Optional[str] = None
-        self._round_cache: Optional[bool] = None
         self._cache_dir: Optional[str] = None
         self._resume = False
         self._cell_timeout: Optional[float] = None
@@ -173,9 +174,9 @@ class ExperimentBuilder:
         return self
 
     def executor(self, executor: Optional[str]) -> "ExperimentBuilder":
-        """Pool kind for :meth:`jobs` cells: ``"thread"`` (default) or
-        ``"process"`` — a process pool scales sweeps past the GIL on
-        multi-core hosts, bit-identical to every other executor."""
+        """How cells run: ``"serial"`` (inline) or ``"process"`` (a pool
+        of :meth:`jobs` worker processes, bit-identical to inline).
+        Unset, ``jobs > 1`` selects ``"process"``."""
         if executor is not None and executor not in EXECUTORS:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
@@ -183,15 +184,8 @@ class ExperimentBuilder:
         self._executor = executor
         return self
 
-    def round_cache(self, enabled: bool = True) -> "ExperimentBuilder":
-        """Toggle the federate-stage round cache (per-client updates
-        keyed on the broadcast GM state signature; on by default)."""
-        self._round_cache = bool(enabled)
-        return self
-
     def cache(self, cache_dir: Optional[str]) -> "ExperimentBuilder":
-        """Persist data/pre-train/federate artifacts and finished cells
-        here."""
+        """Persist data/pre-train artifacts and finished cells here."""
         self._cache_dir = cache_dir
         return self
 
@@ -203,9 +197,10 @@ class ExperimentBuilder:
     def cell_timeout(
         self, seconds: Optional[float]
     ) -> "ExperimentBuilder":
-        """Per-cell wall-clock budget; a hung thread/process cell is
-        preempted, retried (see :meth:`retries`), and ultimately fails
-        with a ``timeout`` record.  ``None`` (default) = unlimited."""
+        """Per-cell wall-clock budget; a hung process cell is preempted,
+        retried (see :meth:`retries`), and ultimately fails with a
+        ``timeout`` record.  Needs the ``"process"`` executor.  ``None``
+        (default) = unlimited."""
         self._cell_timeout = None if seconds is None else float(seconds)
         return self
 
@@ -256,10 +251,7 @@ class ExperimentBuilder:
             jobs=self._jobs,
             cache_dir=self._cache_dir,
             resume=self._resume,
-            executor=self._executor or "thread",
-            round_cache=(
-                True if self._round_cache is None else self._round_cache
-            ),
+            executor=self._executor,
             cell_timeout=self._cell_timeout,
             retries=0 if self._retries is None else self._retries,
             on_error=self._on_error or "abort",
@@ -344,11 +336,13 @@ def run_single(
     framework_kwargs: Optional[Dict] = None,
     engine: Optional[SweepEngine] = None,
     client_engine: Optional[str] = None,
-) -> ExperimentResult:
+) -> CellResult:
     """One federation under one scenario (the ``repro run`` command).
 
     ``client_engine`` overrides the preset's client execution engine
-    (``"serial"``/``"batched"`` — bit-identical at float64).
+    (``"serial"``/``"batched"`` — bit-identical at float64).  ``engine``
+    runs the cell on an existing engine (sharing its artifact cache); a
+    fresh in-memory one by default.
     """
     if isinstance(preset, str):
         preset = get_preset(preset, seed=42 if seed is None else seed)
@@ -356,17 +350,16 @@ def run_single(
         preset = replace(preset, seed=seed)
     if client_engine is not None and client_engine != preset.client_engine:
         preset = replace(preset, client_engine=client_engine)
-    return run_framework(
+    spec = scenario(
         framework,
-        preset,
         attack=attack,
         epsilon=epsilon,
-        building_name=building,
+        building=building,
         num_clients=num_clients,
         num_malicious=num_malicious,
         framework_kwargs=framework_kwargs,
-        engine=engine,
     )
+    return (engine or SweepEngine()).run_cell(preset, spec)
 
 
 def run_spec(
@@ -377,7 +370,6 @@ def run_spec(
     engine: Optional[SweepEngine] = None,
     collect: bool = True,
     executor: Optional[str] = None,
-    round_cache: Optional[bool] = None,
     client_engine: Optional[str] = None,
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
@@ -400,7 +392,7 @@ def run_spec(
     :meth:`ExperimentBuilder.save_spec`) supplies defaults for any
     scheduling argument the caller leaves unset; explicit arguments and
     a passed ``engine`` always win.  Scheduling never changes results —
-    all executors are bit-identical and retried cells reproduce exactly
+    both executors are bit-identical and retried cells reproduce exactly
     — so honoring the hints is safe.
     """
     hints: Dict[str, object] = {}
@@ -431,11 +423,8 @@ def run_spec(
             cache_dir=cache_dir,
             resume=resume,
             executor=(
-                executor
-                if executor is not None
-                else hints.get("executor", "thread")
+                executor if executor is not None else hints.get("executor")
             ),
-            round_cache=True if round_cache is None else round_cache,
             cell_timeout=(
                 cell_timeout
                 if cell_timeout is not None

@@ -22,25 +22,26 @@ Commands:
 * ``info`` — the unified component registry's inventory.
 
 ``experiment``, ``ablation`` and ``sweep`` accept ``--jobs N``
-(parallel cells, bit-identical to sequential), ``--executor
-serial|thread|process`` (what kind of pool the cells run on —
-``process`` scales past the GIL on multi-core hosts), ``--cache-dir
-PATH`` (on-disk artifact cache shared across invocations),
-``--resume`` (skip cells already finished in the cache dir),
-``--no-round-cache`` (disable the federate-stage client-update cache),
-``--client-engine serial|batched`` (per-round client execution:
-the serial per-client reference loop, or fold-batched cohort training
-that runs every honest client's local epochs as one stacked matmul
-program — bit-identical at float64), and the fault-tolerance knobs
-``--cell-timeout SECONDS``, ``--retries N`` and ``--on-error
-abort|continue`` (see the scheduler docs).  ``run`` accepts
-``--client-engine`` too.
+(N worker processes, bit-identical to sequential), ``--executor
+serial|process`` (cells inline, or in worker processes — ``process``
+scales past the GIL on multi-core hosts; unset, ``--jobs`` above 1
+selects it), ``--cache-dir PATH`` (on-disk artifact cache shared
+across invocations), ``--resume`` (skip cells already finished in the
+cache dir), ``--client-engine serial|batched`` (per-round client
+execution: the serial per-client reference loop, or fold-batched
+cohort training that runs every honest client's local epochs as one
+stacked matmul program — bit-identical at float64), and the
+fault-tolerance knobs ``--cell-timeout SECONDS`` (process executor
+only), ``--retries N`` and ``--on-error abort|continue`` (see the
+scheduler docs).  ``run`` accepts ``--client-engine`` too.
 
-Exit codes: 0 clean; 1 spec-validation or runtime error; 2 usage;
-3 the sweep finished but some cells failed under ``--on-error
-continue`` (partial tables must not look like clean runs); 130 the
-sweep was interrupted (Ctrl-C) — finished cells are already persisted
-when a ``--cache-dir`` is set, and a ``--resume`` hint is printed.
+Exit codes: 0 clean; 1 spec-validation or runtime error; 2 usage
+(including engine knobs that cannot run together, such as
+``--cell-timeout`` on a serial run); 3 the sweep finished but some
+cells failed under ``--on-error continue`` (partial tables must not
+look like clean runs); 130 the sweep was interrupted (Ctrl-C) —
+finished cells are already persisted when a ``--cache-dir`` is set,
+and a ``--resume`` hint is printed.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ def _builder(artefact: str, args: argparse.Namespace):
         .executor(args.executor)
         .cache(args.cache_dir)
         .resume(args.resume)
-        .round_cache(not args.no_round_cache)
         .cell_timeout(args.cell_timeout)
         .retries(args.retries)
         .on_error(args.on_error)
@@ -138,7 +138,6 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
         .executor(args.executor)
         .cache(args.cache_dir)
         .resume(args.resume)
-        .round_cache(not args.no_round_cache)
         .cell_timeout(args.cell_timeout)
         .retries(args.retries)
         .on_error(args.on_error)
@@ -159,9 +158,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         building=args.building,
         client_engine=args.client_engine,
     )
+    spec = result.spec
     print(
-        f"{result.framework} / {result.attack} eps={result.epsilon} on "
-        f"{result.building}: {result.error_summary}"
+        f"{spec.framework} / {spec.attack or 'clean'} eps={spec.epsilon} "
+        f"on {result.building}: {result.error_summary}"
     )
     print(f"parameters: {result.parameter_count:,}")
     if any(result.flagged_per_round):
@@ -180,7 +180,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             executor=args.executor,
             cache_dir=args.cache_dir,
             resume=args.resume,
-            round_cache=False if args.no_round_cache else None,
             client_engine=args.client_engine,
             cell_timeout=args.cell_timeout,
             retries=args.retries,
@@ -251,24 +250,22 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=None,
-        help="run sweep cells on N workers (results are bit-identical "
-        "to sequential; default sequential)",
+        help="run sweep cells on N worker processes (results are "
+        "bit-identical to sequential; default sequential)",
     )
     parser.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
+        choices=("serial", "process"),
         default=None,
-        help="pool kind for --jobs: 'thread' (default) shares one "
-        "in-process cache, 'process' scales past the GIL on multi-core "
-        "hosts and isolates cells in killable workers, 'serial' forces "
-        "inline execution (results are bit-identical every way)",
+        help="'serial' runs cells inline, 'process' runs them in "
+        "killable worker processes (default: 'process' when --jobs is "
+        "above 1, else 'serial'; results are bit-identical either way)",
     )
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="on-disk artifact cache: fingerprint data, pre-trained GMs, "
-        "federate-round client updates and finished cells persist here "
-        "across invocations",
+        help="on-disk artifact cache: fingerprint data, pre-trained GMs "
+        "and finished cells persist here across invocations",
     )
     parser.add_argument(
         "--resume",
@@ -277,20 +274,14 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "(resume a partially completed sweep; requires --cache-dir)",
     )
     parser.add_argument(
-        "--no-round-cache",
-        action="store_true",
-        help="disable the federate-stage round cache (per-client updates "
-        "keyed on the broadcast GM state; on by default, bit-identical "
-        "to recomputing)",
-    )
-    parser.add_argument(
         "--cell-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-cell wall-clock budget: a hung thread/process cell is "
+        help="per-cell wall-clock budget: a hung process cell is "
         "preempted, retried (--retries), and ultimately reported as a "
-        "timeout failure (default: unlimited)",
+        "timeout failure; needs the process executor (default: "
+        "unlimited)",
     )
     parser.add_argument(
         "--retries",
@@ -424,10 +415,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         and args.cell_timeout <= 0
     ):
         parser.error("--cell-timeout must be positive")
-    from repro.experiments.scheduler import SweepInterrupted
+    from repro.experiments.scheduler import (
+        EngineConfigError,
+        SweepInterrupted,
+    )
 
     try:
         return args.func(args)
+    except EngineConfigError as error:
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
     except SweepInterrupted as interrupt:
         _print_interrupt(interrupt, args)
         return 130

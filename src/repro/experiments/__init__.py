@@ -38,7 +38,6 @@ from repro.experiments.engine import (
     run_plan,
     scenario,
 )
-from repro.experiments.runner import ExperimentResult, run_framework
 from repro.experiments.scheduler import (
     CellFailure,
     CellTimeout,
@@ -66,8 +65,6 @@ __all__ = [
     "paper_preset",
     "tiny_preset",
     "get_preset",
-    "ExperimentResult",
-    "run_framework",
     "ScenarioSpec",
     "scenario",
     "SweepPlan",

@@ -10,8 +10,8 @@ is the test-only chaos hook that makes that possible: a
 * ``hang``      — the cell sleeps ``hang_s`` seconds (past any timeout);
 * ``kill``      — the worker dies mid-cell (``os._exit`` in a process
   worker, so the pool breaks exactly like a real worker crash;
-  simulated via :class:`WorkerKilled` on thread/serial backends, where
-  Python offers nothing to kill);
+  simulated via :class:`WorkerKilled` on the serial backend, where
+  there is no worker to kill);
 * ``interrupt`` — the cell raises :class:`KeyboardInterrupt` (a
   deterministic Ctrl-C for the graceful-interrupt path).
 
@@ -69,7 +69,7 @@ class ChaosError(RuntimeError):
 class WorkerKilled(RuntimeError):
     """Simulated worker death on backends with nothing to kill.
 
-    Thread/serial cells raise this for ``kill`` injections; the
+    Serial cells raise this for ``kill`` injections; the
     scheduler classifies it as a crash (``kind="crash"``), the same
     bucket a real :class:`BrokenProcessPool` lands in — so the crash
     handling path is testable on every backend.

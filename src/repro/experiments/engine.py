@@ -2,7 +2,7 @@
 
 Every paper artefact is a grid of *cells* — (framework, attack, ε,
 building, overrides) combinations that each used to hand-roll nested
-loops around a monolithic ``run_framework``.  Here the grid is **data**:
+loops around a monolithic single-run pipeline.  Here the grid is **data**:
 
 * a :class:`ScenarioSpec` describes one cell declaratively;
 * a :class:`SweepPlan` is an artefact's full cell grid;
@@ -13,14 +13,13 @@ loops around a monolithic ``run_framework``.  Here the grid is **data**:
   survey and the 350–700-epoch centralized pre-train are computed once
   per (building, preset, seed) and reused by every framework/attack/ε
   cell that shares them;
-* cells run sequentially, on a thread pool, or on a **process pool**
-  (``jobs`` × ``executor``); results are bit-identical every way
-  because every cell derives all randomness from named
-  :class:`~repro.utils.rng.SeedSequence` streams and shares no mutable
-  state — process workers receive cells as JSON-native payloads and
-  return npz/json-serialized :class:`CellResult` records, so sweeps
-  scale past the GIL on multi-core hosts;
-* all three executors dispatch through one fault-tolerant scheduler
+* cells run inline or on a **process pool** (``jobs`` × ``executor``);
+  results are bit-identical either way because every cell derives all
+  randomness from named :class:`~repro.utils.rng.SeedSequence` streams
+  and shares no mutable state — process workers receive cells as
+  JSON-native payloads and return JSON-serialized :class:`CellResult`
+  records, so sweeps scale past the GIL on multi-core hosts;
+* both executors dispatch through one fault-tolerant scheduler
   (:mod:`repro.experiments.scheduler`): per-cell wall-clock timeouts,
   bounded retry with exponential backoff, crash recovery that rebuilds
   a broken process pool and re-dispatches only in-flight cells, and
@@ -29,12 +28,6 @@ loops around a monolithic ``run_framework``.  Here the grid is **data**:
   :class:`SweepResult` instead of poisoning the sweep.  Every finished
   cell is persisted to the resume ledger the moment it completes, so
   crashes and Ctrl-C never lose finished work;
-* the federate stage runs behind a **round-level client-update cache**
-  (:class:`~repro.experiments.artifacts.RoundCache`): per-client
-  updates are keyed on the broadcast GM state signature, so ε-grid and
-  strategy-ablation cells that broadcast identical early-round states
-  (every cell's first round broadcasts the shared pre-trained GM)
-  reuse each other's honest-client training instead of re-running it;
 * with a ``cache_dir``, finished cells persist as JSON and a
   re-invoked, partially completed sweep skips straight to the missing
   cells (``resume=True``).
@@ -52,7 +45,6 @@ pre-training) all share one pre-train per building.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple
@@ -64,7 +56,6 @@ from repro.data.datasets import FingerprintDataset
 from repro.data.fingerprints import paper_protocol
 from repro.experiments.artifacts import (
     ArtifactCache,
-    RoundCache,
     StageStats,
     content_key,
     state_signature,
@@ -75,10 +66,10 @@ from repro.experiments.scheduler import (
     ON_ERROR_MODES,
     CellFailure,
     CellScheduler,
+    EngineConfigError,
     ProcessBackend,
     SerialBackend,
     SweepInterrupted,
-    ThreadBackend,
 )
 from repro.fl.simulation import build_federation
 from repro.metrics.localization import ErrorSummary, evaluate_model
@@ -96,11 +87,11 @@ SPEC_FORMAT = "repro.sweep-plan"
 SPEC_SCHEMA_VERSION = 2
 
 #: cell-executor choices (``SweepEngine(executor=...)`` / ``--executor``).
-#: ``serial`` forces inline execution regardless of ``jobs``; ``thread``
-#: (the default) runs inline until ``jobs > 1``; ``process`` honors any
-#: ``jobs`` count — even a one-worker pool isolates cells in killable,
-#: timeout-enforceable worker processes.
-EXECUTORS = ("serial", "thread", "process")
+#: ``serial`` runs cells inline regardless of ``jobs``; ``process`` runs
+#: them on ``jobs`` worker processes — even a one-worker pool isolates
+#: cells in killable, timeout-enforceable workers.  Unset, ``jobs > 1``
+#: selects ``process`` and anything else ``serial``.
+EXECUTORS = ("serial", "process")
 
 #: framework kwargs that provably do not alter the pre-trained weights —
 #: they configure the untrusted-data defense or the aggregation strategy,
@@ -462,7 +453,8 @@ class SweepResult:
     stats: Dict[str, Dict[str, int]]
     duration_s: float
     jobs: int = 1
-    executor: str = "thread"
+    #: the backend that ran the cells (``"serial"`` or ``"process"``)
+    executor: str = "serial"
     #: cells that exhausted their attempts under ``on_error="continue"``
     #: (plan order; an aborted sweep raises instead of returning)
     failures: List[CellFailure] = field(default_factory=list)
@@ -482,17 +474,6 @@ class SweepResult:
     def pretrain_counts(self) -> Tuple[int, int]:
         """(trained, reused) pre-train counts for this sweep."""
         entry = self.stats.get("pretrain", {})
-        return entry.get("misses", 0), entry.get("hits", 0)
-
-    def update_counts(self) -> Tuple[int, int]:
-        """(misses, hits) of the federate round cache.
-
-        Only cacheable rounds are looked up — those broadcasting the
-        shared pre-trained GM, i.e. each federation's first round — so
-        these are not counts of all client trainings: later rounds
-        train without a lookup and appear in neither number.
-        """
-        entry = self.stats.get("federate", {})
         return entry.get("misses", 0), entry.get("hits", 0)
 
     def resumed_count(self) -> int:
@@ -518,12 +499,6 @@ class SweepResult:
                 f"data: {data.get('misses', 0)} generated, "
                 f"{data.get('hits', 0)} reused"
             )
-            up_misses, up_hits = self.update_counts()
-            if up_misses or up_hits:
-                parts.append(
-                    f"round cache: {up_misses} misses, {up_hits} hits "
-                    f"(cacheable rounds only)"
-                )
         parts.append(
             f"{len(self.failures)} failed, {self.retried} retried, "
             f"{self.timed_out} timed out"
@@ -558,29 +533,20 @@ class SweepEngine:
         jobs: Cell-level worker count (``None``/1 = sequential; results
             are bit-identical either way).
         cache_dir: On-disk artifact store; enables cross-process reuse of
-            data/pre-train/federate artifacts and (with ``resume``) cell
-            skipping.
+            data/pre-train artifacts and (with ``resume``) cell skipping.
         resume: Skip cells whose results already sit in ``cache_dir``.
-        executor: ``"thread"`` (default) or ``"process"`` — what kind of
-            pool ``jobs`` cells run on.  Threads share one in-memory
-            artifact cache but serialize on the GIL; processes scale
-            across cores, each worker holding its own in-memory memo
-            (sharing through ``cache_dir`` when one is set) and shipping
-            finished cells back as JSON-native :class:`CellResult`
-            payloads.  Results are bit-identical across all executors.
-        round_cache: Enable the federate-stage
-            :class:`~repro.experiments.artifacts.RoundCache` (default
-            on): per-client round updates keyed on the broadcast GM
-            state signature, so cells that broadcast identical states —
-            every ε-grid/strategy cell's first post-pre-train round —
-            reuse honest-client training.  ``False`` recomputes every
-            update (the equivalence-test reference path).
+        executor: ``"serial"`` (cells run inline) or ``"process"``
+            (cells run on ``jobs`` worker processes, each holding its
+            own in-memory memo, sharing through ``cache_dir`` when one
+            is set, and shipping finished cells back as JSON-native
+            :class:`CellResult` payloads).  ``None`` selects
+            ``"process"`` when ``jobs > 1``, else ``"serial"``.
+            Results are bit-identical across executors.
         cell_timeout: Per-cell wall-clock budget in seconds (``None`` =
-            unlimited).  Enforced where the backend can preempt: a hung
-            process cell is reclaimed by killing and rebuilding the
-            pool (innocent in-flight cells re-dispatch without being
-            charged an attempt), a hung thread cell is abandoned.
-            Serial execution cannot preempt a running cell.
+            unlimited).  A hung process cell is reclaimed by killing and
+            rebuilding the pool (innocent in-flight cells re-dispatch
+            without being charged an attempt).  Serial execution cannot
+            preempt a running cell, so a timeout there is refused.
         retries: Re-dispatches allowed per cell after an exception,
             timeout or worker crash (0 = fail on first injury).  Cells
             are pure functions of (preset, spec) — all randomness comes
@@ -608,8 +574,7 @@ class SweepEngine:
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         resume: bool = False,
-        executor: str = "thread",
-        round_cache: bool = True,
+        executor: Optional[str] = None,
         cell_timeout: Optional[float] = None,
         retries: int = 0,
         on_error: str = "abort",
@@ -617,30 +582,36 @@ class SweepEngine:
         chaos=None,
     ):
         if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
+            raise EngineConfigError(f"jobs must be >= 1, got {jobs}")
         if resume and cache_dir is None:
-            raise ValueError(
+            raise EngineConfigError(
                 "resume=True needs a cache_dir — there is nowhere to "
                 "resume finished cells from"
             )
+        if executor is None:
+            executor = "process" if (jobs or 1) > 1 else "serial"
         if executor not in EXECUTORS:
-            raise ValueError(
+            raise EngineConfigError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
             )
         if cell_timeout is not None and cell_timeout <= 0:
-            raise ValueError(
+            raise EngineConfigError(
                 f"cell_timeout must be positive, got {cell_timeout}"
             )
+        if cell_timeout is not None and executor == "serial":
+            raise EngineConfigError(
+                "cell_timeout needs executor=\"process\": a serial run "
+                "executes cells inline and cannot stop a hung one"
+            )
         if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
+            raise EngineConfigError(f"retries must be >= 0, got {retries}")
         if on_error not in ON_ERROR_MODES:
-            raise ValueError(
+            raise EngineConfigError(
                 f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
             )
         self.jobs = jobs
         self.resume = bool(resume)
         self.executor = executor
-        self.round_cache = bool(round_cache)
         self.cell_timeout = cell_timeout
         self.retries = int(retries)
         self.on_error = on_error
@@ -648,7 +619,6 @@ class SweepEngine:
         self.chaos = resolve_chaos(chaos)
         self.artifacts = ArtifactCache(cache_dir)
         self._sig_memo: Dict[tuple, str] = {}
-        self._sig_lock = threading.Lock()
 
     # -- public API --------------------------------------------------------
     def run(self, plan: SweepPlan) -> SweepResult:
@@ -665,21 +635,17 @@ class SweepEngine:
         start = time.perf_counter()
         before = self.artifacts.stats.snapshot()
         with compute_dtype(plan.preset.compute_dtype):
-            cells, failures, retried, timed_out = self._execute(plan)
+            outcome = self._execute(plan)
         stats = StageStats.delta(before, self.artifacts.stats.snapshot())
         result = SweepResult(
             plan_name=plan.name,
             preset_name=plan.preset.name,
             seed=plan.preset.seed,
             kind=plan.kind,
-            cells=cells,
             stats=stats,
             duration_s=time.perf_counter() - start,
             jobs=self.jobs or 1,
-            executor=self.executor,
-            failures=failures,
-            retried=retried,
-            timed_out=timed_out,
+            **outcome,
         )
         logger.info("%s", result.format_stats())
         return result
@@ -690,9 +656,7 @@ class SweepEngine:
             return self._run_federation_cell(preset, spec)
 
     # -- execution ---------------------------------------------------------
-    def _execute(
-        self, plan: SweepPlan
-    ) -> Tuple[List[CellResult], List[CellFailure], int, int]:
+    def _execute(self, plan: SweepPlan) -> Dict[str, object]:
         """Run a plan through the fault-tolerant scheduler.
 
         Resume hits are resolved in the parent (no backend ever sees
@@ -701,8 +665,10 @@ class SweepEngine:
         finished cell is persisted to the resume ledger the moment its
         completion callback fires — out of order, in the scheduler's
         own thread — so a later failure, abort or interrupt never loses
-        finished work.  Returns plan-ordered surviving cells, the
-        failure records, and the (retried, timed-out) counters.
+        finished work.  Returns the :class:`SweepResult` fields it
+        decides: plan-ordered surviving ``cells``, the ``failures``,
+        the ``retried``/``timed_out`` counters and the ``executor``
+        name of the backend that ran the cells.
         """
         results: List[Optional[CellResult]] = [None] * len(plan.cells)
         pending: List[int] = []
@@ -712,8 +678,12 @@ class SweepEngine:
                 results[index] = resumed
             else:
                 pending.append(index)
+        backend = self._backend(plan, len(pending))
         if not pending:
-            return [cell for cell in results if cell is not None], [], 0, 0
+            return {
+                "cells": [cell for cell in results if cell is not None],
+                "executor": backend.name,
+            }
         for _ in pending:
             # counted at dispatch decision, once per cell — retries must
             # not inflate the "cells" miss counter
@@ -738,7 +708,7 @@ class SweepEngine:
             results[index] = result
 
         scheduler = CellScheduler(
-            self._backend(plan, len(pending)),
+            backend,
             cell_timeout=self.cell_timeout,
             retries=self.retries,
             on_error=self.on_error,
@@ -763,8 +733,13 @@ class SweepEngine:
             failure = scheduler.failures[index]
             failure.spec = plan.cells[index]
             failures.append(failure)
-        cells = [cell for cell in results if cell is not None]
-        return cells, failures, scheduler.retried, scheduler.timed_out
+        return {
+            "cells": [cell for cell in results if cell is not None],
+            "failures": failures,
+            "retried": scheduler.retried,
+            "timed_out": scheduler.timed_out,
+            "executor": backend.name,
+        }
 
     def _backend(self, plan: SweepPlan, pending: int):
         """Pick the executor backend for a plan's pending cells.
@@ -772,25 +747,19 @@ class SweepEngine:
         Footprint cells time wall-clock inference latency — concurrent
         cells would contend for the CPU and inflate every measurement —
         so they always run serially in-process.  ``process`` is honored
-        at any ``jobs`` count (a one-worker pool still isolates cells
-        in killable, timeout-enforceable workers); the thread pool only
-        engages when it can actually overlap cells.
+        at any ``jobs`` count: a one-worker pool still isolates cells in
+        killable, timeout-enforceable workers.
         """
-        if plan.kind == "footprint":
+        if plan.kind == "footprint" or self.executor == "serial":
             return SerialBackend(self._runner(plan))
-        if self.executor == "process" and self.jobs is not None:
-            return ProcessBackend(
-                _pool_run_cell,
-                self._process_payload(plan),
-                min(self.jobs, pending),
-            )
-        workers = min(self.jobs or 1, pending)
-        if workers <= 1 or self.executor == "serial":
-            return SerialBackend(self._runner(plan))
-        return ThreadBackend(self._runner(plan), workers)
+        return ProcessBackend(
+            _pool_run_cell,
+            self._process_payload(plan),
+            min(self.jobs or 1, pending),
+        )
 
     def _runner(self, plan: SweepPlan) -> Callable[[int, int], CellResult]:
-        """The serial/thread cell body: (index, attempt) → CellResult."""
+        """The inline cell body: (index, attempt) → CellResult."""
 
         def run(index: int, attempt: int) -> CellResult:
             spec = plan.cells[index]
@@ -814,7 +783,6 @@ class SweepEngine:
         shared = {
             "preset": plan.preset.to_dict(),
             "cache_dir": self.artifacts.cache_dir,
-            "round_cache": self.round_cache,
             "chaos": self.chaos.token() if self.chaos else None,
         }
 
@@ -895,11 +863,6 @@ class SweepEngine:
         if not spec.self_labeling:
             for client in server.clients:
                 client.self_labeling = False
-        if self.round_cache:
-            server.update_cache = self._round_cache(
-                preset, spec, data_key, config,
-                shared_signature=state_signature(pretrained),
-            )
         server.model.load_state_dict(pretrained)
         server.run_rounds(config.num_rounds)
         summary = evaluate_model(server.model, tests, building)
@@ -995,12 +958,10 @@ class SweepEngine:
             preset.compute_dtype,
             data_key,
         )
-        with self._sig_lock:
-            init_sig = self._sig_memo.get(sig_key)
+        init_sig = self._sig_memo.get(sig_key)
         if init_sig is None:
             init_sig = state_signature(model_factory().state_dict())
-            with self._sig_lock:
-                self._sig_memo[sig_key] = init_sig
+            self._sig_memo[sig_key] = init_sig
         key = content_key(
             {
                 "stage": "pretrain",
@@ -1033,61 +994,6 @@ class SweepEngine:
 
         return self.artifacts.get_pretrained(key, compute)
 
-    def _round_cache(
-        self,
-        preset: Preset,
-        spec: ScenarioSpec,
-        data_key: str,
-        config,
-        shared_signature: str,
-    ) -> RoundCache:
-        """The federate-stage cache handle for one cell.
-
-        The base key holds the cell's full *training* identity — data,
-        framework + every factory kwarg (client-side defenses like τ run
-        during local training), the client schedule, seed and dtype —
-        but deliberately not the aggregation strategy or the sweep
-        label: those only influence updates through the broadcast state,
-        which each lookup hashes explicitly.  The attack (name, ε) binds
-        only to malicious client indices, which is exactly what lets an
-        ε grid share its honest-client updates.
-        """
-        attack = (
-            [spec.attack, spec.epsilon]
-            if spec.attack and config.num_malicious > 0
-            else None
-        )
-        base = {
-            "stage": "federate",
-            "data": data_key,
-            "framework": spec.framework,
-            "kwargs": dict(spec.framework_kwargs),
-            "self_labeling": spec.self_labeling,
-            "seed": preset.seed,
-            "dtype": preset.compute_dtype,
-            "schedule": {
-                "num_clients": config.num_clients,
-                "num_malicious": config.num_malicious,
-                "client_fingerprints_per_rp":
-                    config.client_fingerprints_per_rp,
-                "client_epochs": config.client_epochs,
-                "client_lr": config.client_lr,
-                "malicious_epochs": config.attacker_epochs,
-                "malicious_lr": config.attacker_lr,
-                "batch_size": config.batch_size,
-            },
-        }
-        client_attacks = [
-            attack if index < config.num_malicious else None
-            for index in range(config.num_clients)
-        ]
-        return RoundCache(
-            self.artifacts,
-            base,
-            client_attacks,
-            shared_signature=shared_signature,
-        )
-
     def _cell_key(self, plan: SweepPlan, spec: ScenarioSpec) -> str:
         preset_payload = asdict(plan.preset)
         for name in _CELL_NEUTRAL_PRESET_FIELDS:
@@ -1106,10 +1012,10 @@ class SweepEngine:
         )
 
 
-#: per-pool-worker engine memo keyed on construction knobs: every cell a
+#: per-pool-worker engine memo keyed on the cache dir: every cell a
 #: worker process executes shares one in-memory artifact cache, so e.g.
 #: a worker that ran one ε cell reuses its data/pre-train for the next
-_WORKER_ENGINES: Dict[tuple, SweepEngine] = {}
+_WORKER_ENGINES: Dict[Optional[str], SweepEngine] = {}
 
 
 def _pool_run_cell(task: Dict) -> Dict:
@@ -1126,13 +1032,10 @@ def _pool_run_cell(task: Dict) -> Dict:
     — a ``kill`` injection here is a real ``os._exit``, breaking the
     pool exactly like an OOM-killed worker would.
     """
-    key = (task["cache_dir"], task["round_cache"])
-    engine = _WORKER_ENGINES.get(key)
+    engine = _WORKER_ENGINES.get(task["cache_dir"])
     if engine is None:
-        engine = SweepEngine(
-            cache_dir=task["cache_dir"], round_cache=task["round_cache"]
-        )
-        _WORKER_ENGINES[key] = engine
+        engine = SweepEngine(cache_dir=task["cache_dir"])
+        _WORKER_ENGINES[task["cache_dir"]] = engine
     preset = Preset.from_dict(task["preset"])
     spec = ScenarioSpec.from_dict(task["spec"])
     chaos = resolve_chaos(task["chaos"]) if task.get("chaos") else None

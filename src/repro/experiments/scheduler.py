@@ -1,13 +1,11 @@
 """Fault-tolerant cell scheduler: one submit/complete contract over
-serial, thread and process execution.
+inline and process execution.
 
-:class:`~repro.experiments.engine.SweepEngine` used to drive three
-ad-hoc execution paths (an inline loop, ``ThreadPoolExecutor.map``, and
-an in-order ``ProcessPoolExecutor.map``), all fail-fast: one cell
-exception — or one killed worker — aborted the whole sweep and discarded
-every completed-but-not-yet-iterated result, and a hung cell blocked
-forever.  This module replaces them with a single scheduler over an
-:class:`ExecutorBackend` interface plus a fault-tolerance layer:
+A cell runs either inline (:class:`SerialBackend`) or in a worker
+process (:class:`ProcessBackend`).  Both sit behind one scheduler over
+an :class:`ExecutorBackend` interface plus a fault-tolerance layer, so
+one cell exception, one killed worker or one hung cell never costs the
+sweep its finished work:
 
 * **out-of-order completion** — every finished cell is handed to the
   ``on_complete`` callback the moment it completes (the engine persists
@@ -16,11 +14,9 @@ forever.  This module replaces them with a single scheduler over an
 * **per-cell timeouts** (``cell_timeout`` seconds of wall clock):
   a hung process cell is reclaimed by killing and rebuilding the pool
   (innocent in-flight cells are re-dispatched **without** being charged
-  an attempt — on a timeout the culprit is known); a hung thread cell
-  is abandoned (Python threads cannot be killed — the pool grows a
-  replacement slot and the stale result is discarded).  The serial
-  backend runs cells inline and cannot preempt, so timeouts are only
-  enforced on the thread/process backends;
+  an attempt — on a timeout the culprit is known).  The serial backend
+  runs cells inline and cannot preempt, so the engine refuses a
+  ``cell_timeout`` there;
 * **bounded retry with exponential backoff** — a failed, timed-out or
   crashed attempt is re-dispatched up to ``retries`` times after a
   deterministic ``backoff_base * 2**attempt`` delay.  Cells are pure
@@ -59,7 +55,6 @@ from concurrent.futures import (
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import asdict, dataclass
@@ -75,11 +70,11 @@ __all__ = [
     "CellFailure",
     "CellScheduler",
     "CellTimeout",
+    "EngineConfigError",
     "ExecutorBackend",
     "ProcessBackend",
     "SerialBackend",
     "SweepInterrupted",
-    "ThreadBackend",
     "backoff_delay",
 ]
 
@@ -93,6 +88,11 @@ _TICK_S = 0.05
 
 class CellTimeout(RuntimeError):
     """A cell exceeded its per-cell wall-clock budget."""
+
+
+class EngineConfigError(ValueError):
+    """Engine knobs that cannot run together, refused before any cell
+    starts (the CLI reports it as a usage error, exit status 2)."""
 
 
 class SweepInterrupted(RuntimeError):
@@ -188,9 +188,8 @@ class ExecutorBackend:
 
     ``preemption`` declares what the backend can do about a cell that
     must be taken off its worker (timeout): ``"none"`` (serial — cells
-    run inline, nothing to preempt), ``"abandon"`` (threads — leave the
-    hung thread behind, grow a replacement slot), or ``"restart"``
-    (processes — kill the pool, rebuild, re-dispatch the innocents).
+    run inline, nothing to preempt) or ``"restart"`` (processes — kill
+    the pool, rebuild, re-dispatch the innocents).
     """
 
     name = "serial"
@@ -213,10 +212,6 @@ class ExecutorBackend:
         the done set."""
         done, _ = wait(futures, timeout=timeout, return_when=FIRST_COMPLETED)
         return done
-
-    def abandon(self, future: Future) -> None:
-        """Give up on a still-running future (``preemption="abandon"``)."""
-        raise NotImplementedError
 
     def restart(self) -> None:
         """Tear down and rebuild after a crash or a hung worker
@@ -252,46 +247,6 @@ class SerialBackend(ExecutorBackend):
         self, futures: Set[Future], timeout: Optional[float] = None
     ) -> Set[Future]:
         return set(futures)  # submit() already resolved them
-
-
-class ThreadBackend(ExecutorBackend):
-    """A :class:`ThreadPoolExecutor` of cells.
-
-    Python threads cannot be killed, so a timed-out cell is *abandoned*:
-    its future is dropped, the pool's worker budget grows by one (the
-    hung thread keeps its slot until the cell eventually returns; the
-    stale result is discarded), and the sweep moves on.
-    """
-
-    name = "thread"
-    preemption = "abandon"
-
-    def __init__(
-        self, run: Callable[[int, int], object], workers: int
-    ) -> None:
-        self._run = run
-        self._workers = workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def start(self) -> None:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self._workers)
-
-    def capacity(self) -> int:
-        return self._workers
-
-    def submit(self, index: int, attempt: int) -> Future:
-        return self._pool.submit(self._run, index, attempt)
-
-    def abandon(self, future: Future) -> None:
-        # the hung thread occupies a slot until its cell returns; grow
-        # the pool so a replacement worker can pick up queued cells
-        self._pool._max_workers += 1
-
-    def shutdown(self, graceful: bool = True) -> None:
-        if self._pool is not None:
-            # never wait: an abandoned (hung) thread must not block exit
-            self._pool.shutdown(wait=False, cancel_futures=not graceful)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -371,7 +326,7 @@ class CellScheduler:
     Args:
         backend: The executor to dispatch on (started/stopped here).
         cell_timeout: Per-cell wall-clock budget in seconds, or ``None``
-            (enforced on backends that can preempt — thread/process).
+            (enforced on backends that can preempt — process).
         retries: Re-dispatches allowed per cell after a failed, timed
             out or crashed attempt (0 = fail on first injury).
         on_error: ``"abort"`` re-raises the final error, ``"continue"``
@@ -459,7 +414,7 @@ class CellScheduler:
                         crashed = True
                         self._fail(index, attempt, "crash", error)
                     except WorkerKilled as error:
-                        # simulated single-worker death (thread/serial)
+                        # simulated single-worker death (serial)
                         self._fail(index, attempt, "crash", error)
                     # repro: allow[REP302] failure policy: recorded as CellFailure, re-raised under on_error="abort"
                     except Exception as error:
@@ -537,12 +492,6 @@ class CellScheduler:
             if now - meta[2] > self.cell_timeout and not future.done()
         ]
         if not expired:
-            return
-        if self.backend.preemption == "abandon":
-            for future, (index, attempt, _) in expired:
-                del in_flight[future]
-                self.backend.abandon(future)
-                self._timeout_failure(index, attempt)
             return
         # preemption == "restart": reclaiming the hung worker kills the
         # pool, so innocents are re-dispatched — without being charged

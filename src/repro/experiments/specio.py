@@ -283,6 +283,11 @@ def _validate_engine_block(engine: Any, errors: List[str]) -> None:
                 )
             elif value < 1:
                 errors.append(f"engine.jobs: must be >= 1, got {value}")
+        elif name == "executor" and value == "thread":
+            errors.append(
+                "engine.executor: the thread executor was removed; use "
+                "'serial' or 'process'"
+            )
         elif name == "executor" and value not in EXECUTORS:
             errors.append(
                 f"engine.executor: expected one of {list(EXECUTORS)}, "

@@ -234,32 +234,12 @@ class ClientCohort:
         self.clients = list(clients)
 
     def collect_updates(
-        self,
-        global_state: StateDict,
-        round_index: int,
-        cache=None,
+        self, global_state: StateDict, round_index: int
     ) -> List[ClientUpdate]:
-        """All client updates for one round, in client order.
-
-        When a :class:`~repro.experiments.artifacts.RoundCache` is given,
-        every fold is consulted before any training (cache keys are
-        engine-free, so rounds computed by the serial engine hit here and
-        vice versa) and every trained fold populates it.
-        """
-        n = len(self.clients)
-        updates: List[Optional[ClientUpdate]] = [None] * n
-        signature = (
-            cache.broadcast_signature(global_state) if cache is not None else None
-        )
-        pending: List[int] = []
-        for index, client in enumerate(self.clients):
+        """All client updates for one round, in client order."""
+        pending = list(range(len(self.clients)))
+        for client in self.clients:
             client.resolve_round(round_index)
-            if cache is not None:
-                hit = cache.lookup(index, round_index, signature)
-                if hit is not None:
-                    updates[index] = hit
-                    continue
-            pending.append(index)
 
         # broadcast + self-label + poison per client, on the client's own
         # model — identical batch shapes and rng draws to the serial path
@@ -286,12 +266,7 @@ class ClientCohort:
                     )
                 )
 
-        for index in pending:
-            update = finished[index]
-            if cache is not None:
-                update = cache.store(index, round_index, signature, update)
-            updates[index] = update
-        return updates  # type: ignore[return-value]
+        return [finished[index] for index in pending]
 
     # -- cohort partitioning ----------------------------------------------
     def _partition(

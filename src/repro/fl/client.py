@@ -26,7 +26,7 @@ def round_stream(kind: str, round_index: int) -> str:
     Both client engines derive their randomness through this single
     helper, so a (client, round) pair maps to one stream label no matter
     which engine runs the round — the invariant behind the bit-exact
-    serial/batched equivalence and the engine-free round cache.
+    serial/batched equivalence.
     """
     return f"{kind}-round-{round_index}"
 
@@ -106,9 +106,8 @@ class FederatedClient:
         """Validate the server-announced 1-based ``round_index``.
 
         Both engines call this first.  The round index alone keys every
-        per-round rng stream, so a server that satisfied earlier rounds
-        from the federate cache can still request round ``r`` and get
-        bit-identical randomness to an uncached federation.
+        per-round rng stream, so both engines draw bit-identical
+        randomness for round ``r``.
         """
         if round_index < 1:
             raise ValueError(f"round_index must be >= 1, got {round_index}")

@@ -52,22 +52,13 @@ class FederatedServer:
         clients: Participating clients (honest and malicious alike; the
             server does not know which is which).
         seeds: Server-side seed sequence (pre-training shuffles).
-        update_cache: Optional federate round cache (see
-            :class:`~repro.experiments.artifacts.RoundCache`).  When set,
-            each round's per-client updates are looked up by (client
-            index, round index, broadcast-state signature) before local
-            training runs; hits return the stored update bit-for-bit.
-            A client's update is a pure function of that triple (per-round
-            named rng streams, private model copy overwritten by every
-            broadcast), so cached federations match uncached ones exactly.
         client_engine: ``"serial"`` (the default and the bit-for-bit
             reference) walks clients one by one; ``"batched"`` hands each
             round to a :class:`~repro.fl.batched_round.ClientCohort`,
             which fold-stacks schedule-uniform clients into one 3-D
             matmul training program.  Both engines share per-(client,
-            round) rng streams and round-cache keys, so they produce
-            bit-identical updates at float64 and interchangeably hit each
-            other's cache entries.
+            round) rng streams, so they produce bit-identical updates at
+            float64.
     """
 
     def __init__(
@@ -76,7 +67,6 @@ class FederatedServer:
         strategy: AggregationStrategy,
         clients: Sequence[FederatedClient],
         seeds: Optional[SeedSequence] = None,
-        update_cache=None,
         client_engine: str = "serial",
     ):
         if not clients:
@@ -95,7 +85,6 @@ class FederatedServer:
         self.clients = list(clients)
         # repro: allow[REP501] standalone-construction fallback; the engine always threads spec-derived seeds
         self.seeds = seeds or SeedSequence(1)
-        self.update_cache = update_cache
         self.client_engine = client_engine
         self._cohort: Optional[ClientCohort] = None
         #: one record per finished round, each ``ClientUpdate.state``
@@ -125,26 +114,10 @@ class FederatedServer:
         if self.client_engine == "batched":
             if self._cohort is None:
                 self._cohort = ClientCohort(self.clients)
-            return self._cohort.collect_updates(
-                global_state, round_index, cache=self.update_cache
-            )
-        if self.update_cache is None:
-            return [
-                client.local_update(global_state, round_index=round_index)
-                for client in self.clients
-            ]
-        # through the round cache: a hit returns the stored update
-        signature = self.update_cache.broadcast_signature(global_state)
+            return self._cohort.collect_updates(global_state, round_index)
         return [
-            self.update_cache.get_update(
-                index,
-                round_index,
-                signature,
-                lambda client=client: client.local_update(
-                    global_state, round_index=round_index
-                ),
-            )
-            for index, client in enumerate(self.clients)
+            client.local_update(global_state, round_index=round_index)
+            for client in self.clients
         ]
 
     def run_round(self) -> RoundRecord:

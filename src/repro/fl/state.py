@@ -14,7 +14,6 @@ temporaries.
 from __future__ import annotations
 
 import hashlib
-import io
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -28,12 +27,9 @@ StateDict = Dict[str, np.ndarray]
 def state_signature(state: StateDict) -> str:
     """Stable hash of a state dict's names, shapes, dtypes and raw bytes.
 
-    Two uses across the sweep engine: keying pre-train artifacts on the
-    *initial* model weights (two factory configurations that build
-    bit-identical models share one pre-train), and keying the federate
-    round cache on the *broadcast* GM state (two cells whose federations
-    broadcast bit-identical weights produce bit-identical honest-client
-    updates).
+    The sweep engine keys pre-train artifacts on the *initial* model
+    weights with it, so two factory configurations that build
+    bit-identical models share one pre-train.
     """
     digest = hashlib.sha256()
     for name in sorted(state):
@@ -43,32 +39,6 @@ def state_signature(state: StateDict) -> str:
         digest.update(str(tensor.dtype).encode())
         digest.update(tensor.tobytes())
     return digest.hexdigest()[:16]
-
-
-def state_to_bytes(state: StateDict) -> bytes:
-    """Serialize a state dict to compressed ``.npz`` bytes.
-
-    The cross-process wire/cache format: bit-exact for every float
-    width, safe to hand across a process pool or persist under a cache
-    dir.  :func:`state_from_bytes` inverts it exactly.
-    """
-    if not state:
-        raise ValueError("refusing to serialize an empty state dict")
-    buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer, **{k: np.asarray(v) for k, v in state.items()}
-    )
-    return buffer.getvalue()
-
-
-def state_from_bytes(data: bytes) -> StateDict:
-    """Rebuild a state dict from :func:`state_to_bytes` output.
-
-    Every array is freshly allocated, so decoded states never alias a
-    cache entry.
-    """
-    with np.load(io.BytesIO(data)) as archive:
-        return {key: archive[key].copy() for key in archive.files}
 
 
 def _check_same_keys(states: Sequence[StateDict]) -> None:

@@ -7,7 +7,7 @@ stale artifacts are served for new configurations.  These rules catch
 that statically.
 
 REP601 pairs every cache consult site (``get_datasets`` /
-``get_pretrained`` / ``get_client_update`` / ``get_or_compute``) whose
+``get_pretrained`` / ``get_or_compute``) whose
 key and compute expressions are both statically traceable with the
 ``content_key`` payload feeding the key, then diffs two sets:
 
@@ -52,7 +52,6 @@ from repro.lint.program import (
 CACHE_SITES: Dict[str, Tuple[int, int]] = {
     "get_datasets": (0, 1),
     "get_pretrained": (0, 1),
-    "get_client_update": (0, 1),
     "get_or_compute": (1, 2),
 }
 

@@ -31,6 +31,21 @@ class TestBuilder:
         with pytest.raises(UnknownComponentKwarg, match="frameworks"):
             builder.plan()
 
+    def test_executor_accepts_serial_and_process_only(self):
+        builder = api.experiment("fig4").preset("tiny")
+        for executor in ("serial", "process", None):
+            builder.executor(executor)
+        for executor in ("thread", "gpu"):
+            with pytest.raises(ValueError, match="executor must be one of"):
+                builder.executor(executor)
+
+    def test_cell_timeout_without_process_executor_refused(self):
+        """Inline cells cannot be preempted, so the builder's engine
+        refuses a timeout before any cell runs."""
+        builder = api.experiment("fig4").preset("tiny").cell_timeout(30)
+        with pytest.raises(ValueError, match='executor="process"'):
+            builder.run()
+
     def test_fluent_plan_building(self):
         plan = (
             api.experiment("fig6")
@@ -201,6 +216,7 @@ class TestRunSingle:
         result = api.run_single(
             "fedloc", preset="tiny", attack="label_flip", epsilon=1.0
         )
-        assert result.framework == "fedloc"
-        assert result.attack == "label_flip"
+        assert isinstance(result, api.CellResult)
+        assert result.spec.framework == "fedloc"
+        assert result.spec.attack == "label_flip"
         assert result.error_summary.mean > 0

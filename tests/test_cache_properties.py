@@ -1,25 +1,25 @@
-"""Generative invariants of the engine-free round-cache keys.
+"""Generative invariants of the artifact cache's ``content_key`` and
+of the resume ledger's cell keys built on it.
 
-The seed of ROADMAP's generative invariant harness: Hypothesis drives
-the ``content_key`` / :class:`RoundCache` key discipline through
-randomized cell identities instead of a handful of hand-picked cases.
-Three properties pin the contract the serial/batched equivalence and
-the ε-grid sharing design rest on:
+Hypothesis drives the key discipline through randomized cell
+identities instead of a handful of hand-picked cases.  Four properties
+pin the contract every cached stage rests on:
 
 * **field-order independence** — a key is a pure function of the
   payload's *content*; dict insertion order (spec field reordering,
   ``to_dict`` implementation changes) must never move a key;
-* **seed sensitivity** — perturbing the cell seed changes *every*
-  client's key (no stale cross-seed hits);
-* **ε binding** — perturbing the attack ε changes exactly the
-  malicious clients' keys; honest clients' keys are deliberately
-  ε-free, which is what lets an ε grid share its honest-client
-  updates.
+* **field sensitivity** — changing any field's serialized value moves
+  the key (no stale hits across configurations);
+* **cell-neutral fields** — preset fields that cannot change a cell's
+  numbers (display name, client engine, latency repeats) never move a
+  cell key, so a sweep resumes across them;
+* **cell binding** — the seed and the attack ε always move it.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -28,14 +28,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.experiments.artifacts import (  # noqa: E402
-    ArtifactCache,
-    RoundCache,
-    content_key,
+from repro.experiments.artifacts import content_key  # noqa: E402
+from repro.experiments.engine import (  # noqa: E402
+    SweepEngine,
+    SweepPlan,
+    scenario,
 )
+from repro.experiments.scenarios import tiny_preset  # noqa: E402
 
 #: a plausible cell-identity payload: JSON-native scalars under short
-#: string field names, like the engine's federate-stage base dict
+#: string field names, like the engine's stage key payloads
 _SCALARS = st.one_of(
     st.integers(-(2**31), 2**31),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
@@ -51,26 +53,6 @@ _PAYLOADS = st.dictionaries(
     min_size=1,
     max_size=8,
 )
-
-
-def _round_cache(
-    seed: int, epsilon: float, num_clients: int, num_malicious: int
-) -> RoundCache:
-    """A RoundCache with the engine's base-dict shape, engine-free."""
-    base = {
-        "stage": "federate",
-        "data": "datakey",
-        "framework": "mlp",
-        "kwargs": {"tau": 0.5},
-        "seed": seed,
-        "dtype": "float32",
-        "schedule": {"num_clients": num_clients, "client_epochs": 5},
-    }
-    client_attacks = [
-        ["dpa", epsilon] if index < num_malicious else None
-        for index in range(num_clients)
-    ]
-    return RoundCache(ArtifactCache(), base, client_attacks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,37 +84,38 @@ def test_content_key_sensitive_to_any_field_change(payload, field, value):
         assert content_key(changed) != content_key(payload)
 
 
+def _cell_key(preset, epsilon: float) -> str:
+    """The resume-ledger key of one fgsm cell under ``preset``."""
+    spec = scenario("safeloc", attack="fgsm", epsilon=epsilon)
+    plan = SweepPlan(name="keys", preset=preset, cells=(spec,))
+    return SweepEngine()._cell_key(plan, spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    name=st.text(max_size=12),
+    engine=st.sampled_from(["serial", "batched"]),
+    repeats=st.integers(1, 50),
+)
+def test_cell_key_ignores_cell_neutral_preset_fields(
+    seed, name, engine, repeats
+):
+    base = tiny_preset(seed)
+    varied = replace(
+        base, name=name, client_engine=engine, latency_repeats=repeats
+    )
+    assert _cell_key(varied, 0.2) == _cell_key(base, 0.2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31),
     delta=st.integers(1, 1000),
-    round_index=st.integers(1, 5),
-)
-def test_seed_perturbation_moves_every_client_key(seed, delta, round_index):
-    cache_a = _round_cache(seed, 0.2, num_clients=4, num_malicious=1)
-    cache_b = _round_cache(seed + delta, 0.2, num_clients=4, num_malicious=1)
-    for client in range(4):
-        assert cache_a._key(client, round_index, "sig") != cache_b._key(
-            client, round_index, "sig"
-        )
-
-
-@settings(max_examples=40, deadline=None)
-@given(
     epsilon=st.floats(0.01, 0.5, allow_nan=False),
-    delta=st.floats(0.001, 0.5, allow_nan=False),
-    round_index=st.integers(1, 5),
+    step=st.floats(0.001, 0.5, allow_nan=False),
 )
-def test_epsilon_binds_to_malicious_clients_only(epsilon, delta, round_index):
-    cache_a = _round_cache(7, epsilon, num_clients=4, num_malicious=2)
-    cache_b = _round_cache(
-        7, epsilon + delta, num_clients=4, num_malicious=2
-    )
-    for client in range(2):  # malicious: ε is in the key
-        assert cache_a._key(client, round_index, "sig") != cache_b._key(
-            client, round_index, "sig"
-        )
-    for client in range(2, 4):  # honest: ε-free by design (grid sharing)
-        assert cache_a._key(client, round_index, "sig") == cache_b._key(
-            client, round_index, "sig"
-        )
+def test_cell_key_bound_to_seed_and_epsilon(seed, delta, epsilon, step):
+    key = _cell_key(tiny_preset(seed), epsilon)
+    assert _cell_key(tiny_preset(seed + delta), epsilon) != key
+    assert _cell_key(tiny_preset(seed), epsilon + step) != key

@@ -75,21 +75,24 @@ class TestParser:
         args = parser.parse_args(["ablation", "denoise", "--jobs", "2"])
         assert args.jobs == 2
 
-    def test_executor_and_round_cache_flags(self):
+    def test_executor_flag(self):
         parser = build_parser()
         args = parser.parse_args(["experiment", "fig5"])
         assert args.executor is None
-        assert args.no_round_cache is False
         args = parser.parse_args(
             [
                 "sweep", "--spec", "plan.json",
-                "--jobs", "2", "--executor", "process", "--no-round-cache",
+                "--jobs", "2", "--executor", "process",
             ]
         )
         assert args.executor == "process"
-        assert args.no_round_cache is True
-        with pytest.raises(SystemExit):
-            parser.parse_args(["experiment", "fig5", "--executor", "gpu"])
+        for argv in (
+            ["experiment", "fig5", "--executor", "gpu"],
+            ["experiment", "fig5", "--executor", "thread"],
+            ["experiment", "fig5", "--no-round-cache"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
     def test_resume_without_cache_dir_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -137,6 +140,20 @@ class TestParser:
                 main(argv)
             assert excinfo.value.code == 2
 
+    def test_cell_timeout_on_serial_run_is_usage_error(self, capsys):
+        """A serial run cannot preempt a cell, so --cell-timeout without
+        the process executor is refused instead of silently ignored."""
+        golden = os.path.join(GOLDEN_DIR, "fig4.json")
+        for argv in (
+            ["sweep", "--spec", golden, "--cell-timeout", "30"],
+            ["experiment", "fig4", "--preset", "tiny", "--jobs", "1",
+             "--cell-timeout", "30"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert 'executor="process"' in captured.err
+            assert captured.out == ""
+
     def test_fast32_preset_accepted(self):
         parser = build_parser()
         args = parser.parse_args(["run", "safeloc", "--preset", "fast32"])
@@ -153,6 +170,23 @@ class TestParser:
 
 
 class TestRunCommand:
+    def test_printed_summary_is_pinned(self, capsys):
+        """The exact ``repro run`` report, clean and attacked."""
+        assert main(["run", "fedloc", "--preset", "tiny"]) == 0
+        assert capsys.readouterr().out == (
+            "fedloc / clean eps=0.0 on building5: mean=1.27m worst=14.00m "
+            "best=0.00m (n=90)\n"
+            "parameters: 76,562\n"
+        )
+        argv = ["run", "safeloc", "--preset", "tiny", "--attack", "fgsm"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "safeloc / fgsm eps=0.5 on building5: mean=1.74m worst=9.00m "
+            "best=0.00m (n=90)\n"
+            "parameters: 21,507\n"
+            "flagged per round: [107, 138]\n"
+        )
+
     def test_clean_run_tiny(self, capsys):
         code = main(["run", "fedloc", "--preset", "tiny"])
         assert code == 0
@@ -181,6 +215,8 @@ class TestExperimentCommand:
     def test_federation_artefact_tiny_with_engine_flags(self, capsys, tmp_path):
         """End-to-end: a federated artefact through the engine with
         parallel cells and an on-disk cache, then resumed."""
+        import re
+
         cache = str(tmp_path / "cache")
         argv = [
             "experiment", "fig4", "--preset", "tiny",
@@ -189,7 +225,14 @@ class TestExperimentCommand:
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "Fig. 4" in first
-        assert "pretrain: 1 trained" in first
+        assert "jobs=2, process" in first
+        # the six cells share one pre-train; each of the two worker
+        # processes trains it at most once, then reuses it
+        trained, reused = map(
+            int, re.search(r"pretrain: (\d+) trained, (\d+) reused", first)
+            .groups()
+        )
+        assert 1 <= trained <= 2 and trained + reused == 6
         assert "0 cells resumed" in first
         # second invocation resumes every cell from the cache dir
         assert main(argv + ["--resume"]) == 0

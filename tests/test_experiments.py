@@ -1,4 +1,4 @@
-"""Tests for presets, the experiment runner, and the per-figure drivers.
+"""Tests for presets, single-cell runs, and the per-figure experiments.
 
 Drivers run at the ``tiny`` preset (seconds each); the paper-shape
 assertions live in ``benchmarks/`` where the ``fast`` preset is used.
@@ -6,7 +6,7 @@ assertions live in ``benchmarks/`` where the ``fast`` preset is used.
 
 import pytest
 
-from repro.experiments.runner import run_framework
+from repro.api import run_single
 from repro.experiments.scenarios import (
     fast_preset,
     get_preset,
@@ -55,45 +55,48 @@ class TestPresets:
 
 
 class TestRunner:
+    """One federation cell through :func:`repro.api.run_single`."""
+
     @pytest.fixture(scope="class")
     def preset(self):
         return tiny_preset()
 
     def test_clean_run(self, preset):
-        result = run_framework("fedloc", preset)
-        assert result.attack == "clean"
-        assert result.epsilon == 0.0
+        result = run_single("fedloc", preset)
+        assert result.spec.attack is None
+        assert result.spec.epsilon == 0.0
         assert result.error_summary.mean >= 0
         assert result.parameter_count > 0
         assert len(result.flagged_per_round) == preset.num_rounds
 
     def test_attack_run(self, preset):
-        result = run_framework("safeloc", preset, attack="fgsm", epsilon=0.5)
-        assert result.attack == "fgsm"
-        assert result.epsilon == 0.5
+        result = run_single("safeloc", preset, attack="fgsm", epsilon=0.5)
+        assert result.spec.attack == "fgsm"
+        assert result.spec.epsilon == 0.5
 
     def test_framework_kwargs_forwarded(self, preset):
-        result = run_framework(
+        result = run_single(
             "safeloc", preset, attack="fgsm", epsilon=0.2,
             framework_kwargs={"tau": 0.25},
         )
+        assert result.spec.kwargs == {"tau": 0.25}
         assert result.error_summary.count > 0
 
     def test_client_count_override(self, preset):
-        result = run_framework(
+        result = run_single(
             "fedloc", preset, attack="label_flip", epsilon=1.0,
             num_clients=4, num_malicious=2,
         )
         assert result.error_summary.count > 0
 
     def test_deterministic_given_preset_seed(self, preset):
-        a = run_framework("fedloc", preset)
-        b = run_framework("fedloc", preset)
+        a = run_single("fedloc", preset)
+        b = run_single("fedloc", preset)
         assert a.error_summary.mean == b.error_summary.mean
 
     def test_unknown_framework(self, preset):
         with pytest.raises(KeyError):
-            run_framework("hogwarts", preset)
+            run_single("hogwarts", preset)
 
 
 class TestTable1Driver:

@@ -8,11 +8,10 @@ Four contracts:
 * shared seeds — both engines derive per-(client, round) randomness
   through one helper (:func:`~repro.fl.client.client_round_rng`), so a
   round is the same round no matter which engine runs it;
-* engine-free cache — a federate round cache warmed by one engine is
-  fully reused by the other, with exact hit counts;
-* any-two-paths — every (client engine × cell executor × round cache)
-  combination produces the same error tables as the sequential serial
-  reference.
+* engine-free artifacts — pre-trains and resumed cells produced under
+  one client engine are reused by the other;
+* any-two-paths — every (client engine × cell executor) combination
+  produces the same error tables as the sequential serial reference.
 """
 
 import itertools
@@ -27,7 +26,6 @@ from repro.baselines import LatentSpaceAggregation
 from repro.baselines.dnn import DNNLocalizer
 from repro.core.saliency import SaliencyAggregation
 from repro.data import FingerprintDataset
-from repro.experiments.artifacts import ArtifactCache, RoundCache
 from repro.experiments.engine import SweepEngine, SweepPlan, scenario
 from repro.experiments.scenarios import tiny_preset
 from repro.fl import (
@@ -87,13 +85,12 @@ def _clients(n=5, malicious=(4,), n_samples=30):
     return clients
 
 
-def _server(engine, clients=None, cache=None, strategy=None):
+def _server(engine, clients=None, strategy=None):
     return FederatedServer(
         _model(99),
         strategy or FedAvg(),
         clients if clients is not None else _clients(),
         seeds=SeedSequence(7),
-        update_cache=cache,
         client_engine=engine,
     )
 
@@ -448,47 +445,6 @@ class TestStackingDrawsNoFallbackStreams:
         )
 
 
-class TestCrossEngineRoundCache:
-    """A cache warmed by one engine is fully reused by the other."""
-
-    N, ROUNDS = 5, 2
-
-    def _cache(self):
-        return RoundCache(
-            ArtifactCache(),
-            base={"cell": "cross-engine-test"},
-            client_attacks=[None] * 4 + [["label_flip", 1.0]],
-            shared_signature=None,  # cache every round
-        )
-
-    @pytest.mark.parametrize(
-        "first,second", [("serial", "batched"), ("batched", "serial")]
-    )
-    def test_warm_engine_fully_reused_with_exact_counts(self, first, second):
-        cache = self._cache()
-        warm = _server(first, cache=cache)
-        warm_records = warm.run_rounds(self.ROUNDS)
-        expected = self.N * self.ROUNDS
-        stats = cache.artifacts.stats.snapshot()["federate"]
-        assert stats == {"hits": 0, "misses": expected}
-
-        reuse = _server(second, cache=cache)
-        reuse_records = reuse.run_rounds(self.ROUNDS)
-        stats = cache.artifacts.stats.snapshot()["federate"]
-        assert stats == {"hits": expected, "misses": expected}
-        _assert_rounds_equal(warm, warm_records, reuse, reuse_records)
-
-    def test_cached_federation_matches_uncached(self):
-        cached = _server("batched", cache=self._cache())
-        uncached = _server("batched")
-        _assert_rounds_equal(
-            cached,
-            cached.run_rounds(self.ROUNDS),
-            uncached,
-            uncached.run_rounds(self.ROUNDS),
-        )
-
-
 # -- sweep-level: engines inside the full experiment pipeline -------------
 
 
@@ -501,6 +457,11 @@ def _mini_preset(engine="serial", seed=42):
         malicious_epochs=5,
         client_engine=engine,
     )
+
+
+def _summaries(sweep_result):
+    sweep = getattr(sweep_result, "sweep", sweep_result)
+    return [cell.error_summary for cell in sweep.cells]
 
 
 def _eps_plan(preset, name="eps"):
@@ -517,41 +478,44 @@ def _eps_plan(preset, name="eps"):
     return SweepPlan(name=name, preset=preset, cells=cells)
 
 
-def _summaries(sweep_result):
-    sweep = getattr(sweep_result, "sweep", sweep_result)
-    return [cell.error_summary for cell in sweep.cells]
-
-
 class TestCrossEngineSweepCache:
-    """Satellite: an ε grid warmed by one client engine is fully reused
-    by the other — cache keys are engine-free by construction."""
+    """Satellite: artifacts made under one client engine are reused by
+    the other — cache keys are engine-free by construction."""
 
     @pytest.mark.parametrize(
         "first,second", [("serial", "batched"), ("batched", "serial")]
     )
     def test_eps_grid_fully_reused_across_engines(self, first, second):
         engine = SweepEngine()  # shared in-memory artifact cache
-        preset = _mini_preset(first)
-        warm = engine.run(_eps_plan(preset))
-        trained, reused = warm.update_counts()
-        honest = preset.num_clients - preset.num_malicious
-        # cell 1 trains everyone; cell 2 reuses the honest majority and
-        # retrains only the attacker (its key carries the ε)
-        assert trained == preset.num_clients + 1
-        assert reused == honest
+        warm = engine.run(_eps_plan(_mini_preset(first)))
+        # the ε grid shares one building and one pre-train
+        assert warm.pretrain_counts() == (1, 1)
+        assert warm.stats["data"] == {"hits": 1, "misses": 1}
 
         again = engine.run(_eps_plan(_mini_preset(second)))
-        trained, reused = again.update_counts()
-        assert trained == 0
-        assert reused == preset.num_clients * 2
+        assert again.pretrain_counts() == (0, 2)
+        assert again.stats["data"] == {"hits": 2, "misses": 0}
         assert _summaries(again) == _summaries(warm)
+
+    def test_resume_ledger_shared_across_engines(self, tmp_path):
+        """``client_engine`` is cell-neutral: a sweep persisted under the
+        serial engine resumes every cell under the batched one."""
+        cache = str(tmp_path / "cache")
+        stored = SweepEngine(cache_dir=cache).run(
+            _eps_plan(_mini_preset("serial"))
+        )
+        resumed = SweepEngine(cache_dir=cache, resume=True).run(
+            _eps_plan(_mini_preset("batched"))
+        )
+        assert resumed.resumed_count() == len(stored.cells)
+        assert _summaries(resumed) == _summaries(stored)
 
 
 class TestAnyTwoPathsAgree:
-    """Satellite: framework × client_engine × cell executor × round
-    cache — every path must produce the serial sequential reference's
-    tables exactly, for the classifier cohort (fedls) and both composite
-    fold programs (safeloc, onlad) alike."""
+    """Satellite: framework × client_engine × cell executor — every
+    path must produce the serial sequential reference's tables exactly,
+    for the classifier cohort (fedls) and both composite fold programs
+    (safeloc, onlad) alike."""
 
     #: per-framework factory kwargs for quick cells
     FRAMEWORK_KWARGS = {
@@ -588,19 +552,19 @@ class TestAnyTwoPathsAgree:
             preset=_mini_preset("serial"),
             cells=self._random_cohort_plan(request.param),
         )
-        return request.param, SweepEngine(round_cache=False).run(plan)
+        return request.param, SweepEngine().run(plan)
 
     @pytest.mark.parametrize(
-        "client_engine,jobs,executor,round_cache",
+        "client_engine,jobs,executor",
         [
-            ("batched", None, "thread", False),
-            ("batched", None, "thread", True),
-            ("serial", 2, "thread", True),
-            ("batched", 2, "process", True),
+            ("batched", None, "serial"),
+            ("batched", 1, "process"),
+            ("serial", 2, "process"),
+            ("batched", 2, "process"),
         ],
     )
     def test_path_matches_reference(
-        self, reference, client_engine, jobs, executor, round_cache
+        self, reference, client_engine, jobs, executor
     ):
         framework, expected = reference
         plan = SweepPlan(
@@ -608,9 +572,7 @@ class TestAnyTwoPathsAgree:
             preset=_mini_preset(client_engine),
             cells=self._random_cohort_plan(framework),
         )
-        result = SweepEngine(
-            jobs=jobs, executor=executor, round_cache=round_cache
-        ).run(plan)
+        result = SweepEngine(jobs=jobs, executor=executor).run(plan)
         assert _summaries(result) == _summaries(expected)
         assert [c.flagged_per_round for c in result.cells] == [
             c.flagged_per_round for c in expected.cells
@@ -668,7 +630,7 @@ class TestAllAdvertisedFrameworksBatched:
                 preset=_mini_preset(engine),
                 cells=(cell,),
             )
-            results[engine] = SweepEngine(round_cache=False).run(plan)
+            results[engine] = SweepEngine().run(plan)
         assert _summaries(results["batched"]) == _summaries(
             results["serial"]
         )

@@ -1,15 +1,16 @@
 """Fault-tolerance tests: the scheduler, the chaos harness, and the
-(raise | hang | kill) × (thread | process) fault matrix.
+(raise | hang | kill) × (serial | process) fault matrix.
 
 Scheduler-level tests drive :class:`CellScheduler` with cheap stub cell
-bodies, so retry/backoff/timeout/abort logic is exercised in
-milliseconds.  The fault matrix runs real federation cells on a
+bodies, inline and on a real process pool, so retry/backoff/timeout/
+abort logic is exercised in milliseconds.  The fault matrix runs real federation cells on a
 shrunken tiny preset and asserts the ISSUE acceptance shape: an injured
 sweep completes under ``on_error="continue"``, persists every healthy
 cell, re-runs only the injured cell on ``--resume``, and the surviving
 results are bit-identical to an undisturbed sequential run.
 """
 
+import os
 import time
 from dataclasses import replace
 
@@ -33,15 +34,52 @@ from repro.experiments.scheduler import (
     CellScheduler,
     CellTimeout,
     ExecutorBackend,
+    ProcessBackend,
     SerialBackend,
     SweepInterrupted,
-    ThreadBackend,
     backoff_delay,
 )
 
 
-#: every executor that runs cells on a pool (the fault matrix's axis)
-POOLED_EXECUTORS = tuple(name for name in EXECUTORS if name != "serial")
+#: (mode, executor) rows of the fault matrix: a hang is only observable
+#: where a timeout can preempt the cell, i.e. on the process pool
+FAULT_MATRIX = [
+    (mode, executor)
+    for executor in EXECUTORS
+    for mode in ("raise", "hang", "kill")
+    if not (mode == "hang" and executor == "serial")
+]
+
+
+def stub_cell(task):
+    """Cheap cell body for scheduler tests, importable so a process pool
+    can run it.  ``task`` carries the (index, attempt) coordinates and
+    an optional ``fault`` that the ``injured`` cell suffers on its first
+    ``attempts`` attempts: ``raise``, ``keyerror``, ``hang`` (sleeps
+    past any test timeout) or ``exit`` (the worker process dies)."""
+    index, attempt = task["index"], task["attempt"]
+    if index == task.get("injured") and attempt < task.get("attempts", 1):
+        fault = task["fault"]
+        if fault == "raise":
+            raise RuntimeError("transient")
+        if fault == "keyerror":
+            raise KeyError("boom")
+        if fault == "hang":
+            time.sleep(30.0)
+        if fault == "exit":
+            os._exit(1)
+    return index
+
+
+def stub_backend(kind, workers=2, **fault):
+    """A backend running :func:`stub_cell` inline or on a process pool."""
+
+    def payload(index, attempt):
+        return {"index": index, "attempt": attempt, **fault}
+
+    if kind == "serial":
+        return SerialBackend(lambda i, a: stub_cell(payload(i, a)))
+    return ProcessBackend(stub_cell, payload, workers)
 
 
 def mini_preset(seed: int = 42):
@@ -117,7 +155,7 @@ class TestChaosSpec:
         with pytest.raises(ChaosError):
             ChaosSpec(0, "raise").inject()
         with pytest.raises(WorkerKilled):
-            ChaosSpec(0, "kill").inject()  # thread/serial simulation
+            ChaosSpec(0, "kill").inject()  # serial simulation
         with pytest.raises(KeyboardInterrupt):
             ChaosSpec(0, "interrupt").inject()
 
@@ -126,13 +164,11 @@ class TestSchedulerUnit:
     """Scheduler logic on stub cell bodies — no federations."""
 
     @staticmethod
-    def run_scheduler(body, n=3, backend="serial", workers=2, **kwargs):
-        if backend == "serial":
-            built = SerialBackend(body)
-        else:
-            built = ThreadBackend(body, workers)
+    def run_scheduler(body, n=3, **kwargs):
         scheduler = CellScheduler(
-            built, backoff_base=kwargs.pop("backoff_base", 0.01), **kwargs
+            SerialBackend(body),
+            backoff_base=kwargs.pop("backoff_base", 0.01),
+            **kwargs,
         )
         scheduler.run(range(n))
         return scheduler
@@ -148,26 +184,33 @@ class TestSchedulerUnit:
         assert seen == [(0, 0), (1, 10), (2, 20)]
         assert not scheduler.failures
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_transient_failure_heals_with_retry(self, backend):
-        def body(index, attempt):
-            if index == 1 and attempt == 0:
-                raise RuntimeError("transient")
-            return index
+    @staticmethod
+    def run_stub(kind, n=3, fault=None, **kwargs):
+        scheduler = CellScheduler(
+            stub_backend(kind, **(fault or {})),
+            backoff_base=kwargs.pop("backoff_base", 0.01),
+            **kwargs,
+        )
+        scheduler.run(range(n))
+        return scheduler
 
-        scheduler = self.run_scheduler(body, backend=backend, retries=1)
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_transient_failure_heals_with_retry(self, backend):
+        scheduler = self.run_stub(
+            backend, fault={"injured": 1, "fault": "raise"}, retries=1
+        )
         assert scheduler.results == {0: 0, 1: 1, 2: 2}
         assert scheduler.retried == 1
         assert not scheduler.failures
 
-    def test_abort_reraises_the_original_error(self):
-        def body(index, attempt):
-            if index == 1:
-                raise KeyError("boom")
-            return index
-
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_abort_reraises_the_original_error(self, backend):
         with pytest.raises(KeyError):
-            self.run_scheduler(body, on_error="abort")
+            self.run_stub(
+                backend,
+                fault={"injured": 1, "fault": "keyerror"},
+                on_error="abort",
+            )
 
     def test_continue_records_structured_failure(self):
         def body(index, attempt):
@@ -195,41 +238,52 @@ class TestSchedulerUnit:
         scheduler = self.run_scheduler(body, on_error="continue")
         assert scheduler.failures[0].kind == "crash"
 
-    def test_thread_timeout_abandons_and_records(self):
-        def body(index, attempt):
-            if index == 1:
-                time.sleep(3.0)
-            return index
-
-        scheduler = self.run_scheduler(
-            body,
-            backend="thread",
-            cell_timeout=0.3,
+    def test_process_timeout_kills_and_records(self):
+        scheduler = self.run_stub(
+            "process",
+            fault={"injured": 1, "fault": "hang"},
+            cell_timeout=2.0,
             on_error="continue",
         )
         assert set(scheduler.results) == {0, 2}
         assert scheduler.failures[1].kind == "timeout"
+        assert scheduler.failures[1].error_type == "CellTimeout"
         assert scheduler.timed_out == 1
 
     def test_timeout_retry_then_heal(self):
-        calls = []
-
-        def body(index, attempt):
-            calls.append((index, attempt))
-            if index == 0 and attempt == 0:
-                time.sleep(3.0)
-            return index
-
-        scheduler = self.run_scheduler(
-            body,
-            backend="thread",
-            cell_timeout=0.3,
+        """The hung attempt is killed with its pool; the re-dispatch
+        runs attempt 1, and innocents are not charged an attempt."""
+        scheduler = self.run_stub(
+            "process",
+            fault={"injured": 0, "fault": "hang"},
+            cell_timeout=2.0,
             retries=1,
             on_error="abort",
         )
         assert scheduler.results == {0: 0, 1: 1, 2: 2}
         assert scheduler.timed_out == 1 and scheduler.retried == 1
-        assert (0, 1) in calls  # the re-dispatch ran attempt 1
+        assert not scheduler.failures
+
+    def test_worker_death_rebuilds_pool_and_heals(self):
+        scheduler = self.run_stub(
+            "process",
+            fault={"injured": 0, "fault": "exit"},
+            retries=1,
+        )
+        assert scheduler.results == {0: 0, 1: 1, 2: 2}
+        assert scheduler.retried >= 1
+        assert not scheduler.failures
+
+    def test_worker_death_without_retry_is_a_crash(self):
+        scheduler = self.run_stub(
+            "process",
+            n=1,
+            fault={"injured": 0, "fault": "exit"},
+            on_error="continue",
+        )
+        assert not scheduler.results
+        assert scheduler.failures[0].kind == "crash"
+        assert scheduler.failures[0].attempts == 1
 
     def test_interrupt_raises_sweep_interrupted(self):
         def body(index, attempt):
@@ -268,9 +322,19 @@ class TestEngineKnobValidation:
         with pytest.raises(ValueError):
             SweepEngine(chaos="not-a-token")
 
+    def test_cell_timeout_needs_the_process_executor(self):
+        """A serial run executes cells inline and cannot preempt one, so
+        a timeout there is refused rather than silently ignored."""
+        for knobs in ({}, {"jobs": 1}, {"jobs": 4, "executor": "serial"}):
+            with pytest.raises(ValueError, match='executor="process"'):
+                SweepEngine(cell_timeout=30, **knobs)
+        assert SweepEngine(jobs=2, cell_timeout=30).executor == "process"
+        single = SweepEngine(jobs=1, executor="process", cell_timeout=30)
+        assert single.cell_timeout == 30
+
     def test_every_backend_is_selectable(self):
         """Each ExecutorBackend is reachable from the frontends, so the
-        fault matrix below (pooled EXECUTORS) covers every pool."""
+        fault matrix below (over EXECUTORS) covers every backend."""
         backends = {cls.name for cls in ExecutorBackend.__subclasses__()}
         assert backends == set(EXECUTORS)
 
@@ -287,13 +351,13 @@ class TestEngineKnobValidation:
 
 
 class TestFaultMatrix:
-    """(raise | hang | kill) × (thread | process): the sweep completes,
+    """(raise | hang | kill) × (serial | process): the sweep completes,
     healthy cells persist, resume re-runs only the injured cell, and
-    survivors are bit-identical to a clean sequential run."""
+    survivors are bit-identical to a clean sequential run.  A serial
+    ``kill`` is the simulated :class:`WorkerKilled` crash."""
 
-    #: per-mode knobs: hang needs a timeout to be observable, and the
-    #: hang must outlive it on both backends (an abandoned thread keeps
-    #: sleeping — keep it short enough to drain before pytest exits)
+    #: per-mode knobs: hang needs a timeout to be observable (process
+    #: pool only), and the hang must outlive it
     MODES = {
         "raise": dict(chaos="1:raise", cell_timeout=None),
         "hang": dict(chaos="1:hang:hang_s=12", cell_timeout=4),
@@ -305,8 +369,7 @@ class TestFaultMatrix:
     def reference(self):
         return SweepEngine().run(tri_plan(mini_preset()))
 
-    @pytest.mark.parametrize("executor", POOLED_EXECUTORS)
-    @pytest.mark.parametrize("mode", ["raise", "hang", "kill"])
+    @pytest.mark.parametrize("mode,executor", FAULT_MATRIX)
     def test_injured_sweep_completes_and_resumes(
         self, mode, executor, reference, tmp_path
     ):
@@ -314,7 +377,7 @@ class TestFaultMatrix:
         cache = str(tmp_path / "cache")
         plan = tri_plan(mini_preset())
         injured = SweepEngine(
-            jobs=1 if executor == "process" else 2,
+            jobs=1,
             executor=executor,
             cache_dir=cache,
             on_error="continue",
@@ -335,7 +398,7 @@ class TestFaultMatrix:
         assert cell_store_count(tmp_path) == 2
         # resume: only the injured cell re-runs, results bit-identical
         resumed = SweepEngine(
-            jobs=1 if executor == "process" else 2,
+            jobs=1,
             executor=executor,
             cache_dir=cache,
             resume=True,
@@ -348,7 +411,7 @@ class TestFaultMatrix:
             c.flagged_per_round for c in reference.cells
         ]
 
-    @pytest.mark.parametrize("executor", POOLED_EXECUTORS)
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_retry_heals_bit_identically(
         self, executor, reference
     ):
@@ -359,7 +422,7 @@ class TestFaultMatrix:
             executor=executor,
             retries=1,
             backoff_base=0.05,
-            chaos="1:raise" if executor == "thread" else "1:kill",
+            chaos="1:kill",
         ).run(tri_plan(mini_preset()))
         assert not healed.failures
         assert healed.retried >= 1

@@ -144,6 +144,21 @@ class TestValidation:
         with pytest.raises(SpecValidationError, match="max_workers"):
             validate_plan_payload(payload)
 
+    def test_version_2_rejects_thread_executor(self):
+        payload = self.payload()
+        payload["engine"] = {"executor": "thread"}
+        with pytest.raises(
+            SpecValidationError,
+            match="thread executor was removed; use 'serial' or 'process'",
+        ):
+            validate_plan_payload(payload)
+
+    def test_version_2_accepts_both_remaining_executors(self):
+        for executor in ("serial", "process"):
+            payload = self.payload()
+            payload["engine"] = {"executor": executor}
+            validate_plan_payload(payload)
+
     def test_missing_schema_version_rejected(self):
         payload = self.payload()
         del payload["schema_version"]

@@ -10,13 +10,13 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from repro.api import run_single
 from repro.experiments.engine import (
     ScenarioSpec,
     SweepEngine,
     SweepPlan,
     scenario,
 )
-from repro.experiments.runner import run_framework
 from repro.experiments.scenarios import get_preset, tiny_preset
 
 
@@ -172,7 +172,7 @@ class TestStagedCaching:
 
 
 class TestDeterminism:
-    """Same seed ⇒ identical SweepResult sequentially, threaded, resumed."""
+    """Same seed ⇒ identical SweepResult sequentially, pooled, resumed."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -198,9 +198,9 @@ class TestDeterminism:
         assert [c.resumed for c in resumed.cells] == [True, True, False, False]
         assert summaries_of(resumed) == summaries_of(reference)
 
-    def test_run_framework_equals_engine_cell(self, reference):
+    def test_run_single_equals_engine_cell(self, reference):
         preset = mini_preset()
-        result = run_framework("safeloc", preset, attack="fgsm", epsilon=0.1)
+        result = run_single("safeloc", preset, attack="fgsm", epsilon=0.1)
         assert result.error_summary == reference.cells[0].error_summary
 
 
@@ -324,7 +324,7 @@ class TestResumeStore:
 
 
 def eps_plan(preset, name="eps", epsilons=(0.1, 0.5)):
-    """A Fig. 5-shaped ε grid on one attack (round-cache sharing shape)."""
+    """A Fig. 5-shaped ε grid on one attack."""
     cells = tuple(
         scenario("safeloc", attack="fgsm", epsilon=eps) for eps in epsilons
     )
@@ -336,7 +336,7 @@ class TestProcessExecutor:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return SweepEngine(round_cache=False).run(eps_plan(mini_preset()))
+        return SweepEngine().run(eps_plan(mini_preset()))
 
     def test_rejects_unknown_executor(self):
         with pytest.raises(ValueError):
@@ -368,11 +368,11 @@ class TestProcessExecutor:
         assert summaries_of(pooled) == summaries_of(reference)
         assert pooled.stats["pretrain"]["hits"] == len(pooled.cells)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_resumed_cells_keep_requested_label(self, executor, tmp_path):
         """Resume relabeling (cache keys are label-free) must survive
-        parallel execution on either pool: resumed cells come back
-        wearing the *requested* spec, fresh cells run on the pool."""
+        either executor: resumed cells come back wearing the *requested*
+        spec, fresh cells run on the executor."""
         preset = mini_preset()
         cache = str(tmp_path / "cache")
         stored = eps_plan(preset, name="a").cells
@@ -395,93 +395,6 @@ class TestProcessExecutor:
         assert all(c.spec.label.startswith("wanted/") for c in resumed.cells)
 
 
-class TestRoundCache:
-    """Federate-stage client-update cache: ε grids share honest rounds."""
-
-    @pytest.fixture(scope="class")
-    def uncached(self):
-        return SweepEngine(round_cache=False).run(eps_plan(mini_preset()))
-
-    def test_epsilon_grid_bit_identical_with_hits(self, uncached):
-        cached = SweepEngine(round_cache=True).run(eps_plan(mini_preset()))
-        assert summaries_of(cached) == summaries_of(uncached)
-        assert [c.flagged_per_round for c in cached.cells] == [
-            c.flagged_per_round for c in uncached.cells
-        ]
-        trained, reused = cached.update_counts()
-        # first cell trains all clients; every later ε cell reuses the
-        # honest majority and retrains only the attacker
-        preset = mini_preset()
-        honest = preset.num_clients - preset.num_malicious
-        extra_cells = len(cached.cells) - 1
-        assert reused == honest * extra_cells
-        assert trained == preset.num_clients + extra_cells
-        assert "round cache" in cached.format_stats()
-        assert uncached.stats.get("federate") is None
-
-    def test_strategy_ablation_shares_malicious_updates_too(self):
-        """Strategies only influence updates through the broadcast state,
-        so round 1 of a strategy ablation shares *all* clients."""
-        preset = mini_preset()
-        cells = tuple(
-            scenario(
-                "safeloc", attack="fgsm", epsilon=0.5, strategy=strategy
-            )
-            for strategy in ("saliency-relative", "fedavg")
-        )
-        sweep = SweepEngine().run(
-            SweepPlan(name="strat", preset=preset, cells=cells)
-        )
-        trained, reused = sweep.update_counts()
-        assert reused == preset.num_clients  # whole round 1 of cell 2
-        assert trained == preset.num_clients
-
-    def test_round_cache_persists_under_cache_dir(self, uncached, tmp_path):
-        cache = str(tmp_path / "cache")
-        plan = eps_plan(mini_preset())
-        SweepEngine(cache_dir=cache).run(plan)
-        assert list((tmp_path / "cache" / "federate").glob("*.npz"))
-        # a fresh engine (cold memo, no resume) reloads every round-1
-        # update from disk and still reproduces bit for bit
-        again = SweepEngine(cache_dir=cache).run(plan)
-        assert summaries_of(again) == summaries_of(uncached)
-        # every round-1 update of every cell (the attackers' included)
-        # was persisted by the first run, so nothing retrains
-        trained, reused = again.update_counts()
-        assert trained == 0
-        assert reused == mini_preset().num_clients * len(plan.cells)
-
-    def test_update_encode_decode_roundtrip(self):
-        import numpy as np
-
-        from repro.experiments.artifacts import decode_update, encode_update
-        from repro.fl.aggregation import ClientUpdate
-
-        update = ClientUpdate(
-            client_name="client-3",
-            state={
-                "w": np.arange(6, dtype=np.float64).reshape(2, 3) / 7.0,
-                "b": np.float32([0.25, -1.5]),
-            },
-            num_samples=11,
-            train_loss=0.125,
-            flagged_poisoned=2,
-            is_malicious=True,
-        )
-        decoded = decode_update(encode_update(update))
-        assert decoded.client_name == update.client_name
-        assert decoded.num_samples == 11
-        assert decoded.train_loss == 0.125
-        assert decoded.flagged_poisoned == 2
-        assert decoded.is_malicious is True
-        assert set(decoded.state) == {"w", "b"}
-        for key in update.state:
-            assert decoded.state[key].dtype == update.state[key].dtype
-            assert (decoded.state[key] == update.state[key]).all()
-            # decoded arrays never alias the encoder's input
-            assert decoded.state[key] is not update.state[key]
-
-
 class TestSweepResultStats:
     def test_cells_per_second_never_inf(self):
         from repro.experiments.engine import CellResult, SweepResult
@@ -500,6 +413,37 @@ class TestSweepResultStats:
             duration_s=2.0,
         )
         assert timed.cells_per_second == 0.5
+
+    def test_report_names_the_backend_that_ran(self):
+        """The report names the executor that ran the cells, not the
+        engine's setting: ``jobs=1`` runs inline, and a footprint plan
+        runs inline even on an engine set up for a process pool."""
+        inline = SweepEngine(jobs=1).run(
+            eps_plan(mini_preset(), epsilons=(0.5,))
+        )
+        assert inline.executor == "serial"
+        assert "jobs=1, serial" in inline.format_stats()
+        footprint = SweepPlan(
+            name="footprint",
+            preset=replace(mini_preset(), latency_repeats=2),
+            cells=(scenario("fedloc", input_dim=8, num_classes=5),),
+            kind="footprint",
+        )
+        pooled_engine = SweepEngine(jobs=2)
+        assert pooled_engine.executor == "process"
+        measured = pooled_engine.run(footprint)
+        assert measured.executor == "serial"
+        assert "jobs=2, serial" in measured.format_stats()
+
+
+    def test_explicit_process_at_one_job_reports_process(self):
+        """``executor="process"`` at ``jobs=1`` still runs the cell in a
+        one-worker pool, and the report says so."""
+        sweep = SweepEngine(jobs=1, executor="process").run(
+            eps_plan(mini_preset(), epsilons=(0.5,))
+        )
+        assert sweep.executor == "process"
+        assert "jobs=1, process" in sweep.format_stats()
 
 
 class TestFast32Preset:
@@ -520,10 +464,10 @@ class TestFast32Preset:
             ("safeloc", "fgsm", 0.5),
             ("fedloc", None, 0.0),
         ):
-            a = run_framework(
+            a = run_single(
                 framework, preset64, attack=attack, epsilon=eps
             ).error_summary
-            b = run_framework(
+            b = run_single(
                 framework, preset32, attack=attack, epsilon=eps
             ).error_summary
             assert abs(a.mean - b.mean) <= 0.25
