@@ -17,8 +17,8 @@ Commands:
 * ``sweep --spec plan.json`` — execute a serialized sweep spec;
 * ``validate <spec.json> [...]`` — schema-check spec files;
 * ``lint [paths...]`` — the AST-based repo invariant linter
-  (determinism, executor safety, seed provenance, cache-key soundness,
-  scheduler races; see :mod:`repro.lint` and docs/LINTING.md);
+  (determinism, executor safety, seed provenance, cache-key soundness;
+  see :mod:`repro.lint` and docs/LINTING.md);
 * ``info`` — the unified component registry's inventory.
 
 ``experiment``, ``ablation`` and ``sweep`` accept ``--jobs N``
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="AST-based repo invariant linter (determinism, executor "
-        "safety, seed provenance, cache-key soundness, scheduler races)",
+        "safety, seed provenance, cache-key soundness)",
     )
     lint.add_argument(
         "paths",

@@ -3,9 +3,9 @@
 The reproduction's credibility rests on invariants that are otherwise
 enforced only dynamically: bit-reproducibility from seeded
 :mod:`repro.utils.rng` streams, process-pool picklability and crash
-semantics, cache-key soundness and scheduler lock discipline.  This
-package checks them *statically* — at review time instead of as a
-flaky sweep three PRs later — via five rule families, every one a
+semantics, and cache-key soundness.  This package checks them
+*statically* — at review time instead of as a flaky sweep three PRs
+later — via four rule families, every one a
 :class:`~repro.lint.program.ProgramRule` over one whole-program index:
 
 * **REP1xx determinism** — legacy ``np.random`` module-state calls,
@@ -22,15 +22,15 @@ flaky sweep three PRs later — via five rule families, every one a
   interprocedural dataflow (:mod:`repro.lint.dataflow`);
 * **REP6xx cache-key soundness** — a content-keyed cache site's
   computation must not read config values its key payload omits, and
-  ``content_key`` payloads must not contain run-volatile values;
-* **REP7xx scheduler races** — shared attributes are lock-guarded
-  consistently or single-writer; thread-reachable code must not write
-  attributes bare; no blocking calls under a lock.
+  ``content_key`` payloads must not contain run-volatile values.
 
 Registry, spec-schema and equivalence-coverage contracts are facts the
 code computes at runtime, so plain tests check them
 (``tests/test_registry.py``, ``tests/test_spec_roundtrip.py``,
 ``tests/test_scheduler_faults.py``, ``tests/test_fl_batched_round.py``).
+So does the concurrency surface: the sweep runs cells inline or in
+worker processes, and ``tests/test_lint.py`` pins the tree's only
+thread and lock constructions.
 
 A finding is suppressed by a pragma carrying a reason::
 

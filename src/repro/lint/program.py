@@ -3,11 +3,10 @@
 Every rule is a :class:`ProgramRule` checked once per lint invocation
 against one :class:`ProgramGraph`.  The local rules (REP1xx/REP3xx)
 walk each module's nodes with its alias-resolved names and ancestor
-chain; the REP5xx seed-provenance, REP6xx cache-key-soundness and
-REP7xx scheduler-race families also ask questions that span modules —
-*which function does this call resolve to*, *who calls this function
-and with what arguments*, *which functions end up running on worker
-threads*.  This module builds that view once per lint invocation:
+chain; the REP5xx seed-provenance and REP6xx cache-key-soundness
+families also ask questions that span modules — *which function does
+this call resolve to*, *who calls this function and with what
+arguments*.  This module builds that view once per lint invocation:
 
 * a :class:`ModuleInfo` per parsed file with alias- and import-resolved
   symbol tables (``np.random.default_rng`` and
@@ -107,14 +106,11 @@ class FunctionInfo:
         node: ast.AST,
         module: "ModuleInfo",
         class_name: Optional[str] = None,
-        nested_in: Optional[str] = None,
     ) -> None:
         self.qualname = qualname
         self.node = node
         self.module = module
         self.class_name = class_name
-        #: qualname of the enclosing function for nested defs
-        self.nested_in = nested_in
         args = node.args
         self.params: List[str] = [
             a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
@@ -352,14 +348,10 @@ class ProgramGraph:
     # -- construction ------------------------------------------------------
     def _index_functions(self, module: ModuleInfo) -> None:
         def register(
-            node: ast.AST, qual_parts: List[str],
-            class_name: Optional[str], nested_in: Optional[str],
+            node: ast.AST, qual_parts: List[str], class_name: Optional[str]
         ) -> None:
             qualname = ".".join(qual_parts)
-            info = FunctionInfo(
-                qualname, node, module,
-                class_name=class_name, nested_in=nested_in,
-            )
+            info = FunctionInfo(qualname, node, module, class_name=class_name)
             self.functions.setdefault(qualname, info)
             self.by_node[node] = info
             if class_name is not None:
@@ -369,20 +361,17 @@ class ProgramGraph:
 
         def walk(
             body: Iterable[ast.stmt], qual_parts: List[str],
-            class_name: Optional[str], nested_in: Optional[str],
+            class_name: Optional[str],
         ) -> None:
             for stmt in body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     parts = [*qual_parts, stmt.name]
-                    register(stmt, parts, class_name, nested_in)
-                    walk(stmt.body, parts, None, ".".join(parts))
+                    register(stmt, parts, class_name)
+                    walk(stmt.body, parts, None)
                 elif isinstance(stmt, ast.ClassDef):
-                    walk(
-                        stmt.body, [*qual_parts, stmt.name],
-                        stmt.name, nested_in,
-                    )
+                    walk(stmt.body, [*qual_parts, stmt.name], stmt.name)
 
-        walk(module.tree.body, [module.name] if module.name else [], None, None)
+        walk(module.tree.body, [module.name] if module.name else [], None)
 
     def _index_calls(self, module: ModuleInfo) -> None:
         for node in ast.walk(module.tree):
@@ -398,9 +387,6 @@ class ProgramGraph:
             self.callers.setdefault(callee.qualname, []).append(site)
 
     # -- queries -----------------------------------------------------------
-    def function_for_node(self, node: ast.AST) -> Optional[FunctionInfo]:
-        return self.by_node.get(node)
-
     def resolve_qualname(
         self, module: ModuleInfo, dotted: str
     ) -> Optional[str]:

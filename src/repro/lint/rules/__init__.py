@@ -16,14 +16,12 @@ from repro.lint.rules.cachekeys import CACHEKEY_RULES
 from repro.lint.rules.determinism import DETERMINISM_RULES
 from repro.lint.rules.executor import EXECUTOR_RULES
 from repro.lint.rules.provenance import PROVENANCE_RULES
-from repro.lint.rules.races import RACE_RULES
 
 RULES = (
     *DETERMINISM_RULES,
     *EXECUTOR_RULES,
     *PROVENANCE_RULES,
     *CACHEKEY_RULES,
-    *RACE_RULES,
 )
 
 #: (id, title, rationale) for REP001 — the ``--list-rules`` catalog and

@@ -15,9 +15,9 @@ key and compute expressions are both statically traceable with the
   (following one level of local assignment, dict literals and
   comprehensions; ``asdict(x)`` / ``x.to_dict()`` / ``x.identity()`` /
   ``dict(x)`` / ``**x`` splats mark the whole root covered);
-* **required** — ``root.attr`` reads on the compute path (lambda,
-  local ``def``, or module function), followed interprocedurally
-  through calls that pass a tracked object whole.
+* **required** — ``root.attr`` reads on the compute path (inline
+  lambda or local ``def``), followed interprocedurally through calls
+  that pass a tracked object whole as a positional argument.
 
 Anything required-but-not-covered is exactly the "forgot to add the
 knob to the key" bug, reported at the cache call site (one pragma
@@ -179,28 +179,16 @@ def _trace_key_payload(
 
 
 def _compute_body(
-    compute_expr: ast.AST,
-    function: Optional[FunctionInfo],
-    graph: ProgramGraph,
-    module: ModuleInfo,
+    compute_expr: ast.AST, function: Optional[FunctionInfo]
 ) -> Optional[ast.AST]:
-    """The AST actually executed on a cache miss, or ``None``."""
-    expr = compute_expr
-    if isinstance(expr, ast.Name):
-        if function is not None and expr.id in function.params:
+    """The AST executed on a cache miss — an inline lambda or a local
+    ``def`` — or ``None`` (anything else: site skipped)."""
+    if isinstance(compute_expr, ast.Lambda):
+        return compute_expr
+    if isinstance(compute_expr, ast.Name):
+        if function is not None and compute_expr.id in function.params:
             return None  # opaque callable parameter: plumbing, skip
-        local = _local_def(function, expr.id)
-        if local is not None:
-            return local
-        local_value = _local_assignment(function, expr.id)
-        if local_value is not None:
-            return _compute_body(local_value, function, graph, module)
-        qualname = graph.resolve_qualname(module, expr.id)
-        if qualname is not None:
-            return graph.functions[qualname].node
-        return None
-    if isinstance(expr, ast.Lambda):
-        return expr
+        return _local_def(function, compute_expr.id)
     return None
 
 
@@ -214,8 +202,9 @@ def _required_reads(
     seen: Optional[Set[str]] = None,
 ) -> Iterable[Tuple[str, str, int]]:
     """``(root, attr, line)`` reads of tracked objects on the compute
-    path, following calls that pass a tracked object whole (the
-    callee's reads surface under the caller-side root name)."""
+    path, following calls that pass a tracked object whole as a
+    positional argument (the callee's reads surface under the
+    caller-side root name)."""
     if depth <= 0:
         return
     if seen is None:
@@ -255,13 +244,6 @@ def _required_reads(
                     and index < len(positional)
                 ):
                     forwarded.append((arg.id, positional[index]))
-            for keyword in node.keywords:
-                if (
-                    isinstance(keyword.value, ast.Name)
-                    and keyword.value.id in tracked
-                    and keyword.arg is not None
-                ):
-                    forwarded.append((keyword.value.id, keyword.arg))
             if not forwarded:
                 continue
             seen.add(callee.qualname)
@@ -316,7 +298,7 @@ class CacheKeyCoverage(ProgramRule):
             return []
         function = graph.enclosing_function(module, call)
         payload = _trace_key_payload(plain[key_index], function)
-        body = _compute_body(plain[compute_index], function, graph, module)
+        body = _compute_body(plain[compute_index], function)
         if payload is None or body is None:
             return []
         coverage = _Coverage()
@@ -326,14 +308,13 @@ class CacheKeyCoverage(ProgramRule):
             for root in coverage.roots
             if not root.startswith("self")
         }
-        if body is not None:
-            for sub in ast.walk(body):
-                if (
-                    isinstance(sub, ast.Name)
-                    and isinstance(sub.ctx, ast.Load)
-                    and _CONFIG_ROOT_RE.match(sub.id)
-                ):
-                    tracked.add(sub.id)
+        for sub in ast.walk(body):
+            if (
+                isinstance(sub, ast.Name)
+                and isinstance(sub.ctx, ast.Load)
+                and _CONFIG_ROOT_RE.match(sub.id)
+            ):
+                tracked.add(sub.id)
         missing: Dict[Tuple[str, str], int] = {}
         for root, attr, line in _required_reads(
             body, tracked, graph, module, function

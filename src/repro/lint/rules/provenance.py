@@ -133,8 +133,8 @@ class WallClockSeedSink(ProgramRule):
     title = "wall-clock or entropy value reaches a generator sink"
     rationale = (
         "time/uuid/urandom-derived seeds make runs unreproducible by "
-        "construction; the whole determinism contract (and the round "
-        "cache) assumes seeds are pure functions of the spec"
+        "construction; the whole determinism contract assumes seeds "
+        "are pure functions of the spec"
     )
 
     def check(

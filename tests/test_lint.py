@@ -2,15 +2,18 @@
 
 Covers every rule family with minimal good/bad fixtures, all driven
 through ``lint_sources`` as in-memory trees (multi-file where the
-whole-program REP5xx/6xx/7xx families need it), the pragma suppression
+whole-program REP5xx/6xx families need it), the pragma suppression
 contract (reasons mandatory, real rules only, families allowed, strings
 are not comments), the stable JSON report schema, the CLI exit-code
-contract (0 clean / 1 findings / 2 usage), and — the actual gate — that
-the real repository tree lints clean.
+contract (0 clean / 1 findings / 2 usage), the pinned concurrency
+surface of ``src/repro`` (its only threads and locks), and — the actual
+gate — that the real repository tree lints clean.
 """
 
+import ast
 import json
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.lint import (
     run_lint,
 )
 from repro.lint.cli import run_command
+from repro.lint.program import ModuleInfo
 
 
 def rules_of(findings):
@@ -450,6 +454,37 @@ class TestCacheKeyRules:
         }
         assert lint(sources, "REP601") == []
 
+    @pytest.mark.parametrize("payload", ["spec.to_dict()", "{**spec}"])
+    def test_whole_object_spellings_cover_every_field(self, payload):
+        sources = {
+            "proj/cache.py": _CACHE_STUB,
+            "proj/engine.py": (
+                "from proj.cache import content_key\n"
+                "class Engine:\n"
+                "    def fit(self, spec):\n"
+                f"        key = content_key({payload})\n"
+                "        return self.cache.get_or_compute(\n"
+                "            'fit', key, lambda: spec.framework + spec.tau)\n"
+            ),
+        }
+        assert lint(sources, "REP601") == []
+
+    def test_annotated_key_assignment_traced(self):
+        sources = {
+            "proj/cache.py": _CACHE_STUB,
+            "proj/engine.py": (
+                "from proj.cache import content_key\n"
+                "class Engine:\n"
+                "    def fit(self, spec):\n"
+                "        key: str = content_key({'fw': spec.framework})\n"
+                "        return self.cache.get_or_compute(\n"
+                "            'fit', key, lambda: spec.framework + spec.tau)\n"
+            ),
+        }
+        findings = lint(sources, "REP601")
+        assert rules_of(findings) == ["REP601"]
+        assert "spec.tau" in findings[0].message
+
     def test_opaque_key_parameter_skipped(self):
         # cache plumbing receives key/compute as parameters: the
         # builders are checked where the expressions are written
@@ -521,167 +556,114 @@ class TestCacheKeyRules:
 
 
 # ---------------------------------------------------------------------------
-# REP7xx scheduler races (whole-program)
+# Concurrency surface: sweeps run no threads, so there are no race rules
+
+SRC_REPRO = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
-class TestRaceRules:
-    def test_mixed_lock_discipline_flagged(self):
+def concurrency_surface(sources):
+    """``{(path, construct)}`` for a ``{path: source}`` tree: every
+    thread or lock construction (``threading.*``, any ``*Thread*``
+    call, ``add_done_callback``) and every ``with`` over a lock-named
+    expression, names alias-resolved."""
+    surface = set()
+    for path, source in sources.items():
+        module = ModuleInfo(path, source, ast.parse(source))
+        for call in module.nodes(ast.Call):
+            dotted = module.dotted_name(call.func) or ""
+            name = dotted.rsplit(".", 1)[-1]
+            if (
+                dotted.startswith("threading.")
+                or "Thread" in name
+                or name == "add_done_callback"
+            ):
+                surface.add((path, f"{dotted}()"))
+        for block in (*module.nodes(ast.With), *module.nodes(ast.AsyncWith)):
+            for item in block.items:
+                expr = item.context_expr
+                if isinstance(expr, ast.Call):
+                    expr = expr.func
+                dotted = module.dotted_name(expr)
+                if dotted is not None and "lock" in dotted.lower():
+                    surface.add((path, f"with {dotted}"))
+    return surface
+
+
+#: the REP7xx rules' "bad" fixtures: each must still show up on the
+#: concurrency surface
+RETIRED_RACE_FIXTURES = {
+    "REP701-mixed-lock-discipline": (
+        "import threading\n"
+        "class Stats:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "        self.count = 0\n"
+        "    def bump(self):\n"
+        "        with self._lock:\n"
+        "            self.count += 1\n"
+        "    def reset(self):\n"
+        "        self.count = 0\n"
+    ),
+    "REP702-callback-write": (
+        "class Sched:\n"
+        "    def submit_all(self, pool, items):\n"
+        "        for item in items:\n"
+        "            fut = pool.submit(work, item)\n"
+        "            fut.add_done_callback(self.on_done)\n"
+        "    def on_done(self, fut):\n"
+        "        self.done = True\n"
+    ),
+    "REP702-factory-closure": (
+        "from proj.backend import ThreadBackend\n"
+        "class Engine:\n"
+        "    def _runner(self):\n"
+        "        def run(index, attempt):\n"
+        "            self.hits += 1\n"
+        "            return index\n"
+        "        return run\n"
+        "    def build(self):\n"
+        "        return ThreadBackend(self._runner())\n"
+    ),
+    "REP703-sleep-under-lock": (
+        "import time\n"
+        "class Sched:\n"
+        "    def wait(self):\n"
+        "        with self._lock:\n"
+        "            time.sleep(0.5)\n"
+    ),
+    "REP703-future-result-under-lock": (
+        "class Sched:\n"
+        "    def wait(self, future):\n"
+        "        with self._lock:\n"
+        "            return future.result()\n"
+    ),
+}
+
+
+class TestConcurrencySurface:
+    def test_src_concurrency_surface_is_pinned(self):
         sources = {
-            "proj/sched.py": (
-                "import threading\n"
-                "class Stats:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self.count = 0\n"
-                "    def bump(self):\n"
-                "        with self._lock:\n"
-                "            self.count += 1\n"
-                "    def reset(self):\n"
-                "        self.count = 0\n"
-            ),
+            path.relative_to(SRC_REPRO).as_posix(): path.read_text(
+                encoding="utf-8"
+            )
+            for path in sorted(SRC_REPRO.rglob("*.py"))
         }
-        findings = lint(sources, "REP701")
-        assert rules_of(findings) == ["REP701"]
-        assert "Stats.count" in findings[0].message
+        assert concurrency_surface(sources) == {
+            ("registry.py", "threading.RLock()"),
+            ("registry.py", "with self._lock"),
+            ("fl/packed.py", "threading.local()"),
+        }, (
+            "src/repro's threads/locks changed.  The race rules (REP7xx) "
+            "were retired because sweeps run cells inline or in worker "
+            "processes; new threads or locks must bring back race "
+            "checking (lock discipline, thread-reachable writes, no "
+            "blocking under a lock) before this pin is updated"
+        )
 
-    def test_consistent_lock_discipline_clean(self):
-        sources = {
-            "proj/sched.py": (
-                "import threading\n"
-                "class Stats:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self.count = 0\n"
-                "    def bump(self):\n"
-                "        with self._lock:\n"
-                "            self.count += 1\n"
-                "    def reset(self):\n"
-                "        with self._lock:\n"
-                "            self.count = 0\n"
-            ),
-        }
-        assert lint(sources, "REP701") == []
-
-    def test_callback_write_flagged(self):
-        sources = {
-            "proj/sched.py": (
-                "class Sched:\n"
-                "    def submit_all(self, pool, items):\n"
-                "        for item in items:\n"
-                "            fut = pool.submit(work, item)\n"
-                "            fut.add_done_callback(self.on_done)\n"
-                "    def on_done(self, fut):\n"
-                "        self.done = True\n"
-            ),
-        }
-        findings = lint(sources, "REP702")
-        assert rules_of(findings) == ["REP702"]
-        assert "self.done" in findings[0].message
-
-    def test_factory_closure_entry_traced(self):
-        # the ThreadBackend shape: a method builds the run closure the
-        # pool executes; its writes race even though the closure itself
-        # never appears at the submit site
-        sources = {
-            "proj/backend.py": (
-                "class ThreadBackend:\n"
-                "    def __init__(self, run):\n"
-                "        self._run = run\n"
-            ),
-            "proj/engine.py": (
-                "from proj.backend import ThreadBackend\n"
-                "class Engine:\n"
-                "    def _runner(self):\n"
-                "        def run(index, attempt):\n"
-                "            self.hits += 1\n"
-                "            return index\n"
-                "        return run\n"
-                "    def build(self):\n"
-                "        return ThreadBackend(self._runner())\n"
-            ),
-        }
-        findings = lint(sources, "REP702")
-        assert rules_of(findings) == ["REP702"]
-        assert "self.hits" in findings[0].message
-
-    def test_lock_guarded_callback_write_clean(self):
-        sources = {
-            "proj/sched.py": (
-                "class Sched:\n"
-                "    def submit_all(self, pool, items):\n"
-                "        for item in items:\n"
-                "            fut = pool.submit(work, item)\n"
-                "            fut.add_done_callback(self.on_done)\n"
-                "    def on_done(self, fut):\n"
-                "        with self._lock:\n"
-                "            self.done = True\n"
-            ),
-        }
-        assert lint(sources, "REP702") == []
-
-    def test_loop_thread_writes_clean(self):
-        # writes from the scheduler's own loop (not reachable from any
-        # entry) are the sanctioned single-writer pattern
-        sources = {
-            "proj/sched.py": (
-                "class Sched:\n"
-                "    def run(self, pool, items):\n"
-                "        for item in items:\n"
-                "            fut = pool.submit(work, item)\n"
-                "            self.results = fut\n"
-            ),
-        }
-        assert lint(sources, "REP702") == []
-
-    def test_sleep_under_lock_flagged(self):
-        sources = {
-            "proj/sched.py": (
-                "import time\n"
-                "class Sched:\n"
-                "    def wait(self):\n"
-                "        with self._lock:\n"
-                "            time.sleep(0.5)\n"
-            ),
-        }
-        findings = lint(sources, "REP703")
-        assert rules_of(findings) == ["REP703"]
-
-    def test_future_result_under_lock_flagged(self):
-        sources = {
-            "proj/sched.py": (
-                "class Sched:\n"
-                "    def wait(self, future):\n"
-                "        with self._lock:\n"
-                "            return future.result()\n"
-            ),
-        }
-        findings = lint(sources, "REP703")
-        assert rules_of(findings) == ["REP703"]
-
-    def test_sleep_outside_lock_clean(self):
-        sources = {
-            "proj/sched.py": (
-                "import time\n"
-                "class Sched:\n"
-                "    def wait(self, future):\n"
-                "        time.sleep(0.5)\n"
-                "        result = future.result()\n"
-                "        with self._lock:\n"
-                "            self.value = result\n"
-            ),
-        }
-        assert lint(sources, "REP703") == []
-
-    def test_str_join_not_confused_with_thread_join(self):
-        sources = {
-            "proj/sched.py": (
-                "class Sched:\n"
-                "    def label(self, parts):\n"
-                "        with self._lock:\n"
-                "            return ', '.join(parts)\n"
-            ),
-        }
-        assert lint(sources, "REP703") == []
+    @pytest.mark.parametrize("name", sorted(RETIRED_RACE_FIXTURES))
+    def test_retired_race_fixture_is_on_the_surface(self, name):
+        source = RETIRED_RACE_FIXTURES[name]
+        assert concurrency_surface({"proj/sched.py": source})
 
 
 # ---------------------------------------------------------------------------
@@ -744,11 +726,12 @@ class TestPragmas:
         assert rules_of(findings) == ["REP001"]
         assert "REP999" in findings[0].message
 
-    def test_unknown_family_pragma_does_not_suppress(self):
+    @pytest.mark.parametrize("family", ["REP4xx", "REP7xx"])
+    def test_unknown_family_pragma_does_not_suppress(self, family):
         src = (
             "try:\n"
             "    work()\n"
-            "except Exception:  # repro: allow[REP4xx] retired family\n"
+            f"except Exception:  # repro: allow[{family}] retired family\n"
             "    pass\n"
         )
         assert rules_of(lint(src)) == ["REP302", "REP001"]
@@ -850,10 +833,11 @@ class TestCliAndGate:
         assert code == 1
         assert "REP103" in out
 
-    def test_exit_two_on_unknown_selector(self, tmp_path):
+    @pytest.mark.parametrize("select", ["NOPE", "REP7xx"])
+    def test_exit_two_on_unknown_selector(self, tmp_path, select):
         clean = tmp_path / "clean.py"
         clean.write_text("x = 1\n")
-        code, _, err = self._run(str(clean), select="NOPE")
+        code, _, err = self._run(str(clean), select=select)
         assert code == 2
         assert "unknown rule selector" in err
 
@@ -889,7 +873,6 @@ class TestCliAndGate:
             *(f"REP50{i}" for i in range(1, 4)),
             "REP601",
             "REP602",
-            *(f"REP70{i}" for i in range(1, 4)),
         ]
 
     def test_repository_tree_lints_clean(self):
