@@ -12,9 +12,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.attacks.base import GradientOracle, classifier_gradient_oracle
-from repro.data.datasets import FingerprintDataset, iterate_batches
+from repro.data.datasets import FingerprintDataset
+from repro.fl.batched_round import ClassifierFoldProgram
 from repro.fl.interfaces import LocalizationModel, StateDict
-from repro.nn import Adam, Linear, ReLU, Sequential, SparseCrossEntropyLoss
+from repro.nn import Linear, ReLU, Sequential, SparseCrossEntropyLoss
 from repro.utils.rng import spawn_rng
 
 
@@ -59,32 +60,6 @@ class DNNLocalizer(LocalizationModel):
     def load_state_dict(self, state: StateDict) -> None:
         self.network.load_state_dict(state)
 
-    def train_epochs(
-        self,
-        dataset: FingerprintDataset,
-        epochs: int,
-        lr: float,
-        rng: np.random.Generator,
-        batch_size: int = 32,
-        trusted: bool = False,
-    ) -> float:
-        del trusted  # the plain DNN has no client-side defense to skip
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        optimizer = Adam(self.network.trainable_parameters(), lr=lr)
-        self.network.train()
-        final = 0.0
-        for _ in range(epochs):
-            losses = []
-            for features, labels in iterate_batches(dataset, batch_size, rng):
-                self.network.zero_grad()
-                loss_value = self._loss(self.network.forward(features), labels)
-                self.network.backward(self._loss.backward())
-                optimizer.step()
-                losses.append(loss_value)
-            final = float(np.mean(losses))
-        return final
-
     def logits(self, features: np.ndarray) -> np.ndarray:
         """Raw class scores (used by metrics and tests)."""
         self.network.eval()
@@ -93,13 +68,12 @@ class DNNLocalizer(LocalizationModel):
     def predict(self, features: np.ndarray) -> np.ndarray:
         return self.logits(features).argmax(axis=1)
 
-    def fold_batch_network(self) -> Optional[Sequential]:
-        """The plain classifier network, stackable by the batched client
-        engine — unless a subclass replaced :meth:`train_epochs` with a
-        loop the fold-batched program does not reproduce."""
-        if type(self).train_epochs is not DNNLocalizer.train_epochs:
+    def fold_batch_program(self) -> Optional[ClassifierFoldProgram]:
+        """The plain classifier program — unless a subclass replaced
+        :meth:`train_epochs` with its own loop."""
+        if type(self).train_epochs is not LocalizationModel.train_epochs:
             return None
-        return self.network
+        return ClassifierFoldProgram(self.network)
 
     def gradient_oracle(self) -> GradientOracle:
         return classifier_gradient_oracle(self.network, SparseCrossEntropyLoss())

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.attacks.base import GradientOracle, classifier_gradient_oracle
 from repro.baselines.dnn import DNNLocalizer
-from repro.data.datasets import FingerprintDataset, iterate_batches
+from repro.data.datasets import FingerprintDataset
 from repro.fl.aggregation import FedAvg
 from repro.fl.batched_round import (
     FoldPrep,
@@ -26,7 +26,7 @@ from repro.fl.batched_round import (
     run_classifier_epochs,
 )
 from repro.fl.interfaces import FrameworkSpec, LocalizationModel, StateDict
-from repro.nn import Adam, Linear, MSELoss, ReLU, Sequential, SparseCrossEntropyLoss
+from repro.nn import Linear, ReLU, Sequential, SparseCrossEntropyLoss
 from repro.nn.batched import (
     BatchedAdam,
     BatchedMSELoss,
@@ -77,7 +77,6 @@ class OnDeviceAnomalyModel(LocalizationModel):
             ReLU(),
             Linear(wide, input_dim, rng),
         )
-        self._mse = MSELoss()
         self.last_flagged_count = 0
 
     # -- detector ---------------------------------------------------------
@@ -117,49 +116,6 @@ class OnDeviceAnomalyModel(LocalizationModel):
             }
         )
 
-    def train_epochs(
-        self,
-        dataset: FingerprintDataset,
-        epochs: int,
-        lr: float,
-        rng: np.random.Generator,
-        batch_size: int = 32,
-        trusted: bool = False,
-    ) -> float:
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        if trusted:
-            flagged = np.zeros(len(dataset), dtype=bool)
-        else:
-            flagged = self.flag(dataset.features)
-        self.last_flagged_count = int(flagged.sum())
-        kept = dataset.subset(np.flatnonzero(~flagged))
-        if len(kept) == 0:
-            # everything flagged: skip the local update entirely
-            return 0.0
-        loss = self.localizer.train_epochs(
-            kept, epochs=epochs, lr=lr, rng=rng, batch_size=batch_size
-        )
-        self._train_detector(kept, epochs=epochs, lr=lr, rng=rng,
-                             batch_size=batch_size)
-        return loss
-
-    def _train_detector(
-        self,
-        dataset: FingerprintDataset,
-        epochs: int,
-        lr: float,
-        rng: np.random.Generator,
-        batch_size: int,
-    ) -> None:
-        optimizer = Adam(self.detector.trainable_parameters(), lr=lr)
-        for _ in range(epochs):
-            for features, _ in iterate_batches(dataset, batch_size, rng):
-                self.detector.zero_grad()
-                self._mse(self.detector.forward(features), features)
-                self.detector.backward(self._mse.backward())
-                optimizer.step()
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Deployment inference: ONLAD always runs BOTH models on-device —
         the detector screens each fingerprint, then the localizer predicts
@@ -173,16 +129,10 @@ class OnDeviceAnomalyModel(LocalizationModel):
             self.localizer.network, SparseCrossEntropyLoss()
         )
 
-    def fold_batch_program(self):
-        """ONLAD's two-model program for the batched client engine.
-
-        Subclasses that customize either training loop decline batching.
-        """
-        if (
-            type(self).train_epochs is not OnDeviceAnomalyModel.train_epochs
-            or type(self)._train_detector
-            is not OnDeviceAnomalyModel._train_detector
-        ):
+    def fold_batch_program(self) -> Optional["OnladFoldProgram"]:
+        """ONLAD's two-model program — unless a subclass replaced
+        :meth:`train_epochs` with its own loop."""
+        if type(self).train_epochs is not LocalizationModel.train_epochs:
             return None
         return OnladFoldProgram(self)
 
@@ -209,14 +159,14 @@ class OnDeviceAnomalyModel(LocalizationModel):
 class OnladFoldProgram(FoldProgram):
     """Fold-batched ONLAD local training — both on-device models, stacked.
 
-    ``prepare`` runs the detector screen per client (flag + subset,
-    recording ``last_flagged_count``) against the broadcast weights.
-    ``train_cohort`` then mirrors the serial two-phase pass: the stacked
-    localizer trains under the stock classifier loop, then the stacked
-    detector autoencoders train under MSE, with each fold's rng stream
-    *continuing* from phase one exactly as the serial loop hands one
-    generator through both models.  Bit-identical to
-    :meth:`OnDeviceAnomalyModel.train_epochs` at float64.
+    ``prepare`` runs the detector screen per fold (flag + subset,
+    recording ``last_flagged_count``) against the broadcast weights;
+    trusted data is not screened.  ``train_cohort`` then runs the
+    two-phase pass: the stacked localizer trains under the stock
+    classifier loop, then the stacked detector autoencoders train under
+    MSE, with each fold's rng stream *continuing* from phase one, one
+    generator running through both models.  Bit-identical at float64 to
+    the serial loop in ``tests/reference/training.py``.
     """
 
     def __init__(self, model: OnDeviceAnomalyModel):
@@ -229,15 +179,20 @@ class OnladFoldProgram(FoldProgram):
             layer_shapes(self.model.detector),
         )
 
-    def prepare(self, dataset: FingerprintDataset) -> Optional[FoldPrep]:
+    def prepare(
+        self, dataset: FingerprintDataset, trusted: bool = False
+    ) -> Optional[FoldPrep]:
         model = self.model
-        flagged = model.flag(dataset.features)
+        if trusted:
+            flagged = np.zeros(len(dataset), dtype=bool)
+        else:
+            flagged = model.flag(dataset.features)
         model.last_flagged_count = int(flagged.sum())
         kept = dataset.subset(np.flatnonzero(~flagged))
         if len(kept) == 0:
             # everything flagged: skip the local update entirely
             return None
-        return FoldPrep(kept)
+        return FoldPrep(kept, trusted=trusted)
 
     def train_cohort(
         self,
@@ -264,7 +219,7 @@ class OnladFoldProgram(FoldProgram):
         for fold, model in enumerate(models):
             localizer.scatter_fold(fold, model.localizer.network)
         # phase two: the detector autoencoders, each fold's rng stream
-        # continuing where the localizer loop left it (serial contract)
+        # continuing where the localizer loop left it
         detector = BatchedSequential.from_modules(
             [model.detector for model in models]
         )

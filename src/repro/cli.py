@@ -28,9 +28,9 @@ scales past the GIL on multi-core hosts; unset, ``--jobs`` above 1
 selects it), ``--cache-dir PATH`` (on-disk artifact cache shared
 across invocations), ``--resume`` (skip cells already finished in the
 cache dir), ``--client-engine serial|batched`` (per-round client
-execution: the serial per-client reference loop, or fold-batched
-cohort training that runs every honest client's local epochs as one
-stacked matmul program — bit-identical at float64), and the
+execution: each model's training program run client by client, or
+fold-batched cohort training that runs every honest client's local
+epochs as one stacked matmul program — bit-identical at float64), and the
 fault-tolerance knobs ``--cell-timeout SECONDS`` (process executor
 only), ``--retries N`` and ``--on-error abort|continue`` (see the
 scheduler docs).  ``run`` accepts ``--client-engine`` too.
@@ -310,10 +310,10 @@ def _add_client_engine_option(parser: argparse.ArgumentParser) -> None:
         choices=("serial", "batched"),
         default=None,
         help="client execution engine per federation round: 'serial' "
-        "(per-client loop, the bit-exact reference) or 'batched' "
-        "(fold-stacked cohort training — one 3-D matmul program per "
-        "round, identical results at float64; default: the preset's "
-        "engine)",
+        "(each client trains alone) or 'batched' (fold-stacked cohort "
+        "training — one 3-D matmul program per round); both run the "
+        "same training programs with identical results at float64 "
+        "(default: the preset's engine)",
     )
 
 

@@ -24,9 +24,14 @@ from repro.core.detection import DEFAULT_TAU, ThresholdDetector, reconstruction_
 from repro.core.fused_network import ENCODER_WIDTHS, FusedAutoencoderClassifier
 from repro.core.saliency import SaliencyAggregation
 from repro.data.datasets import FingerprintDataset
-from repro.fl.batched_round import FoldPrep, FoldProgram, layer_shapes
+from repro.fl.batched_round import (
+    FoldPrep,
+    FoldProgram,
+    fold_mean,
+    layer_shapes,
+)
 from repro.fl.interfaces import FrameworkSpec, LocalizationModel, StateDict
-from repro.nn import Adam, MSELoss, SparseCrossEntropyLoss
+from repro.nn import SparseCrossEntropyLoss
 from repro.nn.batched import (
     BatchedAdam,
     BatchedLinear,
@@ -85,7 +90,6 @@ class SafeLocModel(LocalizationModel):
             input_dim, num_classes, seed=seed, encoder_widths=encoder_widths
         )
         self.detector = ThresholdDetector(tau)
-        self._mse = MSELoss()
         self._ce = SparseCrossEntropyLoss()
         #: samples flagged as poisoned during the most recent train_epochs
         self.last_flagged_count = 0
@@ -112,7 +116,7 @@ class SafeLocModel(LocalizationModel):
     def _screen_training_data(
         self, dataset: FingerprintDataset
     ) -> Tuple[Optional[FingerprintDataset], np.ndarray]:
-        """§IV.A client-side screening, shared by the serial and batched paths.
+        """§IV.A client-side screening, the fold program's prepare phase.
 
         De-noises flagged fingerprints and records ``last_flagged_count``.
         Second-pass check: a successfully de-noised fingerprint lands back
@@ -144,57 +148,6 @@ class SafeLocModel(LocalizationModel):
     def load_state_dict(self, state: StateDict) -> None:
         self.network.load_state_dict(state)
 
-    def train_epochs(
-        self,
-        dataset: FingerprintDataset,
-        epochs: int,
-        lr: float,
-        rng: np.random.Generator,
-        batch_size: int = 32,
-        trusted: bool = False,
-    ) -> float:
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        if self.denoise_training_data and not trusted:
-            screened, flagged = self._screen_training_data(dataset)
-            if screened is None:
-                return 0.0  # nothing trustworthy: skip the update
-            dataset = screened
-        else:
-            flagged = np.zeros(len(dataset), dtype=bool)
-            self.last_flagged_count = 0
-        optimizer = Adam(self.network.trainable_parameters(), lr=lr)
-        n = len(dataset)
-        final = 0.0
-        for _ in range(epochs):
-            losses = []
-            order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                features = dataset.features[idx]
-                labels = dataset.labels[idx]
-                inputs = features
-                if trusted:
-                    inputs = self._corrupt(features, rng)
-                self.network.zero_grad()
-                latent = self.network.encode(inputs)
-                reconstruction = self.network.decode(latent)
-                logits = self.network.classify_latent(latent)
-                # de-noising objective: reconstruct the CLEAN fingerprint
-                mse = self._mse(reconstruction, features)
-                ce = self._ce(logits, labels)
-                grad_recon = self.recon_weight * self._mse.backward()
-                # flagged rows were *replaced by reconstructions*; feeding
-                # them back into the autoencoder objective would collapse
-                # the detector onto its own outputs, so only the
-                # classification branch learns from them.
-                grad_recon[flagged[idx]] = 0.0
-                self.network.joint_backward(grad_recon, self._ce.backward())
-                optimizer.step()
-                losses.append(ce + self.recon_weight * mse)
-            final = float(np.mean(losses))
-        return final
-
     def _corrupt(self, features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """DAE input corruption: Gaussian jitter + random AP erasure."""
         corrupted = features
@@ -225,13 +178,10 @@ class SafeLocModel(LocalizationModel):
         (the GM's loss function, eq. 1-4)."""
         return classifier_gradient_oracle(self.network, SparseCrossEntropyLoss())
 
-    def fold_batch_program(self):
-        """SAFELOC's composite program for the batched client engine.
-
-        Subclasses that customize :meth:`train_epochs` decline batching
-        (the stacked loop would no longer mirror their serial step).
-        """
-        if type(self).train_epochs is not SafeLocModel.train_epochs:
+    def fold_batch_program(self) -> Optional["SafeLocFoldProgram"]:
+        """SAFELOC's composite program — unless a subclass replaced
+        :meth:`train_epochs` with its own loop."""
+        if type(self).train_epochs is not LocalizationModel.train_epochs:
             return None
         return SafeLocFoldProgram(self)
 
@@ -272,16 +222,19 @@ class SafeLocModel(LocalizationModel):
 class SafeLocFoldProgram(FoldProgram):
     """Fold-batched SAFELOC local training — the §IV.A composite, stacked.
 
-    ``prepare`` runs the serial screening phase (de-noise + second-pass
-    drop) per client against the broadcast weights.  ``train_cohort``
-    stacks every fold's encoder, tied decoder and classifier head through
-    one :class:`~repro.nn.batched.CompositeStacker` — so each fold's
-    decoder weight gradients accumulate into that fold's slice of the
-    stacked encoder, exactly as the serial tie accumulates into the
-    per-fold encoder — and runs the joint MSE+CE step as stacked 3-D
-    matmuls, zeroing each fold's flagged rows out of the reconstruction
-    gradient.  Bit-identical to :meth:`SafeLocModel.train_epochs` at
-    float64.
+    ``prepare`` runs the screening phase (de-noise + second-pass drop)
+    per fold against the broadcast weights; trusted (server-held) data
+    skips it.  ``train_cohort`` stacks every fold's encoder, tied decoder
+    and classifier head through one
+    :class:`~repro.nn.batched.CompositeStacker` — so each fold's decoder
+    weight gradients accumulate into that fold's slice of the stacked
+    encoder, exactly as the per-model tie accumulates into its encoder —
+    and runs the joint MSE+CE step as stacked 3-D matmuls, zeroing each
+    fold's flagged rows out of the reconstruction gradient.  Trusted
+    folds train as a de-noising autoencoder: their inputs are corrupted
+    per batch (:meth:`SafeLocModel._corrupt`), their MSE target stays
+    the clean batch.  Bit-identical at float64 to the serial loop in
+    ``tests/reference/training.py``.
     """
 
     def __init__(self, model: SafeLocModel):
@@ -297,11 +250,14 @@ class SafeLocFoldProgram(FoldProgram):
             self.model.recon_weight,
         )
 
-    def prepare(self, dataset: FingerprintDataset) -> Optional[FoldPrep]:
+    def prepare(
+        self, dataset: FingerprintDataset, trusted: bool = False
+    ) -> Optional[FoldPrep]:
         model = self.model
-        if not model.denoise_training_data:
+        if trusted or not model.denoise_training_data:
             model.last_flagged_count = 0
-            return FoldPrep(dataset, aux=np.zeros(len(dataset), dtype=bool))
+            flagged = np.zeros(len(dataset), dtype=bool)
+            return FoldPrep(dataset, aux=flagged, trusted=trusted)
         screened, flagged = model._screen_training_data(dataset)
         if screened is None:
             return None
@@ -318,6 +274,7 @@ class SafeLocFoldProgram(FoldProgram):
         features = np.stack([prep.dataset.features for prep in preps])
         labels = np.stack([prep.dataset.labels for prep in preps])
         flagged = np.stack([prep.aux for prep in preps])
+        corrupted = [fold for fold, prep in enumerate(preps) if prep.trusted]
         stacker = CompositeStacker()
         encoder = stacker.stack([network.encoder for network in networks])
         decoder = stacker.stack([network.decoder for network in networks])
@@ -343,15 +300,26 @@ class SafeLocFoldProgram(FoldProgram):
                 encoder.zero_grad()
                 decoder.zero_grad()
                 classifier.zero_grad()
-                latent = encoder.forward(batch_features)
+                inputs = batch_features
+                if corrupted:
+                    # each trusted fold draws its corruption from its own
+                    # rng, after the epoch's permutation
+                    inputs = batch_features.copy()
+                    for fold in corrupted:
+                        inputs[fold] = programs[fold].model._corrupt(
+                            batch_features[fold], rngs[fold]
+                        )
+                latent = encoder.forward(inputs)
                 reconstruction = decoder.forward(latent)
                 logits = classifier.forward(latent)
                 # de-noising objective: reconstruct the CLEAN fingerprint
                 mse(reconstruction, batch_features)
                 ce(logits, batch_labels)
                 grad_recon = recon_weight * mse.backward()
-                # flagged rows were *replaced by reconstructions*; only the
-                # classification branch learns from them (see train_epochs)
+                # flagged rows were *replaced by reconstructions*; feeding
+                # them back into the autoencoder objective would collapse
+                # the detector onto its own outputs, so only the
+                # classification branch learns from them
                 grad_recon[flagged[fold_idx, idx]] = 0.0
                 grad_latent = decoder.backward(grad_recon)
                 grad_latent = grad_latent + classifier.backward(ce.backward())
@@ -360,7 +328,7 @@ class SafeLocFoldProgram(FoldProgram):
                 batch_losses.append(
                     ce.fold_losses + recon_weight * mse.fold_losses
                 )
-            fold_final = np.mean(batch_losses, axis=0)
+            fold_final = fold_mean(batch_losses)
         for fold, network in enumerate(networks):
             encoder.scatter_fold(fold, network.encoder)
             decoder.scatter_fold(fold, network.decoder)

@@ -66,9 +66,10 @@ class Preset:
     default_epsilon: float = 0.5
     scalability_grid: Tuple[Tuple[int, int], ...] = ((6, 1), (12, 3), (18, 6), (24, 12))
     latency_repeats: int = 30
-    #: client execution engine: "serial" (per-client loop, the bit-exact
-    #: reference) or "batched" (fold-stacked cohort training; identical
-    #: results at float64 — see :mod:`repro.fl.batched_round`)
+    #: client execution engine: "serial" (clients train one at a time) or
+    #: "batched" (fold-stacked cohort training); both run each model's
+    #: one training program, identical at float64 — see
+    #: :mod:`repro.fl.batched_round`
     client_engine: str = "serial"
     #: numpy float width the whole stack computes at ("float64" is the
     #: bit-for-bit reference; "float32" halves state memory/bandwidth —

@@ -1,48 +1,45 @@
-"""Batched client engine: one fold-stacked training program per round.
+"""Fold programs: each model's one training loop, run on a cohort of folds.
 
-The serial federation loop walks clients one by one, so a round over *n*
-tiny identical networks pays ``n × epochs × batches`` Python-level
-training steps.  But the per-client work is embarrassingly fold-shaped:
-every honest client trains the *same architecture* (its copy of the
-broadcast GM) on its own data with the same schedule.  A
-:class:`ClientCohort` therefore asks each client's model for its
-:class:`FoldProgram` — the model family's recipe for training as a
-stacked cohort — groups schedule-uniform folds, and runs the whole
-local-training pass as stacked 3-D matmuls, then unstacks the folds into
-the very same :class:`~repro.fl.aggregation.ClientUpdate` objects the
-aggregation layer already consumes.
+A :class:`FoldProgram` holds a model family's local training: its
+client-side screening (:meth:`FoldProgram.prepare`) and its stacked loop
+(:meth:`FoldProgram.train_cohort`).
+:meth:`~repro.fl.interfaces.LocalizationModel.train_epochs` (the serial
+client engine, the server pre-train) runs it on a cohort of one fold.
+Every honest client trains the *same architecture* (its copy of the
+broadcast GM) on its own data with the same schedule, so the batched
+engine's :class:`ClientCohort` groups schedule-uniform clients, runs
+their local training as stacked 3-D matmuls, and unstacks the folds into
+the same :class:`~repro.fl.aggregation.ClientUpdate` objects.
 
-**Equivalence contract.**  Each phase mirrors the serial
-:meth:`~repro.fl.client.FederatedClient.local_update` exactly:
+**Equivalence contract.**  A fold's weights and loss do not depend on
+which other folds share its cohort, so ``client_engine="batched"``
+reproduces ``"serial"`` bit for bit at float64:
 
 * broadcast / self-labeling / poisoning run *per client on the client's
   own model* (:meth:`~repro.fl.client.FederatedClient.begin_local_round`),
   so pseudo-label forwards and attack gradients see the exact serial
   batch shapes and rng streams;
 * client-side defenses that screen the data *before* any gradient step
-  (SAFELOC's RCE denoise, ONLAD's detector flag) run per client in
-  :meth:`FoldProgram.prepare` — deterministic forward passes, no rng —
-  so each fold's effective training set is byte-identical to serial;
+  (SAFELOC's RCE denoise, ONLAD's detector flag) run per fold in
+  :meth:`FoldProgram.prepare` — deterministic forward passes, no rng;
 * training randomness comes from the shared
   :func:`~repro.fl.client.client_round_rng` helper — fold ``k`` draws one
-  ``permutation`` per epoch from its own ``train-round-r`` stream, the
-  same single draw the serial loop makes;
+  ``permutation`` per epoch from its own ``train-round-r`` stream;
 * the stacked step is 3-D matmul + elementwise ops along the fold axis
-  (see :mod:`repro.nn.batched`), so fold ``k``'s trajectory is
-  bit-identical to serial client ``k``'s at float64.
+  (see :mod:`repro.nn.batched`), so fold ``k``'s trajectory does not
+  depend on the fold count.
 
-Programs exist for the plain-classifier family
-(:class:`ClassifierFoldProgram`, via
-:meth:`~repro.fl.interfaces.LocalizationModel.fold_batch_network`),
-SAFELOC's fused denoiser+localizer pipeline
-(:class:`~repro.core.safeloc.SafeLocFoldProgram`) and ONLAD's
-localizer/detector pair
-(:class:`~repro.baselines.onlad.OnladFoldProgram`).  Clients whose model
-declines fold-batching
+The per-model serial loops the programs must match live in
+``tests/reference/training.py``.  Programs exist for the plain-classifier
+family
+(:class:`ClassifierFoldProgram`), SAFELOC's fused denoiser+localizer
+pipeline (:class:`~repro.core.safeloc.SafeLocFoldProgram`) and ONLAD's
+localizer/detector pair (:class:`~repro.baselines.onlad.OnladFoldProgram`).
+Clients whose model has no program
 (:meth:`~repro.fl.interfaces.LocalizationModel.fold_batch_program`
-returns ``None`` — truly unbatchable plugins) fall back to the serial
-path inside the cohort, so ``client_engine="batched"`` is safe for every
-framework.
+returns ``None`` — plugins with their own ``train_epochs``) train
+through that method inside the cohort, so ``client_engine="batched"`` is
+safe for every framework.
 
 Cohorts partition on the training schedule ``(epochs, lr, batch_size,
 effective samples, program structure)``; malicious clients train under
@@ -50,8 +47,8 @@ the attacker schedule and thus batch as their own cohort after
 poisoning, exactly as the paper's threat model separates them.  Clients
 whose screening kept a different number of samples land in different
 cohorts too (folds share batch boundaries), and clients whose screening
-dropped *everything* take the serial tail, which reproduces the
-"skip the round, keep the broadcast weights" contract.
+dropped *everything* skip the round: they keep the broadcast weights and
+report zero loss.
 """
 
 from __future__ import annotations
@@ -77,44 +74,47 @@ from repro.nn.module import Sequential
 
 @dataclass
 class FoldPrep:
-    """One client's screened training state for one round.
+    """One fold's screened training state.
 
-    Produced by :meth:`FoldProgram.prepare` after the broadcast /
-    self-label / poison phase: ``dataset`` is the *effective* training
-    set (post client-side screening), ``aux`` carries program-private
-    state the stacked loop needs alongside it (e.g. SAFELOC's flagged-row
-    mask).
+    Produced by :meth:`FoldProgram.prepare`: ``dataset`` is the
+    *effective* training set (post client-side screening), ``aux``
+    carries program-private state the stacked loop needs alongside it
+    (e.g. SAFELOC's flagged-row mask), and ``trusted`` marks server-held
+    data that skipped screening (SAFELOC corrupts its inputs instead).
     """
 
     dataset: FingerprintDataset
     aux: object = None
+    trusted: bool = False
 
 
 class FoldProgram(ABC):
-    """How one model family trains as a fold-stacked cohort.
+    """How one model family trains, as a cohort of one or more folds.
 
-    A program is bound to one client's model and supplies the three
-    pieces the batched engine needs: a :meth:`structure_key` so only
-    structurally identical folds stack, a serial per-client
-    :meth:`prepare` for the defense/screening phase, and
+    A program is bound to one model and is that model's only training
+    loop: :meth:`~repro.fl.interfaces.LocalizationModel.train_epochs`
+    runs it on one fold, :class:`ClientCohort` on many.  It supplies a
+    :meth:`structure_key` so only structurally identical folds stack, a
+    per-fold :meth:`prepare` for the defense/screening phase, and
     :meth:`train_cohort`, the stacked training loop itself.  ``prepare``
-    returning ``None`` means nothing trustworthy survived screening —
-    the engine hands that client to the serial tail, which reproduces
-    the skip-the-round contract exactly.
+    returning ``None`` means nothing trustworthy survived screening: the
+    fold skips the round, keeping its broadcast weights, with zero loss.
     """
 
     @abstractmethod
     def structure_key(self) -> Tuple:
         """Everything beyond the schedule that folds must share to stack."""
 
-    def prepare(self, dataset: FingerprintDataset) -> Optional[FoldPrep]:
-        """Serial screening phase; runs after ``begin_local_round``.
+    def prepare(
+        self, dataset: FingerprintDataset, trusted: bool = False
+    ) -> Optional[FoldPrep]:
+        """Per-fold screening phase; runs after ``begin_local_round``.
 
-        Must be deterministic given the model's (broadcast) weights and
-        the dataset — the serial path re-runs it inside
-        ``train_epochs`` — and must not consume the training rng.
+        ``trusted=True`` marks server-held data, which skips client-side
+        screening.  Must be deterministic given the model's (broadcast)
+        weights and the dataset, and must not consume the training rng.
         """
-        return FoldPrep(dataset)
+        return FoldPrep(dataset, trusted=trusted)
 
     @abstractmethod
     def train_cohort(
@@ -127,8 +127,9 @@ class FoldProgram(ABC):
         """Train every fold's model in place as one stacked program.
 
         ``programs[k]`` / ``preps[k]`` / ``rngs[k]`` belong to fold
-        ``k``; returns the per-fold final-epoch mean loss, exactly what
-        each serial ``train_epochs`` would have returned.
+        ``k``; returns the per-fold final-epoch mean loss.  Fold ``k``'s
+        weights and loss do not depend on the other folds: a cohort of
+        one is ``train_epochs``.
         """
 
 
@@ -144,6 +145,17 @@ def layer_shapes(network: Sequential) -> Tuple:
     )
 
 
+def fold_mean(batch_losses: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-fold mean of one epoch's ``(n_folds,)`` batch losses.
+
+    Each fold's losses are laid out contiguously, so numpy sums them
+    pairwise exactly as ``np.mean`` sums one model's 1-D list of batch
+    losses.  A mean down axis 0 of the stacked rows sums them in plain
+    order instead, and from 8 batches on can differ in the last bit.
+    """
+    return np.stack(batch_losses, axis=1).mean(axis=1)
+
+
 def run_classifier_epochs(
     network: BatchedSequential,
     features: np.ndarray,
@@ -155,8 +167,7 @@ def run_classifier_epochs(
 ) -> np.ndarray:
     """The stock stacked loop: fresh Adam + sparse CE over shuffled batches.
 
-    Returns the per-fold mean loss of the final epoch — the same
-    ``np.mean`` over the same values the serial loop computes.
+    Returns the per-fold mean loss of the final epoch.
     """
     loss = BatchedSparseCrossEntropyLoss()
     optimizer = BatchedAdam(network.trainable_parameters(), lr=lr)
@@ -172,16 +183,15 @@ def run_classifier_epochs(
             network.backward(loss.backward())
             optimizer.step()
             batch_losses.append(loss.fold_losses.copy())
-        fold_final = np.mean(batch_losses, axis=0)
+        fold_final = fold_mean(batch_losses)
     return fold_final
 
 
 class ClassifierFoldProgram(FoldProgram):
     """The plain mini-batch classifier family (DNN baselines).
 
-    Wraps the ``Sequential`` that
-    :meth:`~repro.fl.interfaces.LocalizationModel.fold_batch_network`
-    exposes; no screening phase.
+    Wraps the model's classifier ``Sequential``; no screening phase, and
+    trusted data trains like any other.
     """
 
     def __init__(self, network: Sequential):
@@ -242,7 +252,7 @@ class ClientCohort:
             client.resolve_round(round_index)
 
         # broadcast + self-label + poison per client, on the client's own
-        # model — identical batch shapes and rng draws to the serial path
+        # model — identical batch shapes and rng draws to the serial engine
         prepared: Dict[int, FingerprintDataset] = {
             index: self.clients[index].begin_local_round(
                 global_state, round_index
@@ -252,13 +262,19 @@ class ClientCohort:
 
         finished: Dict[int, ClientUpdate] = {}
         programs: Dict[int, FoldProgram] = {}
-        preps: Dict[int, FoldPrep] = {}
+        preps: Dict[int, Optional[FoldPrep]] = {}
         for indices in self._partition(pending, prepared, programs, preps):
-            if len(indices) == 1 or indices[0] not in programs:
-                for index in indices:
-                    finished[index] = self._train_serial(
-                        index, prepared[index], round_index
-                    )
+            first = indices[0]
+            if first not in programs:
+                finished[first] = self._train_serial(
+                    first, prepared[first], round_index
+                )
+            elif preps[first] is None:
+                # nothing trustworthy survived screening: skip the round,
+                # keeping the broadcast weights, with zero loss
+                finished[first] = self.clients[first].build_update(
+                    prepared[first], 0.0
+                )
             else:
                 finished.update(
                     self._train_group(
@@ -274,15 +290,15 @@ class ClientCohort:
         pending: List[int],
         prepared: Dict[int, FingerprintDataset],
         programs: Dict[int, FoldProgram],
-        preps: Dict[int, FoldPrep],
+        preps: Dict[int, Optional[FoldPrep]],
     ) -> List[List[int]]:
-        """Group trainable clients into fold-stackable cohorts.
+        """Group clients into fold-stackable cohorts.
 
         The key is everything the stacked program shares across folds:
         the training schedule, the effective (post-screening) sample
         count (folds share batch boundaries) and the program's structure
-        key.  Clients whose model declines batching, or whose screening
-        phase kept nothing, get singleton groups (serial fallback).
+        key.  Clients whose model has no program, or whose screening
+        phase kept nothing (``None`` prep), get singleton groups.
         ``programs`` / ``preps`` are populated as a side effect for the
         training phase.
         """
@@ -293,14 +309,11 @@ class ClientCohort:
             if program is None:
                 groups[("serial", index)] = [index]
                 continue
-            prep = program.prepare(prepared[index])
-            if prep is None:
-                # nothing trustworthy survived screening: the serial tail
-                # reproduces the skip-the-round / zero-loss contract
-                groups[("serial", index)] = [index]
-                continue
             programs[index] = program
-            preps[index] = prep
+            prep = preps[index] = program.prepare(prepared[index])
+            if prep is None:
+                groups[("skip", index)] = [index]
+                continue
             key = (
                 "batched",
                 client.config.epochs,
@@ -316,7 +329,8 @@ class ClientCohort:
     def _train_serial(
         self, index: int, dataset: FingerprintDataset, round_index: int
     ) -> ClientUpdate:
-        """Exact serial tail of ``local_update`` for one prepared client."""
+        """``local_update``'s training tail for a client whose model has
+        no fold program: the model's own ``train_epochs``."""
         client = self.clients[index]
         train_rng = client_round_rng(client.seeds, "train", round_index)
         loss = client.model.train_epochs(
@@ -333,7 +347,7 @@ class ClientCohort:
         indices: List[int],
         prepared: Dict[int, FingerprintDataset],
         programs: Dict[int, FoldProgram],
-        preps: Dict[int, FoldPrep],
+        preps: Dict[int, Optional[FoldPrep]],
         round_index: int,
     ) -> Dict[int, ClientUpdate]:
         """One stacked training program for a schedule-uniform cohort."""

@@ -156,12 +156,13 @@ class FederatedClient:
     ) -> ClientUpdate:
         """Run one round of local training and return the LM.
 
-        The reference (serial) client engine: the batched engine
+        The serial client engine.  Training runs the model's fold
+        program on a cohort of one (``train_epochs``); the batched engine
         (:class:`~repro.fl.batched_round.ClientCohort`) replays exactly
         these phases — :meth:`begin_local_round`, training seeded by
-        :func:`client_round_rng`, :meth:`build_update` — with the epoch
-        loop fold-stacked, and must stay bit-identical to this method at
-        float64.
+        :func:`client_round_rng`, :meth:`build_update` — with many
+        clients stacked in one run of the same program, so the two stay
+        bit-identical at float64.
         """
         round_index = self.resolve_round(round_index)
         dataset = self.begin_local_round(global_state, round_index)

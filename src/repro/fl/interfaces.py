@@ -17,6 +17,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fl.aggregation import AggregationStrategy
+    from repro.fl.batched_round import FoldProgram
 
 from repro.attacks.base import GradientOracle
 from repro.data.datasets import FingerprintDataset
@@ -27,9 +28,9 @@ StateDict = Dict[str, np.ndarray]
 class LocalizationModel(ABC):
     """A trainable RSS-to-RP model participating in federation.
 
-    Concrete implementations own their networks, optimizers and any
-    client-side defense logic (SAFELOC's RCE check happens inside
-    :meth:`train_epochs` / :meth:`predict` of its implementation).
+    Concrete implementations own their networks and any client-side
+    defense logic (SAFELOC's RCE check happens inside its
+    fold program's screening phase and its :meth:`predict`).
     """
 
     #: feature dimension (number of APs) — set by implementations
@@ -44,22 +45,6 @@ class LocalizationModel(ABC):
     @abstractmethod
     def load_state_dict(self, state: StateDict) -> None:
         """Replace weights with ``state`` (deep copy, no aliasing)."""
-
-    @abstractmethod
-    def train_epochs(
-        self,
-        dataset: FingerprintDataset,
-        epochs: int,
-        lr: float,
-        rng: np.random.Generator,
-        batch_size: int = 32,
-        trusted: bool = False,
-    ) -> float:
-        """Train in place and return the final epoch's mean loss.
-
-        ``trusted=True`` marks server-held data (centralized pre-training,
-        §IV): client-side poison detection/filtering is skipped for it.
-        """
 
     @abstractmethod
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -77,40 +62,50 @@ class LocalizationModel(ABC):
         """Total scalar parameters (Table I metric)."""
         return int(sum(v.size for v in self.state_dict().values()))
 
-    def fold_batch_network(self):
-        """Optional hook for the batched client engine.
+    def fold_batch_program(self) -> Optional["FoldProgram"]:
+        """The model's training program, or ``None`` when it has none.
 
-        Implementations whose :meth:`train_epochs` is exactly the plain
-        mini-batch classifier loop (fresh Adam + sparse cross-entropy over
-        shuffled batches, no client-side defense) return the underlying
-        :class:`~repro.nn.module.Sequential` so a
-        :class:`~repro.fl.batched_round.ClientCohort` can stack it on a
-        fold axis.  The default ``None`` keeps the model on the serial
-        per-client path.
+        A :class:`~repro.fl.batched_round.FoldProgram` owns the model's
+        client-side screening (SAFELOC's RCE de-noise, ONLAD's detector
+        flag) and its stacked training loop.  :meth:`train_epochs` runs it
+        on a cohort of one fold; the batched client engine runs it on
+        many.  A model returning ``None`` must override
+        :meth:`train_epochs`, and the batched engine trains it client by
+        client through that override.
         """
         return None
 
-    def fold_batch_program(self):
-        """Optional hook: the fold-batched *training program* for this model.
+    def train_epochs(
+        self,
+        dataset: FingerprintDataset,
+        epochs: int,
+        lr: float,
+        rng: np.random.Generator,
+        batch_size: int = 32,
+        trusted: bool = False,
+    ) -> float:
+        """Train in place and return the final epoch's mean loss.
 
-        Richer than :meth:`fold_batch_network`: a program
-        (:class:`~repro.fl.batched_round.FoldProgram`) also owns the
-        serial per-client preprocessing (client-side defenses that screen
-        the data before any gradient step) and the stacked training loop
-        itself, which is what lets composite models — SAFELOC's fused
-        denoiser+localizer pipeline, ONLAD's localizer/detector pair —
-        run fold-batched too.  The default adapts
-        :meth:`fold_batch_network`: models exposing a plain classifier
-        ``Sequential`` get the stock
-        :class:`~repro.fl.batched_round.ClassifierFoldProgram`; models
-        exposing neither stay on the serial per-client path (``None``).
+        Runs :meth:`fold_batch_program` on a cohort of one fold.
+        ``trusted=True`` marks server-held data (centralized pre-training,
+        §IV): the program skips client-side poison screening for it.  A
+        screen that keeps nothing skips the update and returns ``0.0``.
         """
-        network = self.fold_batch_network()
-        if network is None:
-            return None
-        from repro.fl.batched_round import ClassifierFoldProgram
+        from repro.fl.client import ClientConfig
 
-        return ClassifierFoldProgram(network)
+        # raises ValueError unless epochs, lr and batch_size are positive
+        config = ClientConfig(epochs=epochs, lr=lr, batch_size=batch_size)
+        program = self.fold_batch_program()
+        if program is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} has no fold program: it must "
+                "implement train_epochs itself, without delegating to "
+                "LocalizationModel.train_epochs"
+            )
+        prep = program.prepare(dataset, trusted)
+        if prep is None:
+            return 0.0
+        return float(program.train_cohort([program], [prep], config, [rng])[0])
 
     def evaluate_loss(self, dataset: FingerprintDataset) -> Optional[float]:
         """Optional hook: classification loss on a dataset (None when the

@@ -52,12 +52,13 @@ class FederatedServer:
         clients: Participating clients (honest and malicious alike; the
             server does not know which is which).
         seeds: Server-side seed sequence (pre-training shuffles).
-        client_engine: ``"serial"`` (the default and the bit-for-bit
-            reference) walks clients one by one; ``"batched"`` hands each
-            round to a :class:`~repro.fl.batched_round.ClientCohort`,
-            which fold-stacks schedule-uniform clients into one 3-D
-            matmul training program.  Both engines share per-(client,
-            round) rng streams, so they produce bit-identical updates at
+        client_engine: ``"serial"`` (the default) walks clients one by
+            one, each training through its model's fold program on a
+            cohort of one; ``"batched"`` hands each round to a
+            :class:`~repro.fl.batched_round.ClientCohort`, which
+            fold-stacks schedule-uniform clients into one 3-D matmul run
+            of the same program.  Both engines share per-(client, round)
+            rng streams, so they produce bit-identical updates at
             float64.
     """
 

@@ -43,10 +43,11 @@ class FederationConfig:
         num_rounds: Federation rounds to run.
         pretrain_epochs / pretrain_lr: Server warm-up schedule (the paper
             uses 700 Adam epochs at 1e-3; fast presets shrink this).
-        client_engine: ``"serial"`` (per-client Python loop, the bit-exact
-            reference) or ``"batched"`` (fold-stacked cohort training, one
-            3-D matmul program per round — see
-            :mod:`repro.fl.batched_round`).  Bit-identical at float64.
+        client_engine: ``"serial"`` (clients train one at a time) or
+            ``"batched"`` (fold-stacked cohort training, one 3-D matmul
+            program per round — see :mod:`repro.fl.batched_round`).
+            Both run each model's one training program; bit-identical at
+            float64.
     """
 
     num_clients: int = 6

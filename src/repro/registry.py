@@ -227,9 +227,10 @@ class ComponentInfo:
             kwarg surface is open; strict filtering passes everything).
         supports_batched_clients: For frameworks — whether the stock
             model exposes a fold-batch program, so ``client_engine=
-            "batched"`` stacks its local training instead of falling back
-            to the serial per-client loop.  ``None`` means undeclared
-            (plugins that never said either way).
+            "batched"`` stacks its local training instead of training
+            each client alone through the model's own ``train_epochs``.
+            ``None`` means undeclared (plugins that never said either
+            way).
     """
 
     namespace: str

@@ -3,8 +3,8 @@
 Four contracts:
 
 * equivalence — ``client_engine="batched"`` reproduces the serial
-  per-client loop bit for bit at float64, mixed honest/malicious cohorts
-  included;
+  engine (one client at a time) bit for bit at float64, mixed
+  honest/malicious cohorts included;
 * shared seeds — both engines derive per-(client, round) randomness
   through one helper (:func:`~repro.fl.client.client_round_rng`), so a
   round is the same round no matter which engine runs it;
@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import repro.utils.rng as rng_module
+from reference.training import classifier_train_epochs
 from repro.attacks import LabelFlip
 from repro.baselines import LatentSpaceAggregation
 from repro.baselines.dnn import DNNLocalizer
@@ -236,13 +237,17 @@ class TestSerialBatchedEquivalence:
 
     def test_unbatchable_model_falls_back_to_serial_path(self):
         """A model that overrides train_epochs declines fold-batching and
-        trains on the serial path inside the cohort — same results."""
+        trains through its own loop inside the cohort — same results."""
 
         class CustomLoop(DNNLocalizer):
-            def train_epochs(self, *args, **kwargs):
-                return super().train_epochs(*args, **kwargs)
+            def train_epochs(
+                self, dataset, epochs, lr, rng, batch_size=32, trusted=False
+            ):
+                return classifier_train_epochs(
+                    self.network, dataset, epochs, lr, rng, batch_size
+                )
 
-        assert CustomLoop(NUM_APS, NUM_RPS, seed=0).fold_batch_network() is None
+        assert CustomLoop(NUM_APS, NUM_RPS, seed=0).fold_batch_program() is None
 
         def cohort():
             return [
@@ -261,6 +266,19 @@ class TestSerialBatchedEquivalence:
         _assert_rounds_equal(
             serial, serial.run_rounds(2), batched, batched.run_rounds(2)
         )
+
+    def test_model_without_program_must_override_train_epochs(self):
+        """train_epochs runs the model's fold program; a model that has
+        none and keeps the inherited method gets a clear error."""
+
+        class NoProgram(DNNLocalizer):
+            def fold_batch_program(self):
+                return None
+
+        with pytest.raises(NotImplementedError, match="no fold program"):
+            NoProgram(NUM_APS, NUM_RPS, seed=0).train_epochs(
+                _dataset(), epochs=1, lr=0.01, rng=np.random.default_rng(0)
+            )
 
     def test_partition_groups_by_schedule_and_size(self):
         clients = _clients(n=5, malicious=(4,))  # 4 honest + 1 attacker
@@ -281,8 +299,8 @@ class TestSerialBatchedEquivalence:
 class TestCompositeCohortEquivalence:
     """SAFELOC's denoiser+classifier pipeline and ONLAD's two-model
     program, fold-batched through the composite stackers — bit-exact
-    against the serial per-client loop, with the batched path proven to
-    actually engage (not silently falling back to the serial tail)."""
+    against the serial engine, with multi-fold cohorts proven to
+    actually form (not silently splitting into cohorts of one)."""
 
     @staticmethod
     def _safeloc_model(seed):
@@ -374,8 +392,8 @@ class TestCompositeCohortEquivalence:
 
     def test_onlad_partial_screening_still_agrees(self):
         """A middling tau flags a different sample count per fold, so
-        every fold gets its own partition key and rides the serial tail
-        — the fallback must stay bit-exact too."""
+        every fold gets its own partition key and trains as a cohort of
+        one — still bit-exact."""
         from repro.baselines.onlad import OnDeviceAnomalyModel
 
         def middling(seed):
@@ -388,9 +406,9 @@ class TestCompositeCohortEquivalence:
         )
 
     def test_onlad_all_flagged_cohort_still_agrees(self):
-        """tau=0 flags every sample: prepare() returns None, every fold
-        rides the serial tail, and both engines reproduce the
-        skip-the-round contract (zero loss, weights stay at the GM)."""
+        """tau=0 flags every sample: prepare() returns None for every
+        fold, and both engines reproduce the skip-the-round contract
+        (zero loss, weights stay at the GM)."""
         from repro.baselines.onlad import OnDeviceAnomalyModel
 
         def strict(seed):
