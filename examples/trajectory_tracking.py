@@ -22,7 +22,7 @@ from repro.data import (
     tracking_error,
 )
 from repro.data.devices import paper_devices
-from repro.utils.rng import SeedSequence
+from repro.utils.rng import SeedSequence, spawn_rng
 from repro.utils.tables import format_table
 
 
@@ -44,7 +44,7 @@ def main() -> None:
     # one walk per test device
     rows = []
     for name in ("Samsung Galaxy S7", "LG V20", "HTC U11"):
-        walk_rng = np.random.default_rng(hash(name) % 2**32)
+        walk_rng = spawn_rng(3, f"walk/{name}")
         trajectory = simulator.simulate(devices[name], 6, walk_rng)
 
         clean_safeloc = tracking_error(

@@ -156,9 +156,10 @@ class ExperimentBuilder:
 
     def client_engine(self, engine: str) -> "ExperimentBuilder":
         """Client execution engine per federation round: ``"serial"``
-        (per-client loop, the bit-exact reference) or ``"batched"``
-        (fold-stacked cohort training — identical results at float64,
-        see :mod:`repro.fl.batched_round`)."""
+        (each model's training program run client by client) or
+        ``"batched"`` (the same programs with the cohort stacked on one
+        fold axis, see :mod:`repro.fl.batched_round`); both engines are
+        bit-identical at float64."""
         if engine not in CLIENT_ENGINES:
             raise ValueError(
                 f"client_engine must be one of {CLIENT_ENGINES}, "
@@ -224,7 +225,9 @@ class ExperimentBuilder:
 
     def engine(self, engine: Optional[SweepEngine]) -> "ExperimentBuilder":
         """Run on an existing engine (shares its artifact cache);
-        overrides :meth:`jobs`/:meth:`cache`/:meth:`resume`."""
+        overrides :meth:`jobs`, :meth:`executor`, :meth:`cache`,
+        :meth:`resume`, :meth:`cell_timeout`, :meth:`retries` and
+        :meth:`on_error`."""
         self._engine = engine
         return self
 

@@ -31,15 +31,9 @@ def classifier_gradient_oracle(model: Module, loss: Loss) -> GradientOracle:
     """
 
     def oracle(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        was_training = model.training
-        model.eval()
-        try:
-            logits = model.forward(features)
-            loss.forward(logits, labels)
-            grad = model.input_gradient(loss.backward())
-        finally:
-            if was_training:
-                model.train()
+        logits = model.forward(features)
+        loss.forward(logits, labels)
+        grad = model.input_gradient(loss.backward())
         return np.asarray(grad).reshape(np.asarray(features).shape)
 
     return oracle

@@ -62,7 +62,6 @@ class DNNLocalizer(LocalizationModel):
 
     def logits(self, features: np.ndarray) -> np.ndarray:
         """Raw class scores (used by metrics and tests)."""
-        self.network.eval()
         return self.network.forward(features)
 
     def predict(self, features: np.ndarray) -> np.ndarray:

@@ -124,8 +124,9 @@ PRETRAIN_NEUTRAL_KWARGS: Dict[str, frozenset] = {
 
 #: preset fields that cannot influence a single cell's numbers (grids the
 #: drivers expand into explicit spec fields, display metadata, and
-#: ``client_engine``, which is pinned bit-identical to the serial loop, so
-#: cells resumed across engines share one entry).
+#: ``client_engine``: both engines run each model's one training program,
+#: bit-identical at float64, so cells resumed across engines share one
+#: entry).
 _CELL_NEUTRAL_PRESET_FIELDS = frozenset(
     {
         "name",
@@ -806,8 +807,14 @@ class SweepEngine:
         record = self.artifacts.load_cell(self._cell_key(plan, spec))
         if record is None:
             return None
+        try:
+            result = CellResult.from_json_dict(record, resumed=True)
+        except (KeyError, TypeError, ValueError):
+            # parses but does not rebuild (a missing or unknown field, a
+            # non-object root): a miss, and the fresh run's store_cell
+            # overwrites the record
+            return None
         self.artifacts.stats.record("cells", hit=True)
-        result = CellResult.from_json_dict(record, resumed=True)
         # cache keys hash the label-free cell identity, so the
         # stored spec may carry another plan's label — the numbers
         # are the requested cell's, the spec must be too

@@ -171,7 +171,6 @@ def run_classifier_epochs(
     """
     loss = BatchedSparseCrossEntropyLoss()
     optimizer = BatchedAdam(network.trainable_parameters(), lr=lr)
-    network.train()
     fold_final = np.zeros(network.n_folds)
     for _ in range(epochs):
         batch_losses: List[np.ndarray] = []

@@ -6,9 +6,10 @@ dependency beyond numpy:
 
 * :class:`~repro.nn.module.Module` / :class:`~repro.nn.module.Sequential` —
   composable layers with manual backprop,
-* dense layers and activations (:mod:`repro.nn.layers`),
+* dense layers and the ReLU activation (:mod:`repro.nn.layers`),
 * losses with analytic gradients (:mod:`repro.nn.losses`),
-* SGD and Adam optimizers (:mod:`repro.nn.optim`),
+* the Adam optimizer (:mod:`repro.nn.optim`),
+* fold-batched twins of the above (:mod:`repro.nn.batched`),
 * input-gradient computation (``Module.input_gradient``), which the
   gradient-based poisoning attacks (FGSM/PGD/MIM/CLB) require,
 * state-dict (de)serialization and numeric gradient checking.
@@ -30,38 +31,11 @@ from repro.nn.batched import (
     CompositeStacker,
     iterate_fold_batches,
 )
-from repro.nn.layers import (
-    Dropout,
-    Identity,
-    LeakyReLU,
-    Linear,
-    ReLU,
-    Sigmoid,
-    Tanh,
-    TiedLinear,
-)
-from repro.nn.losses import (
-    CompositeLoss,
-    Loss,
-    MSELoss,
-    SparseCrossEntropyLoss,
-)
-from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.init import (
-    glorot_uniform,
-    he_uniform,
-    normal_init,
-    uniform_init,
-    zeros_init,
-)
-from repro.nn.functional import (
-    accuracy,
-    log_softmax,
-    one_hot,
-    relu,
-    sigmoid,
-    softmax,
-)
+from repro.nn.layers import Linear, ReLU, TiedLinear
+from repro.nn.losses import Loss, MSELoss, SparseCrossEntropyLoss
+from repro.nn.optim import Adam
+from repro.nn.init import glorot_uniform
+from repro.nn.functional import log_softmax
 from repro.nn.serialization import (
     clone_state,
     load_state,
@@ -69,20 +43,6 @@ from repro.nn.serialization import (
     state_allclose,
 )
 from repro.nn.gradcheck import check_input_gradient, check_parameter_gradients
-from repro.nn.norm import BatchNorm, LayerNorm
-from repro.nn.schedulers import (
-    CosineAnnealing,
-    ExponentialDecay,
-    Scheduler,
-    StepDecay,
-    WarmupWrapper,
-)
-from repro.nn.training import (
-    EarlyStopping,
-    TrainHistory,
-    Trainer,
-    clip_gradients,
-)
 
 __all__ = [
     "compute_dtype",
@@ -102,44 +62,16 @@ __all__ = [
     "Linear",
     "TiedLinear",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Dropout",
-    "Identity",
     "Loss",
     "MSELoss",
     "SparseCrossEntropyLoss",
-    "CompositeLoss",
-    "Optimizer",
-    "SGD",
     "Adam",
     "glorot_uniform",
-    "he_uniform",
-    "uniform_init",
-    "normal_init",
-    "zeros_init",
-    "softmax",
     "log_softmax",
-    "relu",
-    "sigmoid",
-    "one_hot",
-    "accuracy",
     "save_state",
     "load_state",
     "clone_state",
     "state_allclose",
     "check_parameter_gradients",
     "check_input_gradient",
-    "BatchNorm",
-    "LayerNorm",
-    "Scheduler",
-    "StepDecay",
-    "ExponentialDecay",
-    "CosineAnnealing",
-    "WarmupWrapper",
-    "Trainer",
-    "TrainHistory",
-    "EarlyStopping",
-    "clip_gradients",
 ]

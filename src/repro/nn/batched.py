@@ -38,9 +38,8 @@ fold axis — so given fold-identical initialization and data, the batched
 step reproduces the serial per-fold step bit for bit at float64.  The
 FEDLS equivalence tests pin this at ≤1e-10.
 
-Elementwise activations (:class:`~repro.nn.layers.ReLU`,
-``LeakyReLU``, ``Tanh``…) are shape-agnostic and slot into a
-:class:`BatchedSequential` unchanged.
+The elementwise activation (:class:`~repro.nn.layers.ReLU`) is
+shape-agnostic and slots into a :class:`BatchedSequential` unchanged.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ import numpy as np
 
 from repro.nn.dtype import default_dtype
 from repro.nn.functional import log_softmax
-from repro.nn.init import get_initializer
+from repro.nn.init import glorot_uniform
 from repro.nn.layers import Linear, TiedLinear
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.optim import Adam
@@ -90,8 +89,6 @@ class BatchedLinear(Module):
             fold's own stream to reproduce that fold's serial
             :class:`~repro.nn.layers.Linear` init bit for bit.  ``None``
             spawns deterministic fallback streams.
-        init: Initializer name (see :mod:`repro.nn.init`).
-        bias: Whether the folds carry bias vectors.
     """
 
     def __init__(
@@ -100,8 +97,6 @@ class BatchedLinear(Module):
         in_features: int,
         out_features: int,
         rngs: Optional[Sequence[np.random.Generator]] = None,
-        init: str = "glorot_uniform",
-        bias: bool = True,
     ):
         super().__init__()
         if n_folds <= 0:
@@ -116,22 +111,20 @@ class BatchedLinear(Module):
             raise ValueError(
                 f"need one rng per fold: got {len(rngs)} for {n_folds} folds"
             )
-        initializer = get_initializer(init)
         self._set_stacks(
             np.stack(
-                [initializer(in_features, out_features, rng) for rng in rngs]
+                [
+                    glorot_uniform(in_features, out_features, rng)
+                    for rng in rngs
+                ]
             ),
-            np.zeros((n_folds, out_features)) if bias else None,
+            np.zeros((n_folds, out_features)),
         )
 
-    def _set_stacks(
-        self, weight: np.ndarray, bias: Optional[np.ndarray]
-    ) -> None:
+    def _set_stacks(self, weight: np.ndarray, bias: np.ndarray) -> None:
         self.n_folds, self.in_features, self.out_features = weight.shape
         self.weight = Parameter(weight, "weight")
-        self.use_bias = bias is not None
-        if bias is not None:
-            self.bias = Parameter(bias, "bias")
+        self.bias = Parameter(bias, "bias")
         self._input: Optional[np.ndarray] = None
 
     @classmethod
@@ -147,7 +140,6 @@ class BatchedLinear(Module):
         if any(
             layer.in_features != first.in_features
             or layer.out_features != first.out_features
-            or layer.use_bias != first.use_bias
             for layer in layers
         ):
             raise ValueError("all folds must share one layer shape")
@@ -155,11 +147,7 @@ class BatchedLinear(Module):
         Module.__init__(batched)
         batched._set_stacks(
             np.stack([layer.weight.data for layer in layers]),
-            (
-                np.stack([layer.bias.data for layer in layers])
-                if first.use_bias
-                else None
-            ),
+            np.stack([layer.bias.data for layer in layers]),
         )
         return batched
 
@@ -174,10 +162,7 @@ class BatchedLinear(Module):
                 f"got {x.shape[2]}"
             )
         self._input = x
-        out = x @ self.weight.data
-        if self.use_bias:
-            out = out + self.bias.data[:, None, :]
-        return out
+        return x @ self.weight.data + self.bias.data[:, None, :]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
@@ -186,7 +171,7 @@ class BatchedLinear(Module):
         if self.weight.trainable:
             # per fold: dW[k] = x[k].T @ g[k], one stacked GEMM
             self.weight.grad += self._input.transpose(0, 2, 1) @ grad_output
-        if self.use_bias and self.bias.trainable:
+        if self.bias.trainable:
             self.bias.grad += grad_output.sum(axis=1)
         return grad_output @ self.weight.data.transpose(0, 2, 1)
 
@@ -359,8 +344,7 @@ class BatchedSequential(Sequential):
                         f"{type(single).__name__}"
                     )
                 single.weight.data = batched.weight.data[fold].copy()
-                if batched.use_bias:
-                    single.bias.data = batched.bias.data[fold].copy()
+                single.bias.data = batched.bias.data[fold].copy()
 
     def unstack_fold(self, fold: int) -> Sequential:
         """Fold ``k``'s network as a plain per-fold :class:`Sequential`.
@@ -378,11 +362,9 @@ class BatchedSequential(Sequential):
                     layer.in_features,
                     layer.out_features,
                     rng=fallback_rng("unstack-fold"),
-                    bias=layer.use_bias,
                 )
                 single.weight.data = layer.weight.data[fold].copy()
-                if layer.use_bias:
-                    single.bias.data = layer.bias.data[fold].copy()
+                single.bias.data = layer.bias.data[fold].copy()
                 extracted.append(single)
             elif layer.parameters():
                 raise TypeError(

@@ -7,60 +7,8 @@ import numpy as np
 from repro.nn.dtype import default_dtype
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    logits = np.asarray(logits, dtype=default_dtype())
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable log-softmax."""
     logits = np.asarray(logits, dtype=default_dtype())
     shifted = logits - logits.max(axis=axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise rectifier."""
-    return np.maximum(np.asarray(x, dtype=default_dtype()), 0.0)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid.
-
-    Single-pass ``np.where`` formulation: the exponent argument is
-    clamped to the non-positive half-line (``-|x|``), so ``exp`` never
-    overflows, and both branches share one evaluation — no boolean-mask
-    fancy indexing.  This is the one canonical implementation; the
-    :class:`~repro.nn.layers.Sigmoid` layer delegates here.
-    """
-    x = np.asarray(x, dtype=default_dtype())
-    exp_neg = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg))
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Integer labels → one-hot matrix of shape ``(n, num_classes)``."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(
-            f"labels out of range [0, {num_classes}): "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    out = np.zeros((labels.size, num_classes), dtype=default_dtype())
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 classification accuracy from raw logits."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=default_dtype()))
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("accuracy of an empty batch is undefined")
-    preds = logits.argmax(axis=1)
-    return float((preds == labels).mean())

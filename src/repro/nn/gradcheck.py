@@ -42,8 +42,7 @@ def check_parameter_gradients(
     """Compare analytic parameter gradients to numeric ones.
 
     Args:
-        module: Module under test (should be in ``train`` mode but
-            deterministic — no dropout).
+        module: Module under test; its forward must be deterministic.
         x: Input batch.
         loss_fn: Maps module output to a scalar loss.
         loss_grad_fn: Maps module output to dLoss/dOutput.

@@ -1,6 +1,6 @@
-"""Weight initializers for the numpy substrate.
+"""Weight initialization for the numpy substrate.
 
-All initializers take an explicit ``numpy.random.Generator`` so every model
+The initializer takes an explicit ``numpy.random.Generator`` so every model
 build in the reproduction is seedable end to end (the experiment presets pin
 seeds for the benches).  Draws happen at float64 (so a given seed produces
 the same weights regardless of compute width) and are cast to the compute
@@ -17,62 +17,7 @@ from repro.nn.dtype import default_dtype
 def glorot_uniform(
     fan_in: int, fan_out: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Glorot/Xavier uniform initialization — the default for dense layers."""
+    """Glorot/Xavier uniform initialization — the init of every dense layer."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     draw = rng.uniform(-limit, limit, size=(fan_in, fan_out))
     return draw.astype(default_dtype(), copy=False)
-
-
-def he_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """He uniform initialization, suited to ReLU stacks."""
-    limit = np.sqrt(6.0 / fan_in)
-    draw = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-    return draw.astype(default_dtype(), copy=False)
-
-
-def uniform_init(
-    fan_in: int,
-    fan_out: int,
-    rng: np.random.Generator,
-    low: float = -0.05,
-    high: float = 0.05,
-) -> np.ndarray:
-    """Plain uniform initialization in ``[low, high]``."""
-    draw = rng.uniform(low, high, size=(fan_in, fan_out))
-    return draw.astype(default_dtype(), copy=False)
-
-
-def normal_init(
-    fan_in: int,
-    fan_out: int,
-    rng: np.random.Generator,
-    std: float = 0.01,
-) -> np.ndarray:
-    """Zero-mean Gaussian initialization."""
-    draw = rng.normal(0.0, std, size=(fan_in, fan_out))
-    return draw.astype(default_dtype(), copy=False)
-
-
-def zeros_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """All-zeros initialization (used for biases)."""
-    del rng
-    return np.zeros((fan_in, fan_out), dtype=default_dtype())
-
-
-INITIALIZERS = {
-    "glorot_uniform": glorot_uniform,
-    "he_uniform": he_uniform,
-    "uniform": uniform_init,
-    "normal": normal_init,
-    "zeros": zeros_init,
-}
-
-
-def get_initializer(name: str):
-    """Look up an initializer by name, raising ``KeyError`` with choices."""
-    try:
-        return INITIALIZERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown initializer {name!r}; choices: {sorted(INITIALIZERS)}"
-        ) from None

@@ -1,4 +1,4 @@
-"""Dense layers and activations with analytic forward/backward passes."""
+"""Dense layers and the ReLU activation with analytic forward/backward passes."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.dtype import default_dtype
-from repro.nn.functional import sigmoid
-from repro.nn.init import get_initializer, glorot_uniform
+from repro.nn.init import glorot_uniform
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import fallback_rng
 
@@ -35,8 +34,6 @@ class Linear(Module):
         in_features: int,
         out_features: int,
         rng: Optional[np.random.Generator] = None,
-        init: str = "glorot_uniform",
-        bias: bool = True,
     ):
         super().__init__()
         if in_features <= 0 or out_features <= 0:
@@ -46,13 +43,12 @@ class Linear(Module):
         # no silent OS-entropy fallback: an omitted rng routes through the
         # deterministic fallback stream so runs reproduce by construction
         rng = rng if rng is not None else fallback_rng("linear")
-        initializer = get_initializer(init)
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(initializer(in_features, out_features, rng), "weight")
-        self.use_bias = bias
-        if bias:
-            self.bias = Parameter(np.zeros(out_features), "bias")
+        self.weight = Parameter(
+            glorot_uniform(in_features, out_features, rng), "weight"
+        )
+        self.bias = Parameter(np.zeros(out_features), "bias")
         self._input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -62,10 +58,7 @@ class Linear(Module):
                 f"Linear expected {self.in_features} features, got {x.shape[1]}"
             )
         self._input = x
-        out = x @ self.weight.data
-        if self.use_bias:
-            out = out + self.bias.data
-        return out
+        return x @ self.weight.data + self.bias.data
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
@@ -73,7 +66,7 @@ class Linear(Module):
         grad_output = _as_batch(grad_output)
         if self.weight.trainable:
             self.weight.grad += self._input.T @ grad_output
-        if self.use_bias and self.bias.trainable:
+        if self.bias.trainable:
             self.bias.grad += grad_output.sum(axis=0)
         return grad_output @ self.weight.data.T
 
@@ -144,94 +137,3 @@ class ReLU(Module):
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         return np.where(self._mask, grad_output, 0.0)
-
-
-class LeakyReLU(Module):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        if negative_slope < 0:
-            raise ValueError("negative_slope must be >= 0")
-        self.negative_slope = float(negative_slope)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=default_dtype())
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return np.where(self._mask, grad_output, self.negative_slope * grad_output)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = sigmoid(x)
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * self._output * (1.0 - self._output)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(np.asarray(x, dtype=default_dtype()))
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * (1.0 - self._output**2)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity at inference time."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout p must be in [0, 1), got {p}")
-        self.p = float(p)
-        self._rng = rng if rng is not None else fallback_rng("dropout")
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=default_dtype())
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep).astype(x.dtype) / x.dtype.type(keep)
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-
-class Identity(Module):
-    """Pass-through layer, handy as a placeholder."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=default_dtype())
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output

@@ -1,13 +1,12 @@
 """Loss functions with analytic gradients.
 
 SAFELOC trains the fused network with MSE (autoencoder branch) and sparse
-categorical cross-entropy (classification branch), per §V.A of the paper;
-``CompositeLoss`` combines branch losses with weights for the joint step.
+categorical cross-entropy (classification branch), per §V.A of the paper.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -86,42 +85,3 @@ class SparseCrossEntropyLoss(Loss):
         grad = self._probs.copy()
         grad[np.arange(self._labels.size), self._labels] -= 1.0
         return grad / self._labels.size
-
-
-class CompositeLoss:
-    """Weighted sum of branch losses for multi-head models.
-
-    Unlike :class:`Loss` this takes per-branch (prediction, target) pairs;
-    ``backward`` returns one gradient per branch.
-    """
-
-    def __init__(self, losses: Sequence[Loss], weights: Optional[Sequence[float]] = None):
-        if not losses:
-            raise ValueError("CompositeLoss needs at least one branch loss")
-        self.losses = list(losses)
-        if weights is None:
-            weights = [1.0] * len(self.losses)
-        if len(weights) != len(self.losses):
-            raise ValueError(
-                f"{len(self.losses)} losses but {len(weights)} weights"
-            )
-        self.weights = [float(w) for w in weights]
-
-    def forward(self, pairs: Sequence[Tuple[np.ndarray, np.ndarray]]) -> float:
-        if len(pairs) != len(self.losses):
-            raise ValueError(
-                f"expected {len(self.losses)} (pred, target) pairs, got {len(pairs)}"
-            )
-        total = 0.0
-        for loss, weight, (pred, target) in zip(self.losses, self.weights, pairs):
-            total += weight * loss.forward(pred, target)
-        return float(total)
-
-    def backward(self) -> Tuple[np.ndarray, ...]:
-        return tuple(
-            weight * loss.backward()
-            for loss, weight in zip(self.losses, self.weights)
-        )
-
-    def __call__(self, pairs: Sequence[Tuple[np.ndarray, np.ndarray]]) -> float:
-        return self.forward(pairs)

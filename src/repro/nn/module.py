@@ -67,7 +67,6 @@ class Module:
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", {})
         object.__setattr__(self, "_modules", {})
-        object.__setattr__(self, "training", True)
 
     # -- attribute-based registration ------------------------------------
     def __setattr__(self, key: str, value) -> None:
@@ -86,21 +85,6 @@ class Module:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
-
-    # -- mode handling ----------------------------------------------------
-    def train(self) -> "Module":
-        """Put the module (and submodules) in training mode."""
-        object.__setattr__(self, "training", True)
-        for child in self._modules.values():
-            child.train()
-        return self
-
-    def eval(self) -> "Module":
-        """Put the module (and submodules) in inference mode."""
-        object.__setattr__(self, "training", False)
-        for child in self._modules.values():
-            child.eval()
-        return self
 
     # -- parameter traversal ----------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[tuple]:

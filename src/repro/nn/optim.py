@@ -1,8 +1,7 @@
-"""Optimizers for the numpy substrate.
+"""The Adam optimizer of the numpy substrate.
 
 The paper trains both the autoencoder and the classification head with Adam
-(lr 0.001 server-side, 0.0001 client-side); SGD with momentum is provided
-for ablations.
+(lr 0.001 server-side, 0.0001 client-side).
 """
 
 from __future__ import annotations
@@ -18,60 +17,6 @@ from repro.nn.module import Parameter
 #: fourteen elementwise passes run out of a 2 MB per-core L2 instead of
 #: streaming whole fold stacks through DRAM once per pass.
 ADAM_TILE = 32_768
-
-
-class Optimizer:
-    """Base class holding the trainable-parameter list."""
-
-    def __init__(self, parameters: Iterable[Parameter]):
-        self.parameters: List[Parameter] = [
-            p for p in parameters if isinstance(p, Parameter)
-        ]
-        if not self.parameters:
-            raise ValueError("optimizer received no parameters")
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if not param.trainable:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data -= self.lr * grad
 
 
 def _flat(array: np.ndarray) -> np.ndarray:
@@ -98,7 +43,7 @@ def _tiles(
         yield tuple(flat[start : start + ADAM_TILE] for flat in flats)
 
 
-class Adam(Optimizer):
+class Adam:
     """Adam optimizer (Kingma & Ba, 2015) with bias correction."""
 
     def __init__(
@@ -109,7 +54,11 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(parameters)
+        self.parameters: List[Parameter] = [
+            p for p in parameters if isinstance(p, Parameter)
+        ]
+        if not self.parameters:
+            raise ValueError("optimizer received no parameters")
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         beta1, beta2 = betas

@@ -58,10 +58,10 @@ class SeedSequence:
 
 # -- deterministic fallback for components built without an explicit rng ----
 #
-# np.random.default_rng() with no seed draws OS entropy, so a Linear or
-# Dropout built without an rng silently made the whole federation run
-# unreproducible.  The fallback below replaces that: generators are spawned
-# off a process-global root seed with an incrementing per-call stream, so
+# np.random.default_rng() with no seed draws OS entropy, so a Linear built
+# without an rng silently made the whole federation run unreproducible.
+# The fallback below replaces that: generators are spawned off a
+# process-global root seed with an incrementing per-call stream, so
 # (a) two components built in sequence still get independent streams, and
 # (b) re-running the same construction order reproduces the same weights
 # bit for bit.

@@ -31,7 +31,6 @@ def classifier_train_epochs(network, dataset, epochs, lr, rng, batch_size=32):
         raise ValueError("epochs must be positive")
     loss = SparseCrossEntropyLoss()
     optimizer = Adam(network.trainable_parameters(), lr=lr)
-    network.train()
     final = 0.0
     for _ in range(epochs):
         losses = []

@@ -79,11 +79,6 @@ class TestOracle:
         for param in model.parameters():
             np.testing.assert_array_equal(param.grad, 0.0)
 
-    def test_restores_training_mode(self, model, oracle, dataset):
-        model.train()
-        oracle(dataset.features, dataset.labels)
-        assert model.training
-
 
 class TestRegistry:
     def test_paper_attacks_present(self):

@@ -30,7 +30,6 @@ from repro.nn import (
     ReLU,
     Sequential,
     SparseCrossEntropyLoss,
-    Tanh,
     compute_dtype,
     iterate_fold_batches,
 )
@@ -89,14 +88,11 @@ class TestBatchedLinear:
         for k, single in enumerate(singles):
             np.testing.assert_array_equal(out[k], single.forward(x[k]))
 
-    @pytest.mark.parametrize("bias", [True, False])
-    def test_from_linears_copies_exactly_without_init(self, monkeypatch, bias):
+    def test_from_linears_copies_exactly_without_init(self, monkeypatch):
         """Fold k holds an exact copy of source k's tensors, sharing no
         memory with it, and stacking runs no initializer: the global
         fallback stream is not drawn."""
-        singles = [
-            Linear(DIN, DOUT, rng, bias=bias) for rng in _rngs(F, seed=9)
-        ]
+        singles = [Linear(DIN, DOUT, rng) for rng in _rngs(F, seed=9)]
         counter = itertools.count()
         monkeypatch.setattr(rng_module, "_FALLBACK_COUNTER", counter)
         batched = BatchedLinear.from_linears(singles)
@@ -104,8 +100,7 @@ class TestBatchedLinear:
         assert (batched.n_folds, batched.in_features, batched.out_features) == (
             F, DIN, DOUT,
         )
-        assert batched.use_bias is bias
-        assert len(batched.parameters()) == (2 if bias else 1)
+        assert len(batched.parameters()) == 2
         for param in batched.parameters():
             assert param.grad.shape == param.data.shape
             assert not param.grad.any()
@@ -308,7 +303,7 @@ class TestFromModules:
         with pytest.raises(ValueError):
             BatchedSequential.from_modules([singles[0], short])
         swapped = Sequential(
-            Linear(DIN, 7, _rngs(1)[0]), Tanh(), Linear(7, DIN, _rngs(1)[0])
+            Linear(DIN, 7, _rngs(1)[0]), Linear(7, DIN, _rngs(1)[0]), ReLU()
         )
         with pytest.raises(TypeError):
             BatchedSequential.from_modules([singles[0], swapped])
@@ -515,7 +510,7 @@ class TestCompositeStacker:
         from repro.nn.batched import CompositeStacker
         from repro.nn.layers import Parameter
 
-        class Odd(Tanh):
+        class Odd(ReLU):
             def parameters(self):
                 return [Parameter(np.zeros(2), "w")]
 

@@ -8,22 +8,17 @@ from hypothesis import strategies as st
 from reference.adam import ReferenceAdam
 from repro.nn import (
     Adam,
-    CompositeLoss,
     Linear,
     MSELoss,
     Parameter,
     ReLU,
-    SGD,
     Sequential,
     SparseCrossEntropyLoss,
-    accuracy,
     clone_state,
     compute_dtype,
     load_state,
     log_softmax,
-    one_hot,
     save_state,
-    softmax,
     state_allclose,
 )
 from repro.nn.optim import ADAM_TILE
@@ -67,6 +62,11 @@ class TestMSELoss:
         x = RNG.normal(size=(4, 6))
         assert MSELoss()(x, x) == 0.0
 
+    def test_single_sample_promoted_to_a_row(self):
+        loss = MSELoss()
+        assert loss(np.array([1.0, 3.0]), np.array([0.0, 0.0])) == pytest.approx(5.0)
+        np.testing.assert_allclose(loss.backward(), [[1.0, 3.0]])
+
 
 class TestSparseCrossEntropy:
     def test_uniform_logits_give_log_c(self):
@@ -106,41 +106,16 @@ class TestSparseCrossEntropy:
         with pytest.raises(ValueError):
             SparseCrossEntropyLoss()(np.zeros((2, 3)), np.array([0, 1, 2]))
 
+    def test_backward_before_forward_raises(self):
+        with pytest.raises(RuntimeError):
+            SparseCrossEntropyLoss().backward()
+
     def test_extreme_logits_stable(self):
         loss = SparseCrossEntropyLoss()
         logits = np.array([[1000.0, -1000.0], [-1000.0, 1000.0]])
         value = loss(logits, np.array([0, 1]))
         assert np.isfinite(value)
         assert value == pytest.approx(0.0, abs=1e-12)
-
-
-class TestCompositeLoss:
-    def test_weighted_sum(self):
-        mse_a, mse_b = MSELoss(), MSELoss()
-        comp = CompositeLoss([mse_a, mse_b], weights=[1.0, 3.0])
-        pred = np.ones((2, 2))
-        total = comp([(pred, np.zeros((2, 2))), (pred, np.zeros((2, 2)))])
-        assert total == pytest.approx(1.0 + 3.0)
-
-    def test_backward_returns_per_branch_scaled(self):
-        comp = CompositeLoss([MSELoss(), MSELoss()], weights=[1.0, 2.0])
-        pred = np.ones((1, 2))
-        comp([(pred, np.zeros((1, 2))), (pred, np.zeros((1, 2)))])
-        g1, g2 = comp.backward()
-        np.testing.assert_allclose(g2, 2.0 * g1)
-
-    def test_pair_count_mismatch_raises(self):
-        comp = CompositeLoss([MSELoss()])
-        with pytest.raises(ValueError):
-            comp([(np.ones((1, 1)), np.ones((1, 1)))] * 2)
-
-    def test_empty_losses_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeLoss([])
-
-    def test_weight_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeLoss([MSELoss()], weights=[1.0, 2.0])
 
 
 def _quadratic_problem():
@@ -156,11 +131,9 @@ class TestOptimizers:
     @pytest.mark.parametrize(
         "make_opt",
         [
-            lambda params: SGD(params, lr=0.1),
-            lambda params: SGD(params, lr=0.05, momentum=0.9),
             lambda params: Adam(params, lr=0.05),
         ],
-        ids=["sgd", "sgd-momentum", "adam"],
+        ids=["adam"],
     )
     def test_converges_on_linear_regression(self, make_opt):
         x, y = _quadratic_problem()
@@ -174,14 +147,6 @@ class TestOptimizers:
             opt.step()
         assert loss(model(x), y) < 1e-3
 
-    def test_sgd_weight_decay_shrinks_weights(self):
-        layer = Linear(2, 2, rng=np.random.default_rng(0))
-        layer.weight.data[...] = 10.0
-        opt = SGD(layer.trainable_parameters(), lr=0.1, weight_decay=0.5)
-        layer.zero_grad()
-        opt.step()
-        assert np.all(np.abs(layer.weight.data) < 10.0)
-
     def test_frozen_parameters_not_updated(self):
         layer = Linear(2, 2, rng=np.random.default_rng(0))
         layer.weight.trainable = False
@@ -193,27 +158,48 @@ class TestOptimizers:
         np.testing.assert_array_equal(layer.weight.data, before)
         assert np.all(layer.bias.data != 0.0)
 
-    def test_zero_grad_clears(self):
-        layer = Linear(2, 2, rng=np.random.default_rng(0))
-        layer.weight.grad[...] = 5.0
-        opt = SGD(layer.trainable_parameters(), lr=0.1)
-        opt.zero_grad()
-        np.testing.assert_array_equal(layer.weight.grad, 0.0)
-
     @pytest.mark.parametrize("bad_lr", [0.0, -1.0])
     def test_invalid_lr_rejected(self, bad_lr):
         layer = Linear(2, 2, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            SGD(layer.trainable_parameters(), lr=bad_lr)
-        with pytest.raises(ValueError):
             Adam(layer.trainable_parameters(), lr=bad_lr)
+
+    @pytest.mark.parametrize(
+        "bad_betas", [(1.0, 0.999), (0.9, 1.0), (-0.1, 0.999)]
+    )
+    def test_invalid_betas_rejected(self, bad_betas):
+        layer = Linear(2, 2, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="betas"):
+            Adam(layer.trainable_parameters(), betas=bad_betas)
+
+    @pytest.mark.parametrize("bad_eps", [0.0, -1e-8])
+    def test_invalid_eps_rejected(self, bad_eps):
+        layer = Linear(2, 2, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="eps"):
+            Adam(layer.trainable_parameters(), eps=bad_eps)
 
     def test_empty_parameter_list_rejected(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
+
+    def test_non_parameters_are_ignored(self):
+        layer = Linear(2, 2, rng=np.random.default_rng(0))
+        opt = Adam([np.zeros(3), layer.weight, "bias"], lr=0.1)
+        assert opt.parameters == [layer.weight]
+        with pytest.raises(ValueError):
+            Adam([np.zeros(3)], lr=0.1)
+
+    def test_weight_decay_shrinks_weights(self):
+        layer = Linear(2, 2, rng=np.random.default_rng(0))
+        layer.weight.data[...] = 10.0
+        opt = Adam(layer.trainable_parameters(), lr=0.1, weight_decay=0.5)
+        layer.zero_grad()
+        opt.step()
+        np.testing.assert_allclose(layer.weight.data, 9.9)
+        np.testing.assert_array_equal(layer.bias.data, 0.0)
 
     def test_adam_bias_correction_first_step(self):
-        layer = Linear(1, 1, rng=np.random.default_rng(0), bias=False)
+        layer = Linear(1, 1, rng=np.random.default_rng(0))
         layer.weight.data[...] = 0.0
         layer.weight.grad[...] = 3.0
         opt = Adam([layer.weight], lr=0.1)
@@ -306,35 +292,29 @@ class TestTiledAdam:
 
 class TestFunctional:
     def test_softmax_rows_sum_to_one(self):
-        probs = softmax(RNG.normal(size=(6, 9)))
+        probs = np.exp(log_softmax(RNG.normal(size=(6, 9))))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
-        assert np.all(probs >= 0)
+        assert np.all(probs > 0)
 
     def test_softmax_shift_invariance(self):
         x = RNG.normal(size=(3, 4))
-        np.testing.assert_allclose(softmax(x), softmax(x + 100.0))
+        np.testing.assert_allclose(log_softmax(x), log_softmax(x + 100.0))
+
+    def test_log_softmax_along_axis_zero(self):
+        x = RNG.normal(size=(5, 2))
+        np.testing.assert_allclose(log_softmax(x, axis=0), log_softmax(x.T).T)
+
+    def test_log_softmax_extreme_logits_finite(self):
+        out = log_softmax(np.array([[1000.0, -1000.0, 0.0]]))
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, [[0.0, -2000.0, -1000.0]])
 
     def test_log_softmax_consistent_with_softmax(self):
         x = RNG.normal(size=(3, 4))
-        np.testing.assert_allclose(np.exp(log_softmax(x)), softmax(x))
-
-    def test_one_hot_round_trip(self):
-        labels = np.array([2, 0, 1, 2])
-        mat = one_hot(labels, 3)
-        np.testing.assert_array_equal(mat.argmax(axis=1), labels)
-        np.testing.assert_allclose(mat.sum(axis=1), 1.0)
-
-    def test_one_hot_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            one_hot(np.array([0, 3]), 3)
-
-    def test_accuracy(self):
-        logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
-        assert accuracy(logits, np.array([0, 1, 1])) == pytest.approx(2 / 3)
-
-    def test_accuracy_empty_raises(self):
-        with pytest.raises(ValueError):
-            accuracy(np.zeros((0, 2)), np.array([], dtype=int))
+        exp = np.exp(x)
+        np.testing.assert_allclose(
+            np.exp(log_softmax(x)), exp / exp.sum(axis=1, keepdims=True)
+        )
 
 
 class TestSerialization:
@@ -377,6 +357,20 @@ class TestSerialization:
 
     def test_state_allclose_detects_key_mismatch(self):
         assert not state_allclose({"a": np.zeros(2)}, {"b": np.zeros(2)})
+
+    def test_state_allclose_detects_shape_and_value_differences(self):
+        base = {"a": np.zeros(2)}
+        assert state_allclose(base, {"a": np.full(2, 1e-12)})
+        assert not state_allclose(base, {"a": np.zeros(3)})
+        assert not state_allclose(base, {"a": np.array([0.0, 1e-6])})
+
+    def test_save_appends_suffix_and_creates_directories(self, tmp_path):
+        state = {"w": np.arange(3.0)}
+        path = save_state(state, str(tmp_path / "nested" / "dir" / "model"))
+        assert path.endswith("model.npz")
+        assert (tmp_path / "nested" / "dir" / "model.npz").is_file()
+        loaded = load_state(str(tmp_path / "nested" / "dir" / "model"))
+        np.testing.assert_array_equal(loaded["w"], state["w"])
 
     def test_parameter_count(self):
         model = Sequential(Linear(4, 8, np.random.default_rng(0)), ReLU(), Linear(8, 2, np.random.default_rng(0)))

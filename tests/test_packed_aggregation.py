@@ -28,7 +28,7 @@ from repro.fl.state import (
     state_sub,
     state_weighted_mean,
 )
-from repro.nn import Linear, Sigmoid, compute_dtype, default_dtype, sigmoid
+from repro.nn import Linear, compute_dtype, default_dtype
 from repro.utils.rng import fallback_rng, seed_fallback_rng
 
 TOL = 1e-10
@@ -361,22 +361,3 @@ class TestDeterministicDefaults:
         a = fallback_rng("x").random(8)
         b = fallback_rng("x").random(8)
         assert not np.array_equal(a, b)
-
-
-class TestSigmoidDedup:
-    def test_layer_delegates_to_functional(self):
-        x = np.linspace(-30, 30, 101).reshape(1, -1)
-        np.testing.assert_array_equal(Sigmoid().forward(x), sigmoid(x))
-
-    def test_extreme_values_stable(self):
-        x = np.array([-1e4, -745.0, 0.0, 745.0, 1e4])
-        out = sigmoid(x)
-        assert np.all(np.isfinite(out))
-        assert out[0] == 0.0 and out[-1] == 1.0
-        assert out[2] == 0.5
-
-    def test_symmetry(self):
-        x = np.linspace(-20, 20, 201)
-        np.testing.assert_allclose(
-            sigmoid(x) + sigmoid(-x), np.ones_like(x), atol=1e-12
-        )

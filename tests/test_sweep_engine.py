@@ -5,6 +5,7 @@ The heavier federation cells run on a shrunken tiny-preset variant so the
 whole module stays seconds-scale.
 """
 
+import json
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -288,6 +289,41 @@ class TestResumeStore:
         # fresh engine (cold memo) must survive the corrupt artifact
         again = SweepEngine(cache_dir=cache).run(plan)
         assert summaries_of(again) == summaries_of(reference)
+
+    @pytest.mark.parametrize(
+        "shape", ["torn", "missing-spec", "unknown-spec-field", "list-root"]
+    )
+    def test_invalid_ledger_record_recomputed(self, tmp_path, shape):
+        """A resume-ledger record that does not rebuild a cell is a miss:
+        the cell reruns, and its fresh record resumes next time."""
+        preset = mini_preset()
+        cache = str(tmp_path / "cache")
+        plan = SweepPlan(
+            name="one",
+            preset=preset,
+            cells=(scenario("safeloc", attack="fgsm", epsilon=0.5),),
+        )
+        reference = SweepEngine(cache_dir=cache).run(plan)
+        (path,) = (tmp_path / "cache" / "cells").glob("*.json")
+        text = path.read_text()
+        record = json.loads(text)
+        if shape == "torn":
+            text = text[: len(text) // 2]
+        elif shape == "missing-spec":
+            del record["spec"]
+            text = json.dumps(record)
+        elif shape == "unknown-spec-field":
+            record["spec"]["engine"] = {"executor": "serial"}
+            text = json.dumps(record)
+        else:
+            text = json.dumps([record])
+        path.write_text(text)
+        again = SweepEngine(cache_dir=cache, resume=True).run(plan)
+        assert again.resumed_count() == 0
+        assert again.stats["cells"].get("hits", 0) == 0
+        assert summaries_of(again) == summaries_of(reference)
+        rerun = SweepEngine(cache_dir=cache, resume=True).run(plan)
+        assert rerun.resumed_count() == 1
 
     def test_scenario_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):
