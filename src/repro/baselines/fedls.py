@@ -9,12 +9,12 @@ makes FEDLS "resource-intensive" (§II) — its Table I footprint is the
 largest of all frameworks, which the wide client DNN here reproduces.
 
 Detection is leave-one-out (one detector per client per round).  All n
-detectors train **simultaneously** on the fold-batched kernels
-(:mod:`repro.nn.batched`): the leave-one-out peer tensor is gathered once
-into an ``(n, n−1, feat)`` stack and every epoch is a handful of 3-D
-``matmul`` contractions.  Fold ``k`` seeds, initializes and updates
-exactly like an independent :class:`UpdateAutoencoder` trained on its
-peers, so the batched errors match that per-fold loop (kept as the test
+detectors train **simultaneously** as one fold stack
+(:func:`repro.nn.batched.fold_stack`): the leave-one-out peer tensor is
+gathered once into an ``(n, n−1, feat)`` stack and every epoch is a
+handful of 3-D ``matmul`` contractions.  Fold ``k`` is an
+:class:`UpdateAutoencoder` seeded for that fold, trained on its peers,
+so the batched errors match the per-fold loop (kept as the test
 reference) at ≤1e-10 (float64).
 
 Two scalability modes compose on top: ``sampled_peers=k`` shrinks each
@@ -39,21 +39,19 @@ from repro.fl.state import StateDict, state_weighted_mean
 from repro.nn import (
     Adam,
     BatchedAdam,
-    BatchedLinear,
     BatchedMSELoss,
-    BatchedSequential,
     Linear,
     MSELoss,
     ReLU,
     Sequential,
+    fold_stack,
 )
 from repro.utils.rng import spawn_rng
 
 #: FEDLS's client DNN per Table I (282,676 params in the paper — largest).
 FEDLS_HIDDEN = (384, 320)
 
-#: update-detector autoencoder schedule (shared by UpdateAutoencoder and
-#: the fold-batched detectors so the two stay comparable by construction)
+#: update-detector autoencoder schedule
 DETECTOR_HIDDEN = 16
 DETECTOR_LATENT = 4
 DETECTOR_LR = 0.01
@@ -364,20 +362,27 @@ class LatentSpaceAggregation(AggregationStrategy):
         The peer tensor is an ``(n, n−1, feat)`` gather; each of the
         ``detector_epochs`` steps is four stacked GEMMs forward and four
         back, so the per-epoch cost no longer scales with Python-loop
-        round-trips over the cohort.  Fold seeds/init/updates match a
-        per-fold :class:`UpdateAutoencoder` loop exactly.
+        round-trips over the cohort.  Fold ``k`` stacks a fresh
+        :class:`UpdateAutoencoder` seeded ``seed + 1000·round + k`` — the
+        detector a per-fold loop would train.
         """
         n, feature_dim = normalized.shape
-        network = self._build_detectors(feature_dim, n, round_index)
+        detectors = [
+            UpdateAutoencoder(feature_dim, seed=fold_seed).network
+            for fold_seed in self._fold_seeds(n, round_index)
+        ]
         peers = normalized[self._peer_index(n, round_index)]
         loss = BatchedMSELoss()
-        optimizer = BatchedAdam(network.trainable_parameters(), lr=DETECTOR_LR)
-        for _ in range(self.detector_epochs):
-            network.zero_grad()
-            loss(network.forward(peers), peers)
-            network.backward(loss.backward())
-            optimizer.step()
-        recon = network.forward(normalized[:, None, :])
+        with fold_stack(detectors) as network:
+            optimizer = BatchedAdam(
+                network.trainable_parameters(), lr=DETECTOR_LR
+            )
+            for _ in range(self.detector_epochs):
+                network.zero_grad()
+                loss(network.forward(peers), peers)
+                network.backward(loss.backward())
+                optimizer.step()
+            recon = network.forward(normalized[:, None, :])
         return np.sqrt(
             ((normalized[:, None, :] - recon) ** 2).mean(axis=2)
         )[:, 0]
@@ -415,51 +420,25 @@ class LatentSpaceAggregation(AggregationStrategy):
         latent = normalized
         for layer in layers[:4]:  # Linear→ReLU→Linear→ReLU encoder half
             latent = layer.forward(latent)
-        # per-fold heads: n copies of the pooled decoder half, trained apart
-        heads = BatchedSequential(
-            BatchedLinear.from_linears([layers[4]] * n),
-            ReLU(),
-            BatchedLinear.from_linears([layers[6]] * n),
-        )
         peer_index = self._peer_index(n, round_index)
         peer_latent = np.ascontiguousarray(latent[peer_index])
         peer_target = np.ascontiguousarray(normalized[peer_index])
         loss = BatchedMSELoss()
-        optimizer = BatchedAdam(heads.trainable_parameters(), lr=DETECTOR_LR)
-        for _ in range(self.detector_epochs):
-            heads.zero_grad()
-            loss(heads.forward(peer_latent), peer_target)
-            heads.backward(loss.backward())
-            optimizer.step()
-        recon = heads.forward(np.ascontiguousarray(latent[:, None, :]))
+        # per-fold heads: n copies of the pooled decoder half, trained apart
+        decoder_half = Sequential(*layers[4:])
+        with fold_stack([decoder_half] * n) as heads:
+            optimizer = BatchedAdam(
+                heads.trainable_parameters(), lr=DETECTOR_LR
+            )
+            for _ in range(self.detector_epochs):
+                heads.zero_grad()
+                loss(heads.forward(peer_latent), peer_target)
+                heads.backward(loss.backward())
+                optimizer.step()
+            recon = heads.forward(np.ascontiguousarray(latent[:, None, :]))
         return np.sqrt(
             ((normalized[:, None, :] - recon) ** 2).mean(axis=2)
         )[:, 0]
-
-    def _build_detectors(
-        self, feature_dim: int, n_folds: int, round_index: int
-    ) -> BatchedSequential:
-        """Fold-stacked detectors, fold ``k`` initialized from the same
-        rng stream a standalone :class:`UpdateAutoencoder` would use.
-
-        The per-fold generators are shared across the four layer stacks
-        in declaration order, so each generator draws its layers in the
-        same sequence as the single-detector constructor — identical
-        weights.
-        """
-        rngs = [
-            spawn_rng(fold_seed, DETECTOR_STREAM)
-            for fold_seed in self._fold_seeds(n_folds, round_index)
-        ]
-        return BatchedSequential(
-            BatchedLinear(n_folds, feature_dim, DETECTOR_HIDDEN, rngs),
-            ReLU(),
-            BatchedLinear(n_folds, DETECTOR_HIDDEN, DETECTOR_LATENT, rngs),
-            ReLU(),
-            BatchedLinear(n_folds, DETECTOR_LATENT, DETECTOR_HIDDEN, rngs),
-            ReLU(),
-            BatchedLinear(n_folds, DETECTOR_HIDDEN, feature_dim, rngs),
-        )
 
 
 def make_fedls(

@@ -30,7 +30,7 @@ from repro.nn import Linear, ReLU, Sequential, SparseCrossEntropyLoss
 from repro.nn.batched import (
     BatchedAdam,
     BatchedMSELoss,
-    BatchedSequential,
+    fold_stack,
     iterate_fold_batches,
 )
 from repro.utils.rng import spawn_rng
@@ -57,8 +57,8 @@ class OnDeviceAnomalyModel(LocalizationModel):
         tau: float = 0.1,
         seed: int = 0,
     ):
-        if tau < 0:
-            raise ValueError("tau must be >= 0")
+        if not np.isfinite(tau) or tau < 0:
+            raise ValueError(f"tau must be finite and >= 0, got {tau}")
         self.input_dim = int(input_dim)
         self.num_classes = int(num_classes)
         self.tau = float(tau)
@@ -204,37 +204,33 @@ class OnladFoldProgram(FoldProgram):
         models = [program.model for program in programs]
         features = np.stack([prep.dataset.features for prep in preps])
         labels = np.stack([prep.dataset.labels for prep in preps])
-        localizer = BatchedSequential.from_modules(
+        with fold_stack(
             [model.localizer.network for model in models]
-        )
-        fold_final = run_classifier_epochs(
-            localizer,
-            features,
-            labels,
-            config.epochs,
-            config.lr,
-            config.batch_size,
-            rngs,
-        )
-        for fold, model in enumerate(models):
-            localizer.scatter_fold(fold, model.localizer.network)
+        ) as localizer:
+            fold_final = run_classifier_epochs(
+                localizer,
+                features,
+                labels,
+                config.epochs,
+                config.lr,
+                config.batch_size,
+                rngs,
+            )
         # phase two: the detector autoencoders, each fold's rng stream
         # continuing where the localizer loop left it
-        detector = BatchedSequential.from_modules(
-            [model.detector for model in models]
-        )
-        optimizer = BatchedAdam(detector.trainable_parameters(), lr=config.lr)
-        mse = BatchedMSELoss()
-        for _ in range(config.epochs):
-            for batch_features, _labels in iterate_fold_batches(
-                features, labels, config.batch_size, rngs
-            ):
-                detector.zero_grad()
-                mse(detector.forward(batch_features), batch_features)
-                detector.backward(mse.backward())
-                optimizer.step()
-        for fold, model in enumerate(models):
-            detector.scatter_fold(fold, model.detector)
+        with fold_stack([model.detector for model in models]) as detector:
+            optimizer = BatchedAdam(
+                detector.trainable_parameters(), lr=config.lr
+            )
+            mse = BatchedMSELoss()
+            for _ in range(config.epochs):
+                for batch_features, _labels in iterate_fold_batches(
+                    features, labels, config.batch_size, rngs
+                ):
+                    detector.zero_grad()
+                    mse(detector.forward(batch_features), batch_features)
+                    detector.backward(mse.backward())
+                    optimizer.step()
         return fold_final
 
 

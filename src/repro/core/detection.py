@@ -66,8 +66,10 @@ class ThresholdDetector:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        # a NaN or infinite τ compares False against every RCE, which
+        # would silently switch detection off
+        if not np.isfinite(self.tau) or self.tau < 0:
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
 
     def flag(self, rce: np.ndarray) -> np.ndarray:
         """Boolean poison mask: True where RCE strictly exceeds τ."""

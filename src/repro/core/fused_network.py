@@ -13,6 +13,11 @@ corresponding decoder layers — implemented as transposed weight tying
 (:class:`~repro.nn.layers.TiedLinear`): each decoder layer reuses its
 encoder twin's weight matrix and trains only a bias.  This is what makes
 the fused model smaller than every baseline (Table I).
+
+The same object trains a whole cohort of clients: inside
+:func:`~repro.nn.batched.fold_stack` its weights carry a leading fold
+axis, every method below takes ``(n_folds, batch, features)`` stacks,
+and each tie reads (and accumulates into) the stacked encoder weight.
 """
 
 from __future__ import annotations

@@ -34,10 +34,9 @@ from repro.fl.interfaces import FrameworkSpec, LocalizationModel, StateDict
 from repro.nn import SparseCrossEntropyLoss
 from repro.nn.batched import (
     BatchedAdam,
-    BatchedLinear,
     BatchedMSELoss,
     BatchedSparseCrossEntropyLoss,
-    CompositeStacker,
+    fold_stack,
     iterate_fold_batches,
 )
 
@@ -224,13 +223,14 @@ class SafeLocFoldProgram(FoldProgram):
 
     ``prepare`` runs the screening phase (de-noise + second-pass drop)
     per fold against the broadcast weights; trusted (server-held) data
-    skips it.  ``train_cohort`` stacks every fold's encoder, tied decoder
-    and classifier head through one
-    :class:`~repro.nn.batched.CompositeStacker` — so each fold's decoder
-    weight gradients accumulate into that fold's slice of the stacked
-    encoder, exactly as the per-model tie accumulates into its encoder —
-    and runs the joint MSE+CE step as stacked 3-D matmuls, zeroing each
-    fold's flagged rows out of the reconstruction gradient.  Trusted
+    skips it.  ``train_cohort`` stacks the folds' whole fused networks
+    with :func:`~repro.nn.batched.fold_stack` — the tied decoder reads
+    the stacked encoder weight, so each fold's decoder weight gradients
+    accumulate into that fold's slice of it, exactly as the per-model
+    tie accumulates into its encoder — and runs the joint MSE+CE step
+    through the network's own ``encode``/``decode``/``classify_latent``/
+    ``joint_backward`` as stacked 3-D matmuls, zeroing each fold's
+    flagged rows out of the reconstruction gradient.  Trusted
     folds train as a de-noising autoencoder: their inputs are corrupted
     per batch (:meth:`SafeLocModel._corrupt`), their MSE target stays
     the clean batch.  Bit-identical at float64 to the serial loop in
@@ -270,70 +270,52 @@ class SafeLocFoldProgram(FoldProgram):
         config,
         rngs,
     ) -> np.ndarray:
-        networks = [program.model.network for program in programs]
         features = np.stack([prep.dataset.features for prep in preps])
         labels = np.stack([prep.dataset.labels for prep in preps])
         flagged = np.stack([prep.aux for prep in preps])
         corrupted = [fold for fold, prep in enumerate(preps) if prep.trusted]
-        stacker = CompositeStacker()
-        encoder = stacker.stack([network.encoder for network in networks])
-        decoder = stacker.stack([network.decoder for network in networks])
-        classifier = BatchedLinear.from_linears(
-            [network.classifier for network in networks]
-        )
         recon_weight = self.model.recon_weight
-        optimizer = BatchedAdam(
-            encoder.trainable_parameters()
-            + decoder.trainable_parameters()
-            + classifier.trainable_parameters(),
-            lr=config.lr,
-        )
         mse = BatchedMSELoss()
         ce = BatchedSparseCrossEntropyLoss()
         fold_idx = np.arange(len(programs))[:, None]
         fold_final = np.zeros(len(programs))
-        for _ in range(config.epochs):
-            batch_losses = []
-            for batch_features, batch_labels, idx in iterate_fold_batches(
-                features, labels, config.batch_size, rngs, with_index=True
-            ):
-                encoder.zero_grad()
-                decoder.zero_grad()
-                classifier.zero_grad()
-                inputs = batch_features
-                if corrupted:
-                    # each trusted fold draws its corruption from its own
-                    # rng, after the epoch's permutation
-                    inputs = batch_features.copy()
-                    for fold in corrupted:
-                        inputs[fold] = programs[fold].model._corrupt(
-                            batch_features[fold], rngs[fold]
-                        )
-                latent = encoder.forward(inputs)
-                reconstruction = decoder.forward(latent)
-                logits = classifier.forward(latent)
-                # de-noising objective: reconstruct the CLEAN fingerprint
-                mse(reconstruction, batch_features)
-                ce(logits, batch_labels)
-                grad_recon = recon_weight * mse.backward()
-                # flagged rows were *replaced by reconstructions*; feeding
-                # them back into the autoencoder objective would collapse
-                # the detector onto its own outputs, so only the
-                # classification branch learns from them
-                grad_recon[flagged[fold_idx, idx]] = 0.0
-                grad_latent = decoder.backward(grad_recon)
-                grad_latent = grad_latent + classifier.backward(ce.backward())
-                encoder.backward(grad_latent)
-                optimizer.step()
-                batch_losses.append(
-                    ce.fold_losses + recon_weight * mse.fold_losses
-                )
-            fold_final = fold_mean(batch_losses)
-        for fold, network in enumerate(networks):
-            encoder.scatter_fold(fold, network.encoder)
-            decoder.scatter_fold(fold, network.decoder)
-            network.classifier.weight.data = classifier.weight.data[fold].copy()
-            network.classifier.bias.data = classifier.bias.data[fold].copy()
+        with fold_stack(
+            [program.model.network for program in programs]
+        ) as network:
+            optimizer = BatchedAdam(
+                network.trainable_parameters(), lr=config.lr
+            )
+            for _ in range(config.epochs):
+                batch_losses = []
+                for batch_features, batch_labels, idx in iterate_fold_batches(
+                    features, labels, config.batch_size, rngs, with_index=True
+                ):
+                    network.zero_grad()
+                    inputs = batch_features
+                    if corrupted:
+                        # each trusted fold draws its corruption from its
+                        # own rng, after the epoch's permutation
+                        inputs = batch_features.copy()
+                        for fold in corrupted:
+                            inputs[fold] = programs[fold].model._corrupt(
+                                batch_features[fold], rngs[fold]
+                            )
+                    latent = network.encode(inputs)
+                    # de-noising objective: reconstruct the CLEAN fingerprint
+                    mse(network.decode(latent), batch_features)
+                    ce(network.classify_latent(latent), batch_labels)
+                    grad_recon = recon_weight * mse.backward()
+                    # flagged rows were *replaced by reconstructions*;
+                    # feeding them back into the autoencoder objective
+                    # would collapse the detector onto its own outputs, so
+                    # only the classification branch learns from them
+                    grad_recon[flagged[fold_idx, idx]] = 0.0
+                    network.joint_backward(grad_recon, ce.backward())
+                    optimizer.step()
+                    batch_losses.append(
+                        ce.fold_losses + recon_weight * mse.fold_losses
+                    )
+                fold_final = fold_mean(batch_losses)
         return fold_final
 
 

@@ -439,6 +439,13 @@ def save_plan(plan: SweepPlan, path: str) -> None:
     save_payload(plan.to_dict(), path)
 
 
+def _reject_constant(name: str) -> None:
+    """``json`` hook for ``NaN``/``Infinity``/``-Infinity``: they are not
+    standard JSON, and a non-finite knob such as ``tau`` slips past every
+    ``< 0`` range check."""
+    raise ValueError(f"non-standard constant {name}")
+
+
 def load_payload(path: str) -> Dict:
     """Read + validate a sweep-spec file into its raw payload dict
     (including the optional ``engine`` scheduling block).
@@ -448,7 +455,7 @@ def load_payload(path: str) -> Dict:
     """
     try:
         with open(path) as handle:
-            payload = json.load(handle)
+            payload = json.load(handle, parse_constant=_reject_constant)
     except OSError as error:
         raise SpecValidationError(
             [f"cannot read spec file: {error}"], source=path

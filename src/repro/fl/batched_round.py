@@ -65,8 +65,8 @@ from repro.fl.client import ClientConfig, FederatedClient, client_round_rng
 from repro.fl.interfaces import StateDict
 from repro.nn.batched import (
     BatchedAdam,
-    BatchedSequential,
     BatchedSparseCrossEntropyLoss,
+    fold_stack,
     iterate_fold_batches,
 )
 from repro.nn.module import Sequential
@@ -157,7 +157,7 @@ def fold_mean(batch_losses: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def run_classifier_epochs(
-    network: BatchedSequential,
+    network: Sequential,
     features: np.ndarray,
     labels: np.ndarray,
     epochs: int,
@@ -167,11 +167,13 @@ def run_classifier_epochs(
 ) -> np.ndarray:
     """The stock stacked loop: fresh Adam + sparse CE over shuffled batches.
 
-    Returns the per-fold mean loss of the final epoch.
+    ``network`` is a fold stack (see :func:`~repro.nn.batched.fold_stack`)
+    with one fold per rng.  Returns the per-fold mean loss of the final
+    epoch.
     """
     loss = BatchedSparseCrossEntropyLoss()
     optimizer = BatchedAdam(network.trainable_parameters(), lr=lr)
-    fold_final = np.zeros(network.n_folds)
+    fold_final = np.zeros(len(rngs))
     for _ in range(epochs):
         batch_losses: List[np.ndarray] = []
         for batch_features, batch_labels in iterate_fold_batches(
@@ -208,21 +210,16 @@ class ClassifierFoldProgram(FoldProgram):
     ) -> np.ndarray:
         features = np.stack([prep.dataset.features for prep in preps])
         labels = np.stack([prep.dataset.labels for prep in preps])
-        stacked = BatchedSequential.from_modules(
-            [program.network for program in programs]
-        )
-        fold_final = run_classifier_epochs(
-            stacked,
-            features,
-            labels,
-            config.epochs,
-            config.lr,
-            config.batch_size,
-            rngs,
-        )
-        for fold, program in enumerate(programs):
-            stacked.scatter_fold(fold, program.network)
-        return fold_final
+        with fold_stack([program.network for program in programs]) as stacked:
+            return run_classifier_epochs(
+                stacked,
+                features,
+                labels,
+                config.epochs,
+                config.lr,
+                config.batch_size,
+                rngs,
+            )
 
 
 class ClientCohort:

@@ -6,10 +6,11 @@ dependency beyond numpy:
 
 * :class:`~repro.nn.module.Module` / :class:`~repro.nn.module.Sequential` —
   composable layers with manual backprop,
-* dense layers and the ReLU activation (:mod:`repro.nn.layers`),
+* dense layers and the ReLU activation (:mod:`repro.nn.layers`), each
+  running one network or, with a leading fold axis, a fold stack,
 * losses with analytic gradients (:mod:`repro.nn.losses`),
 * the Adam optimizer (:mod:`repro.nn.optim`),
-* fold-batched twins of the above (:mod:`repro.nn.batched`),
+* fold stacks and their per-fold losses (:mod:`repro.nn.batched`),
 * input-gradient computation (``Module.input_gradient``), which the
   gradient-based poisoning attacks (FGSM/PGD/MIM/CLB) require,
 * state-dict (de)serialization and numeric gradient checking.
@@ -23,12 +24,9 @@ from repro.nn.dtype import (
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.batched import (
     BatchedAdam,
-    BatchedLinear,
     BatchedMSELoss,
-    BatchedSequential,
     BatchedSparseCrossEntropyLoss,
-    BatchedTiedLinear,
-    CompositeStacker,
+    fold_stack,
     iterate_fold_batches,
 )
 from repro.nn.layers import Linear, ReLU, TiedLinear
@@ -51,10 +49,7 @@ __all__ = [
     "Module",
     "Parameter",
     "Sequential",
-    "BatchedLinear",
-    "BatchedTiedLinear",
-    "BatchedSequential",
-    "CompositeStacker",
+    "fold_stack",
     "BatchedMSELoss",
     "BatchedSparseCrossEntropyLoss",
     "BatchedAdam",

@@ -1,4 +1,12 @@
-"""Dense layers and the ReLU activation with analytic forward/backward passes."""
+"""Dense layers and the ReLU activation with analytic forward/backward passes.
+
+Every layer is rank-generic: a weight is ``(in, out)`` for one network
+or ``(n_folds, in, out)`` for a fold stack (see
+:func:`repro.nn.batched.fold_stack`), and the same expressions run both.
+``np.matmul`` on a 3-D stack runs one GEMM per fold, the bias add and
+the reductions stay inside each fold, so a stacked call reproduces the
+per-fold 2-D calls bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -12,21 +20,31 @@ from repro.nn.module import Module, Parameter
 from repro.utils.rng import fallback_rng
 
 
-def _as_batch(x: np.ndarray) -> np.ndarray:
-    """Promote a single sample to a 1-row batch."""
+def _as_input(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``x`` as a ``(batch, features)`` batch for a 2-D weight or a
+    ``(n_folds, batch, features)`` stack for a 3-D one.  A single
+    sample is promoted to a 1-row batch when the weight is 2-D."""
     x = np.asarray(x, dtype=default_dtype())
-    if x.ndim == 1:
+    if x.ndim == 1 and weight.ndim == 2:
         return x[None, :]
-    if x.ndim != 2:
-        raise ValueError(f"expected 1-D or 2-D input, got shape {x.shape}")
+    if x.ndim != weight.ndim:
+        raise ValueError(
+            f"a {weight.ndim}-D weight takes {weight.ndim}-D input, "
+            f"got shape {x.shape}"
+        )
+    if x.ndim == 3 and x.shape[0] != weight.shape[0]:
+        raise ValueError(
+            f"input carries {x.shape[0]} folds, layer has {weight.shape[0]}"
+        )
     return x
 
 
 class Linear(Module):
     """Fully connected layer: ``y = x @ W + b``.
 
-    Weights are ``(in_features, out_features)``; the layer caches its input
-    during forward so backward can form the weight gradient.
+    Weights are ``(in_features, out_features)`` (``(n_folds, in, out)``
+    inside a fold stack); the layer caches its input during forward so
+    backward can form the weight gradient.
     """
 
     def __init__(
@@ -52,23 +70,23 @@ class Linear(Module):
         self._input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_batch(x)
-        if x.shape[1] != self.in_features:
+        x = _as_input(x, self.weight.data)
+        if x.shape[-1] != self.in_features:
             raise ValueError(
-                f"Linear expected {self.in_features} features, got {x.shape[1]}"
+                f"Linear expected {self.in_features} features, got {x.shape[-1]}"
             )
         self._input = x
-        return x @ self.weight.data + self.bias.data
+        return x @ self.weight.data + self.bias.data[..., None, :]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward called before forward")
-        grad_output = _as_batch(grad_output)
+        grad_output = _as_input(grad_output, self.weight.data)
         if self.weight.trainable:
-            self.weight.grad += self._input.T @ grad_output
+            self.weight.grad += self._input.swapaxes(-1, -2) @ grad_output
         if self.bias.trainable:
-            self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.data.T
+            self.bias.grad += grad_output.sum(axis=-2)
+        return grad_output @ self.weight.data.swapaxes(-1, -2)
 
 
 class TiedLinear(Module):
@@ -83,7 +101,9 @@ class TiedLinear(Module):
     to their corresponding layers in the decoder" maps to the shared
     tensor: by default the decoder path's weight gradient flows into the
     encoder twin (classic tied autoencoder); pass ``train_weight=False``
-    for a hard-frozen view that trains only the bias.
+    for a hard-frozen view that trains only the bias.  The layer reads the
+    source's weight on every call, so inside a fold stack it runs against
+    the stacked encoder weight and its gradient accumulates there.
     """
 
     def __init__(self, source: Linear, train_weight: bool = True):
@@ -101,24 +121,27 @@ class TiedLinear(Module):
         self._input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_batch(x)
-        if x.shape[1] != self.in_features:
+        weight = self.source.weight.data
+        x = _as_input(x, weight)
+        if x.shape[-1] != self.in_features:
             raise ValueError(
-                f"TiedLinear expected {self.in_features} features, got {x.shape[1]}"
+                f"TiedLinear expected {self.in_features} features, "
+                f"got {x.shape[-1]}"
             )
         self._input = x
-        return x @ self.source.weight.data.T + self.bias.data
+        return x @ weight.swapaxes(-1, -2) + self.bias.data[..., None, :]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward called before forward")
-        grad_output = _as_batch(grad_output)
-        if self.train_weight and self.source.weight.trainable:
+        weight = self.source.weight
+        grad_output = _as_input(grad_output, weight.data)
+        if self.train_weight and weight.trainable:
             # y = x W^T  ⇒  dL/dW = g^T x (accumulated into the shared tensor)
-            self.source.weight.grad += grad_output.T @ self._input
+            weight.grad += grad_output.swapaxes(-1, -2) @ self._input
         if self.bias.trainable:
-            self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.source.weight.data
+            self.bias.grad += grad_output.sum(axis=-2)
+        return grad_output @ weight.data
 
 
 class ReLU(Module):

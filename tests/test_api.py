@@ -11,6 +11,7 @@ from repro.experiments.scenarios import tiny_preset
 from repro.registry import UnknownComponent, UnknownComponentKwarg
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden_specs")
+GOLDEN_TABLES_DIR = os.path.join(os.path.dirname(__file__), "golden_tables")
 
 
 class TestBuilder:
@@ -165,7 +166,7 @@ class TestInfo:
 class TestThreeFrontendEquivalence:
     """Acceptance: one artefact (fig4, tiny) through the CLI subcommand,
     the fluent facade and ``repro sweep --spec golden.json`` produces
-    bit-identical error tables."""
+    bit-identical error tables, and that table is the golden one."""
 
     @staticmethod
     def _table_block(text: str) -> list:
@@ -200,7 +201,8 @@ class TestThreeFrontendEquivalence:
 
         assert cli_table == facade_table
         assert cli_table == spec_table
-        assert "tau" in "\n".join(cli_table)
+        with open(os.path.join(GOLDEN_TABLES_DIR, "fig4.txt")) as handle:
+            assert cli_table == handle.read().splitlines()
 
     def test_run_spec_returns_same_result_type_as_facade(self, tmp_path):
         cache = str(tmp_path / "cache")

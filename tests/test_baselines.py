@@ -630,6 +630,11 @@ class TestOnDeviceAnomalyModel:
         with pytest.raises(ValueError):
             OnDeviceAnomalyModel(D, C, tau=-0.1)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            OnDeviceAnomalyModel(D, C, tau=tau)
+
 
 class TestRegistry:
     def test_all_frameworks_constructible(self):

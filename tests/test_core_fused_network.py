@@ -157,6 +157,12 @@ class TestThresholdDetector:
         with pytest.raises(ValueError):
             ThresholdDetector(tau=-0.01)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_tau_rejected(self, tau):
+        """RCE > NaN (or > inf) is never true: detection would be off."""
+        with pytest.raises(ValueError, match="finite"):
+            ThresholdDetector(tau=tau)
+
     def test_detect_convenience(self, net, batch):
         detector = ThresholdDetector(tau=0.0)
         assert detector.detect(net, batch[0]).all()

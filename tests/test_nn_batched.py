@@ -1,14 +1,18 @@
-"""Tests for the fold-batched kernels (`repro.nn.batched`).
+"""Tests for fold stacks (`repro.nn.batched`) and the rank-generic layers.
 
-Three contracts:
+Four contracts:
 
-* correctness — :class:`BatchedLinear`'s analytic gradients pass the
+* correctness — a stacked :class:`Linear`'s analytic gradients pass the
   central-difference check, fold by fold;
+* equivalence — a stacked ``Linear``/``TiedLinear`` call reproduces the
+  per-fold 2-D calls bit for bit, and a stacked training run reproduces
+  ``n`` serial per-fold runs bit for bit at float64 (within a pinned
+  drift bound at float32), which is what every fold program stands on;
 * isolation — fold ``k``'s output and gradients are unaffected by the
   other folds' data;
-* equivalence — a batched training run reproduces ``n`` serial per-fold
-  runs bit for bit at float64 (and within a pinned drift bound at
-  float32), which is what FEDLS's detection rewrite stands on.
+* bookkeeping — :func:`fold_stack` hands every module its own fold back,
+  also when the block raises, touches nothing when the structures
+  differ, draws no rng, and keeps ties on the stacked encoder.
 """
 
 import itertools
@@ -21,109 +25,157 @@ from repro.data.datasets import FingerprintDataset, iterate_batches
 from repro.nn import (
     Adam,
     BatchedAdam,
-    BatchedLinear,
     BatchedMSELoss,
-    BatchedSequential,
     BatchedSparseCrossEntropyLoss,
     Linear,
     MSELoss,
     ReLU,
     Sequential,
     SparseCrossEntropyLoss,
+    TiedLinear,
     compute_dtype,
+    fold_stack,
     iterate_fold_batches,
 )
 from repro.nn.gradcheck import check_input_gradient, check_parameter_gradients
 from repro.utils.rng import spawn_rng
 
 F, B, DIN, DOUT = 3, 4, 5, 6  # folds, batch, in, out
+HID = 7
+#: SAFELOC's encoder layers (building1's 203 APs → 128 → 89 → 62)
+SAFELOC_SHAPES = [(203, 128), (128, 89), (89, 62)]
 
 
 def _rngs(n, seed=0):
     return [spawn_rng(seed, f"fold-{k}") for k in range(n)]
 
 
-def _batched_net(n_folds, feat, hidden, rngs=None):
-    rngs = rngs or _rngs(n_folds)
-    return BatchedSequential(
-        BatchedLinear(n_folds, feat, hidden, rngs),
-        ReLU(),
-        BatchedLinear(n_folds, hidden, feat, rngs),
-    )
-
-
 def _serial_net(feat, hidden, rng):
     return Sequential(Linear(feat, hidden, rng), ReLU(), Linear(hidden, feat, rng))
 
 
-class TestBatchedLinear:
+def _serial_nets(n=F, seed=0, feat=DIN, hidden=HID):
+    return [_serial_net(feat, hidden, rng) for rng in _rngs(n, seed)]
+
+
+def _tied_pairs(seed=13, train_weight=True, n=F, din=DIN, dout=HID):
+    """Per-fold ``Sequential(encoder, tied decoder)`` pairs."""
+    pairs = []
+    for rng in _rngs(n, seed):
+        encoder = Linear(din, dout, rng)
+        pairs.append(Sequential(encoder, TiedLinear(encoder, train_weight)))
+    return pairs
+
+
+def _state(module):
+    return {name: p.data.copy() for name, p in module.named_parameters()}
+
+
+class TestStackedLinear:
     def test_forward_matches_per_fold_linear(self):
-        layer = BatchedLinear(F, DIN, DOUT, _rngs(F))
+        singles = [Linear(DIN, DOUT, rng) for rng in _rngs(F)]
         x = np.random.default_rng(0).normal(size=(F, B, DIN))
-        out = layer.forward(x)
-        assert out.shape == (F, B, DOUT)
-        for k in range(F):
-            expected = x[k] @ layer.weight.data[k] + layer.bias.data[k]
-            np.testing.assert_array_equal(out[k], expected)
+        with fold_stack(singles) as layer:
+            out = layer.forward(x)
+            assert out.shape == (F, B, DOUT)
+            for k in range(F):
+                expected = x[k] @ layer.weight.data[k] + layer.bias.data[k]
+                np.testing.assert_array_equal(out[k], expected)
 
     def test_gradcheck_parameters_and_input(self):
-        layer = BatchedLinear(F, DIN, DOUT, _rngs(F))
+        singles = [Linear(DIN, DOUT, rng) for rng in _rngs(F)]
         x = np.random.default_rng(1).normal(size=(F, B, DIN))
         target = np.random.default_rng(2).normal(size=(F, B, DOUT))
         loss = lambda out: float(((out - target) ** 2).sum())
         loss_grad = lambda out: 2.0 * (out - target)
-        check_parameter_gradients(layer, x, loss, loss_grad)
-        check_input_gradient(layer, x, loss, loss_grad)
+        with fold_stack(singles) as layer:
+            check_parameter_gradients(layer, x, loss, loss_grad)
+            check_input_gradient(layer, x, loss, loss_grad)
 
-    def test_single_sample_promotion(self):
-        layer = BatchedLinear(F, DIN, DOUT, _rngs(F))
-        x = np.random.default_rng(3).normal(size=(F, DIN))
-        assert layer.forward(x).shape == (F, 1, DOUT)
-
-    def test_from_linears_stacks_weights(self):
-        singles = [Linear(DIN, DOUT, rng) for rng in _rngs(F, seed=9)]
-        batched = BatchedLinear.from_linears(singles)
-        x = np.random.default_rng(4).normal(size=(F, B, DIN))
-        out = batched.forward(x)
-        for k, single in enumerate(singles):
-            np.testing.assert_array_equal(out[k], single.forward(x[k]))
-
-    def test_from_linears_copies_exactly_without_init(self, monkeypatch):
-        """Fold k holds an exact copy of source k's tensors, sharing no
-        memory with it, and stacking runs no initializer: the global
-        fallback stream is not drawn."""
-        singles = [Linear(DIN, DOUT, rng) for rng in _rngs(F, seed=9)]
-        counter = itertools.count()
-        monkeypatch.setattr(rng_module, "_FALLBACK_COUNTER", counter)
-        batched = BatchedLinear.from_linears(singles)
-        assert next(counter) == 0
-        assert (batched.n_folds, batched.in_features, batched.out_features) == (
-            F, DIN, DOUT,
-        )
-        assert len(batched.parameters()) == 2
-        for param in batched.parameters():
-            assert param.grad.shape == param.data.shape
-            assert not param.grad.any()
-        for k, single in enumerate(singles):
-            for name, param in single.named_parameters():
-                stacked = getattr(batched, name).data
-                np.testing.assert_array_equal(stacked[k], param.data)
-                assert not np.shares_memory(stacked, param.data)
+    def test_rank_follows_the_weight(self):
+        """A 2-D weight promotes one sample to a 1-row batch; a stacked
+        weight takes only ``(n_folds, batch, in)`` stacks."""
+        singles = [Linear(DIN, DOUT, rng) for rng in _rngs(F)]
+        sample = np.random.default_rng(3).normal(size=DIN)
+        assert singles[1].forward(sample).shape == (1, DOUT)
+        with fold_stack(singles) as layer:
+            with pytest.raises(ValueError, match="3-D weight takes 3-D"):
+                layer.forward(np.zeros((F, DIN)))
+            with pytest.raises(ValueError, match="3-D weight takes 3-D"):
+                layer.forward(sample)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BatchedLinear(0, DIN, DOUT)
+            Linear(0, DOUT)
         with pytest.raises(ValueError):
-            BatchedLinear(F, 0, DOUT)
-        with pytest.raises(ValueError):
-            BatchedLinear(F, DIN, DOUT, _rngs(F - 1))
-        layer = BatchedLinear(F, DIN, DOUT, _rngs(F))
-        with pytest.raises(ValueError):
-            layer.forward(np.zeros((F + 1, B, DIN)))
-        with pytest.raises(ValueError):
-            layer.forward(np.zeros((F, B, DIN + 2)))
-        with pytest.raises(RuntimeError):
-            BatchedLinear(F, DIN, DOUT, _rngs(F)).backward(np.zeros((F, B, DOUT)))
+            Linear(DIN, 0)
+        singles = [Linear(DIN, DOUT, rng) for rng in _rngs(F)]
+        with fold_stack(singles) as layer:
+            with pytest.raises(RuntimeError):
+                layer.backward(np.zeros((F, B, DOUT)))
+            with pytest.raises(ValueError, match="folds"):
+                layer.forward(np.zeros((F + 1, B, DIN)))
+            with pytest.raises(ValueError, match="features"):
+                layer.forward(np.zeros((F, B, DIN + 2)))
+
+
+class TestStackedMatchesPerFold:
+    """A stacked call is the per-fold 2-D calls, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 300])
+    @pytest.mark.parametrize("shape", SAFELOC_SHAPES, ids=str)
+    def test_linear(self, batch, shape):
+        din, dout = shape
+        singles = [Linear(din, dout, rng) for rng in _rngs(F, seed=31)]
+        rng = np.random.default_rng(batch)
+        for layer in singles:  # non-zero biases exercise the bias add
+            layer.bias.data = rng.normal(size=dout)
+        x = rng.normal(size=(F, batch, din))
+        grad_out = rng.normal(size=(F, batch, dout))
+        expected = []
+        for k, layer in enumerate(singles):
+            out = layer.forward(x[k])
+            dx = layer.backward(grad_out[k])
+            expected.append(
+                (out, dx, layer.weight.grad.copy(), layer.bias.grad.copy())
+            )
+        with fold_stack(singles) as stacked:
+            out = stacked.forward(x)
+            dx = stacked.backward(grad_out)
+            for k, (out_k, dx_k, dw_k, db_k) in enumerate(expected):
+                np.testing.assert_array_equal(out[k], out_k)
+                np.testing.assert_array_equal(dx[k], dx_k)
+                np.testing.assert_array_equal(stacked.weight.grad[k], dw_k)
+                np.testing.assert_array_equal(stacked.bias.grad[k], db_k)
+
+    @pytest.mark.parametrize("batch", [1, 7, 300])
+    @pytest.mark.parametrize("shape", SAFELOC_SHAPES, ids=str)
+    def test_tied_linear(self, batch, shape):
+        """The decoder direction: input is the encoder's output width,
+        the weight gradient lands on the (stacked) encoder weight."""
+        din, dout = shape
+        pairs = _tied_pairs(seed=32, n=F, din=din, dout=dout)
+        rng = np.random.default_rng(batch)
+        for pair in pairs:
+            pair[1].bias.data = rng.normal(size=din)
+        x = rng.normal(size=(F, batch, dout))
+        grad_out = rng.normal(size=(F, batch, din))
+        expected = []
+        for k, (encoder, tied) in enumerate(pairs):
+            out = tied.forward(x[k])
+            dx = tied.backward(grad_out[k])
+            expected.append(
+                (out, dx, encoder.weight.grad.copy(), tied.bias.grad.copy())
+            )
+        with fold_stack(pairs) as stacked:
+            encoder, tied = stacked
+            out = tied.forward(x)
+            dx = tied.backward(grad_out)
+            for k, (out_k, dx_k, dw_k, db_k) in enumerate(expected):
+                np.testing.assert_array_equal(out[k], out_k)
+                np.testing.assert_array_equal(dx[k], dx_k)
+                np.testing.assert_array_equal(encoder.weight.grad[k], dw_k)
+                np.testing.assert_array_equal(tied.bias.grad[k], db_k)
 
 
 class TestFoldIndependence:
@@ -136,16 +188,16 @@ class TestFoldIndependence:
 
         results = []
         for batch in (x, perturbed):
-            net = _batched_net(F, DIN, 7)
-            loss = BatchedMSELoss()
-            loss(net.forward(batch), np.zeros((F, B, DIN)))
-            net.backward(loss.backward())
-            results.append(
-                (
-                    net.forward(batch)[0].copy(),
-                    [p.grad[0].copy() for p in net.parameters()],
+            with fold_stack(_serial_nets()) as net:
+                loss = BatchedMSELoss()
+                loss(net.forward(batch), np.zeros((F, B, DIN)))
+                net.backward(loss.backward())
+                results.append(
+                    (
+                        net.forward(batch)[0].copy(),
+                        [p.grad[0].copy() for p in net.parameters()],
+                    )
                 )
-            )
         np.testing.assert_array_equal(results[0][0], results[1][0])
         for g_a, g_b in zip(results[0][1], results[1][1]):
             np.testing.assert_array_equal(g_a, g_b)
@@ -153,18 +205,19 @@ class TestFoldIndependence:
 
 class TestBatchedTrainingEquivalence:
     def _train_batched(self, x, epochs=25):
-        net = _batched_net(F, DIN, 7)
-        loss = BatchedMSELoss()
-        optimizer = BatchedAdam(net.trainable_parameters(), lr=0.01)
-        for _ in range(epochs):
-            net.zero_grad()
-            loss(net.forward(x), x)
-            net.backward(loss.backward())
-            optimizer.step()
-        return net
+        nets = _serial_nets()
+        with fold_stack(nets) as net:
+            loss = BatchedMSELoss()
+            optimizer = BatchedAdam(net.trainable_parameters(), lr=0.01)
+            for _ in range(epochs):
+                net.zero_grad()
+                loss(net.forward(x), x)
+                net.backward(loss.backward())
+                optimizer.step()
+        return nets
 
     def _train_serial(self, x, epochs=25):
-        nets = [_serial_net(DIN, 7, rng) for rng in _rngs(F)]
+        nets = _serial_nets()
         for k, net in enumerate(nets):
             loss = MSELoss()
             optimizer = Adam(net.trainable_parameters(), lr=0.01)
@@ -180,8 +233,7 @@ class TestBatchedTrainingEquivalence:
         x = np.random.default_rng(6).normal(size=(F, B, DIN))
         batched = self._train_batched(x)
         serial = self._train_serial(x)
-        for k, net in enumerate(serial):
-            fold = batched.unstack_fold(k)
+        for fold, net in zip(batched, serial):
             for (_, p_b), (_, p_s) in zip(
                 fold.named_parameters(), net.named_parameters()
             ):
@@ -194,8 +246,7 @@ class TestBatchedTrainingEquivalence:
             batched = self._train_batched(x)
             serial = self._train_serial(x)
         worst = 0.0
-        for k, net in enumerate(serial):
-            fold = batched.unstack_fold(k)
+        for fold, net in zip(batched, serial):
             for (_, p_b), (_, p_s) in zip(
                 fold.named_parameters(), net.named_parameters()
             ):
@@ -203,28 +254,228 @@ class TestBatchedTrainingEquivalence:
         assert worst <= 1e-5
 
 
-class TestBatchedSequential:
-    def test_rejects_inconsistent_folds(self):
-        with pytest.raises(ValueError):
-            BatchedSequential(
-                BatchedLinear(2, DIN, DOUT, _rngs(2)),
-                BatchedLinear(3, DOUT, DIN, _rngs(3)),
+class TestFoldStack:
+    """Stacking live networks and handing every fold back."""
+
+    def test_forward_matches_each_source_network(self):
+        singles = _serial_nets(seed=11)
+        x = np.random.default_rng(0).normal(size=(F, B, DIN))
+        expected = [single.forward(x[k]) for k, single in enumerate(singles)]
+        with fold_stack(singles) as stacked:
+            assert stacked is singles[0]
+            out = stacked.forward(x)
+        for k, out_k in enumerate(expected):
+            np.testing.assert_array_equal(out[k], out_k)
+
+    def test_copies_exactly_without_init(self, monkeypatch):
+        """Fold k holds an exact copy of module k's tensors, sharing no
+        memory with it, with a zero gradient, and stacking runs no
+        initializer: the global fallback stream is not drawn."""
+        singles = _serial_nets(seed=9)
+        states = [_state(single) for single in singles]
+        counter = itertools.count()
+        monkeypatch.setattr(rng_module, "_FALLBACK_COUNTER", counter)
+        with fold_stack(singles) as stacked:
+            assert next(counter) == 0
+            assert len(stacked.parameters()) == 4
+            for name, param in stacked.named_parameters():
+                assert param.data.shape[0] == F
+                assert param.grad.shape == param.data.shape
+                assert not param.grad.any()
+                for k, single in enumerate(singles):
+                    np.testing.assert_array_equal(
+                        param.data[k], states[k][name]
+                    )
+                    if k:
+                        own = dict(single.named_parameters())[name]
+                        assert not np.shares_memory(param.data, own.data)
+
+    def test_exit_hands_each_fold_back(self):
+        singles = _serial_nets(seed=11)
+        with fold_stack(singles) as stacked:
+            stacked.layers[0].weight.data *= 1.5
+            stacked.layers[0].bias.data += 0.25
+            trained = _state(stacked)
+        for k, single in enumerate(singles):
+            for name, param in single.named_parameters():
+                np.testing.assert_array_equal(param.data, trained[name][k])
+                assert param.data.shape == trained[name].shape[1:]
+                assert param.data.flags.owndata  # a copy, not a view
+                assert param.grad.shape == param.data.shape
+                assert not param.grad.any()
+            assert not any(
+                np.shares_memory(param.data, other.data)
+                for other_single in singles
+                if other_single is not single
+                for other in other_single.parameters()
             )
 
-    def test_unstack_fold_bounds(self):
-        net = _batched_net(F, DIN, 7)
-        with pytest.raises(IndexError):
-            net.unstack_fold(F)
-        with pytest.raises(IndexError):
-            net.unstack_fold(-1)
+    def test_exit_restores_every_fold_when_the_block_raises(self):
+        singles = _serial_nets(seed=12)
+        states = [_state(single) for single in singles]
+        x = np.random.default_rng(2).normal(size=(F, B, DIN))
+        with pytest.raises(RuntimeError, match="mid-step"):
+            with fold_stack(singles) as stacked:
+                loss = BatchedMSELoss()
+                loss(stacked.forward(x), x)
+                stacked.backward(loss.backward())
+                stacked.layers[2].bias.data += 1.0
+                raise RuntimeError("mid-step")
+        for k, single in enumerate(singles):
+            for name, param in single.named_parameters():
+                expected = states[k][name] + (1.0 if name == "2.bias" else 0)
+                np.testing.assert_array_equal(param.data, expected)
+                assert param.grad.shape == param.data.shape
+                assert not param.grad.any()
 
-    def test_unstack_fold_copies(self):
-        net = _batched_net(F, DIN, 7)
-        fold = net.unstack_fold(1)
-        fold.layers[0].weight.data += 1.0
-        assert not np.allclose(
-            fold.layers[0].weight.data, net.layers[0].weight.data[1]
+    def test_one_module_stacked_n_times_keeps_the_last_fold(self):
+        single = _serial_nets(n=1)[0]
+        with fold_stack([single] * F) as stacked:
+            stacked.layers[0].bias.data[:] = np.arange(F)[:, None]
+        np.testing.assert_array_equal(
+            single.layers[0].bias.data, np.full(HID, F - 1.0)
         )
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda rng: Sequential(Linear(DIN, HID, rng)),  # fewer layers
+            lambda rng: Sequential(  # same layers, other order
+                Linear(DIN, HID, rng), Linear(HID, DIN, rng), ReLU()
+            ),
+            lambda rng: _serial_net(DIN, HID + 1, rng),  # other widths
+        ],
+        ids=["short", "reordered", "wider"],
+    )
+    def test_structure_mismatch_leaves_first_module_untouched(self, other):
+        first = _serial_nets(n=1, seed=3)[0]
+        before = [(p, p.data, p.grad) for p in first.parameters()]
+        with pytest.raises(ValueError, match="does not match module 0"):
+            with fold_stack([first, other(_rngs(1, seed=4)[0])]):
+                pass  # pragma: no cover - the stack is never entered
+        for param, data, grad in before:
+            assert param.data is data
+            assert param.grad is grad
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            with fold_stack([]):
+                pass  # pragma: no cover - the stack is never entered
+
+
+class TestStackedTiedLinear:
+    """Ties inside a fold stack: the decoder reads the stacked encoder."""
+
+    def test_frozen_weight_view_trains_only_bias(self):
+        pairs = _tied_pairs(seed=4, train_weight=False)
+        rng = np.random.default_rng(2)
+        with fold_stack(pairs) as stacked:
+            encoder, tied = stacked
+            tied.forward(rng.normal(size=(F, B, HID)))
+            tied.backward(rng.normal(size=(F, B, DIN)))
+            assert not encoder.weight.grad.any()
+            assert np.abs(tied.bias.grad).max() > 0
+
+    def test_fold_independence(self):
+        """Fold 0's gradients ignore every other fold's data."""
+        results = []
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(F, B, HID))
+        noisy = x.copy()
+        noisy[1:] += 10.0
+        grad_out = rng.normal(size=(F, B, DIN))
+        for batch in (x, noisy):
+            with fold_stack(_tied_pairs()) as stacked:
+                encoder, tied = stacked
+                tied.forward(batch)
+                tied.backward(grad_out)
+                results.append(
+                    (encoder.weight.grad[0].copy(), tied.bias.grad[0].copy())
+                )
+        np.testing.assert_array_equal(results[0][0], results[1][0])
+        np.testing.assert_array_equal(results[0][1], results[1][1])
+
+    def test_validation(self):
+        with pytest.raises(TypeError):
+            TiedLinear(ReLU())
+        with fold_stack(_tied_pairs()) as stacked:
+            tied = stacked[1]
+            with pytest.raises(ValueError, match="folds"):
+                tied.forward(np.zeros((F - 1, B, HID)))
+            with pytest.raises(ValueError, match="features"):
+                tied.forward(np.zeros((F, B, HID + 1)))
+            with pytest.raises(ValueError, match="3-D weight takes 3-D"):
+                tied.forward(np.zeros((B, HID)))
+
+
+class TestStackedComposite:
+    """Encoder + tied-decoder stages stacked as one network (SAFELOC's
+    shape): the tie holds by construction."""
+
+    def _composites(self, seed=21):
+        """Per-fold ``Sequential(encoder, decoder)``; decoder ties encoder."""
+        folds = []
+        for rng in _rngs(F, seed=seed):
+            linear = Linear(DIN, HID, rng)
+            folds.append(
+                Sequential(
+                    Sequential(linear, ReLU()), Sequential(TiedLinear(linear))
+                )
+            )
+        return folds
+
+    def test_stacked_pipeline_matches_serial(self):
+        folds = self._composites()
+        x = np.random.default_rng(0).normal(size=(F, B, DIN))
+        expected = [fold.forward(x[k]) for k, fold in enumerate(folds)]
+        with fold_stack(folds) as stacked:
+            recon = stacked.forward(x)
+        for k, recon_k in enumerate(expected):
+            np.testing.assert_array_equal(recon[k], recon_k)
+
+    def test_tied_gradient_flows_into_stacked_encoder(self):
+        folds = self._composites()
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(F, B, DIN))
+        grad_out = rng.normal(size=(F, B, DIN))
+        expected = []
+        for k, fold in enumerate(folds):
+            fold.forward(x[k])
+            fold.backward(grad_out[k])
+            encoder_weight = fold[0][0].weight
+            expected.append(encoder_weight.grad.copy())
+            # the tie alone, without the encoder path's own gradient
+            fold.zero_grad()
+            fold[1].forward(fold[0].forward(x[k]))
+            fold[1].backward(grad_out[k])
+            expected[-1] = (expected[-1], encoder_weight.grad.copy())
+        with fold_stack(folds) as stacked:
+            weight = stacked[0][0].weight
+            assert stacked[1][0].source.weight is weight
+            stacked[1].forward(stacked[0].forward(x))
+            stacked[1].backward(grad_out)
+            for k, (_, tie_only) in enumerate(expected):
+                np.testing.assert_array_equal(weight.grad[k], tie_only)
+            stacked.zero_grad()
+            stacked.forward(x)
+            stacked.backward(grad_out)
+            for k, (both, _) in enumerate(expected):
+                np.testing.assert_array_equal(weight.grad[k], both)
+
+    def test_exit_restores_tied_bias_and_keeps_each_tie(self):
+        folds = self._composites()
+        with fold_stack(folds) as stacked:
+            stacked[1][0].bias.data += 0.5
+            stacked[0][0].weight.data *= 2.0
+            trained_bias = stacked[1][0].bias.data.copy()
+            trained_weight = stacked[0][0].weight.data.copy()
+        for k, fold in enumerate(folds):
+            encoder, tied = fold[0][0], fold[1][0]
+            np.testing.assert_array_equal(tied.bias.data, trained_bias[k])
+            np.testing.assert_array_equal(
+                encoder.weight.data, trained_weight[k]
+            )
+            assert tied.source is encoder
 
 
 class TestBatchedMSELoss:
@@ -251,272 +502,6 @@ class TestBatchedMSELoss:
             BatchedMSELoss()(np.zeros((B, DIN)), np.zeros((B, DIN)))
         with pytest.raises(RuntimeError):
             BatchedMSELoss().backward()
-
-
-class TestFromModules:
-    """Stacking live per-fold networks and scattering weights back."""
-
-    def _singles(self, seed=11):
-        return [
-            _serial_net(DIN, 7, rng) for rng in _rngs(F, seed=seed)
-        ]
-
-    def test_forward_matches_each_source_network(self):
-        singles = self._singles()
-        stacked = BatchedSequential.from_modules(singles)
-        x = np.random.default_rng(0).normal(size=(F, B, DIN))
-        out = stacked.forward(x)
-        for k, single in enumerate(singles):
-            np.testing.assert_array_equal(out[k], single.forward(x[k]))
-
-    def test_weights_are_copies(self):
-        singles = self._singles()
-        stacked = BatchedSequential.from_modules(singles)
-        stacked.layers[0].weight.data += 1.0
-        x = np.random.default_rng(1).normal(size=(F, B, DIN))
-        assert not np.allclose(
-            stacked.forward(x)[0], singles[0].forward(x[0])
-        )
-
-    def test_scatter_fold_round_trips(self):
-        singles = self._singles()
-        stacked = BatchedSequential.from_modules(singles)
-        stacked.layers[0].weight.data *= 1.5
-        stacked.layers[0].bias.data += 0.25
-        targets = self._singles(seed=99)  # different weights, same shape
-        for k, target in enumerate(targets):
-            stacked.scatter_fold(k, target)
-            np.testing.assert_array_equal(
-                target.layers[0].weight.data, stacked.layers[0].weight.data[k]
-            )
-            np.testing.assert_array_equal(
-                target.layers[0].bias.data, stacked.layers[0].bias.data[k]
-            )
-
-    def test_validation(self):
-        singles = self._singles()
-        with pytest.raises(ValueError):
-            BatchedSequential.from_modules([])
-        with pytest.raises(TypeError):
-            BatchedSequential.from_modules([singles[0], Linear(DIN, 7)])
-        short = Sequential(Linear(DIN, 7, _rngs(1)[0]))
-        with pytest.raises(ValueError):
-            BatchedSequential.from_modules([singles[0], short])
-        swapped = Sequential(
-            Linear(DIN, 7, _rngs(1)[0]), Linear(7, DIN, _rngs(1)[0]), ReLU()
-        )
-        with pytest.raises(TypeError):
-            BatchedSequential.from_modules([singles[0], swapped])
-        stacked = BatchedSequential.from_modules(singles)
-        with pytest.raises(IndexError):
-            stacked.scatter_fold(F, singles[0])
-        with pytest.raises(ValueError):
-            stacked.scatter_fold(0, short)
-
-
-class TestBatchedTiedLinear:
-    """Fold-batched TiedLinear: transposed views of a stacked source."""
-
-    HID = 7
-
-    def _per_fold_pairs(self, seed=13):
-        from repro.nn import TiedLinear
-
-        pairs = []
-        for rng in _rngs(F, seed=seed):
-            enc = Linear(DIN, self.HID, rng)
-            pairs.append((enc, TiedLinear(enc)))
-        return pairs
-
-    def _stacked_pair(self, pairs):
-        from repro.nn.batched import BatchedTiedLinear
-
-        source = BatchedLinear.from_linears([enc for enc, _ in pairs])
-        tied = BatchedTiedLinear.from_tied([dec for _, dec in pairs], source)
-        return source, tied
-
-    def test_forward_matches_per_fold_tied(self):
-        pairs = self._per_fold_pairs()
-        source, tied = self._stacked_pair(pairs)
-        x = np.random.default_rng(0).normal(size=(F, B, self.HID))
-        out = tied.forward(x)
-        assert out.shape == (F, B, DIN)
-        for k, (_, dec) in enumerate(pairs):
-            np.testing.assert_array_equal(out[k], dec.forward(x[k]))
-
-    def test_gradients_match_per_fold_tied(self):
-        """Bias grad and the tied weight grad flowing into the source
-        must equal each serial fold's — the SAFELOC decoder contract."""
-        pairs = self._per_fold_pairs()
-        source, tied = self._stacked_pair(pairs)
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(F, B, self.HID))
-        grad_out = rng.normal(size=(F, B, DIN))
-        tied.forward(x)
-        grad_in = tied.backward(grad_out)
-        for k, (enc, dec) in enumerate(pairs):
-            dec.forward(x[k])
-            expected_in = dec.backward(grad_out[k])
-            np.testing.assert_array_equal(grad_in[k], expected_in)
-            np.testing.assert_array_equal(
-                source.weight.grad[k], enc.weight.grad
-            )
-            np.testing.assert_array_equal(tied.bias.grad[k], dec.bias.grad)
-
-    def test_frozen_weight_view_trains_only_bias(self):
-        from repro.nn import TiedLinear
-        from repro.nn.batched import BatchedTiedLinear
-
-        encs = [Linear(DIN, self.HID, rng) for rng in _rngs(F, seed=4)]
-        ties = [TiedLinear(enc, train_weight=False) for enc in encs]
-        source = BatchedLinear.from_linears(encs)
-        tied = BatchedTiedLinear.from_tied(ties, source)
-        rng = np.random.default_rng(2)
-        tied.forward(rng.normal(size=(F, B, self.HID)))
-        tied.backward(rng.normal(size=(F, B, DIN)))
-        np.testing.assert_array_equal(
-            source.weight.grad, np.zeros_like(source.weight.grad)
-        )
-        assert np.abs(tied.bias.grad).max() > 0
-
-    def test_fold_independence(self):
-        """Fold 0's gradients ignore every other fold's data."""
-        results = []
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(F, B, self.HID))
-        noisy = x.copy()
-        noisy[1:] += 10.0
-        grad_out = rng.normal(size=(F, B, DIN))
-        for batch in (x, noisy):
-            pairs = self._per_fold_pairs()
-            source, tied = self._stacked_pair(pairs)
-            tied.forward(batch)
-            tied.backward(grad_out)
-            results.append(
-                (source.weight.grad[0].copy(), tied.bias.grad[0].copy())
-            )
-        np.testing.assert_array_equal(results[0][0], results[1][0])
-        np.testing.assert_array_equal(results[0][1], results[1][1])
-
-    def test_validation(self):
-        from repro.nn import TiedLinear
-        from repro.nn.batched import BatchedTiedLinear
-
-        pairs = self._per_fold_pairs()
-        source, _ = self._stacked_pair(pairs)
-        with pytest.raises(TypeError):
-            BatchedTiedLinear(Linear(DIN, self.HID))
-        with pytest.raises(ValueError):
-            BatchedTiedLinear.from_tied([], source)
-        with pytest.raises(ValueError):  # fold count mismatch
-            BatchedTiedLinear.from_tied(
-                [dec for _, dec in pairs[:-1]], source
-            )
-        other = Linear(DIN + 1, self.HID, _rngs(1)[0])
-        with pytest.raises(ValueError):  # shape does not mirror source
-            BatchedTiedLinear.from_tied([TiedLinear(other)] * F, source)
-
-
-class TestCompositeStacker:
-    """Cross-stage stacking with preserved weight tying (SAFELOC shape)."""
-
-    HID = 7
-
-    def _composites(self, seed=21):
-        """Per-fold (encoder, decoder) stages: decoder ties encoder."""
-        from repro.nn import TiedLinear
-
-        folds = []
-        for rng in _rngs(F, seed=seed):
-            enc_lin = Linear(DIN, self.HID, rng)
-            encoder = Sequential(enc_lin, ReLU())
-            decoder = Sequential(TiedLinear(enc_lin))
-            folds.append((encoder, decoder))
-        return folds
-
-    def test_stacked_pipeline_matches_serial(self):
-        from repro.nn.batched import CompositeStacker
-
-        folds = self._composites()
-        stacker = CompositeStacker()
-        encoder = stacker.stack([enc for enc, _ in folds])
-        decoder = stacker.stack([dec for _, dec in folds])
-        x = np.random.default_rng(0).normal(size=(F, B, DIN))
-        latent = encoder.forward(x)
-        recon = decoder.forward(latent)
-        for k, (enc, dec) in enumerate(folds):
-            np.testing.assert_array_equal(
-                recon[k], dec.forward(enc.forward(x[k]))
-            )
-
-    def test_tied_gradient_flows_into_stacked_encoder(self):
-        from repro.nn.batched import CompositeStacker
-
-        folds = self._composites()
-        stacker = CompositeStacker()
-        encoder = stacker.stack([enc for enc, _ in folds])
-        decoder = stacker.stack([dec for _, dec in folds])
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(F, B, DIN))
-        grad_out = rng.normal(size=(F, B, DIN))
-        latent = encoder.forward(x)
-        decoder.forward(latent)
-        encoder.backward(decoder.backward(grad_out))
-        for k, (enc, dec) in enumerate(folds):
-            enc.zero_grad()
-            dec.zero_grad()
-            dec.forward(enc.forward(x[k]))
-            enc.backward(dec.backward(grad_out[k]))
-            np.testing.assert_array_equal(
-                encoder.layers[0].weight.grad[k], enc.layers[0].weight.grad
-            )
-
-    def test_scatter_fold_copies_tied_bias_only(self):
-        from repro.nn.batched import CompositeStacker
-
-        folds = self._composites()
-        stacker = CompositeStacker()
-        stacker.stack([enc for enc, _ in folds])
-        decoder = stacker.stack([dec for _, dec in folds])
-        decoder.layers[0].bias.data += 0.5
-        target_folds = self._composites(seed=99)
-        for k, (_, dec) in enumerate(target_folds):
-            decoder.scatter_fold(k, dec)
-            np.testing.assert_array_equal(
-                dec.layers[0].bias.data, decoder.layers[0].bias.data[k]
-            )
-
-    def test_tie_to_unstacked_source_rejected(self):
-        from repro.nn.batched import CompositeStacker
-
-        folds = self._composites()
-        with pytest.raises(ValueError, match="stack the source stage"):
-            CompositeStacker().stack([dec for _, dec in folds])
-
-    def test_misordered_folds_rejected(self):
-        """Decoders presented in a different fold order than their
-        encoders must be caught — a silent mis-tie would train fold k's
-        decoder against fold j's weights."""
-        from repro.nn.batched import CompositeStacker
-
-        folds = self._composites()
-        stacker = CompositeStacker()
-        stacker.stack([enc for enc, _ in folds])
-        shuffled = [folds[1][1], folds[0][1], folds[2][1]]
-        with pytest.raises(ValueError, match="same order"):
-            stacker.stack(shuffled)
-
-    def test_parametered_non_linear_layer_rejected(self):
-        from repro.nn.batched import CompositeStacker
-        from repro.nn.layers import Parameter
-
-        class Odd(ReLU):
-            def parameters(self):
-                return [Parameter(np.zeros(2), "w")]
-
-        stages = [Sequential(Odd()) for _ in range(F)]
-        with pytest.raises(TypeError):
-            CompositeStacker().stack(stages)
 
 
 class TestBatchedSparseCrossEntropyLoss:
@@ -623,7 +608,7 @@ class TestBatchedAdam:
         """The fold-aware contract: 4·n serial parameter updates collapse
         to 4 stacked arrays, each stepped by Adam's tiled in-place pass
         (cache-sized slices, one sweep over the stack)."""
-        net = _batched_net(F, DIN, 7)
-        optimizer = BatchedAdam(net.trainable_parameters(), lr=0.01)
-        assert len(optimizer.parameters) == 4  # 2 layers × (weight, bias)
-        assert all(p.data.shape[0] == F for p in optimizer.parameters)
+        with fold_stack(_serial_nets()) as net:
+            optimizer = BatchedAdam(net.trainable_parameters(), lr=0.01)
+            assert len(optimizer.parameters) == 4  # 2 layers × (weight, bias)
+            assert all(p.data.shape[0] == F for p in optimizer.parameters)

@@ -85,7 +85,7 @@ class TestLinear:
 
     def test_rejects_three_dimensional_input(self):
         layer = Linear(4, 3, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="1-D or 2-D"):
+        with pytest.raises(ValueError, match="2-D weight takes 2-D input"):
             layer(np.zeros((2, 2, 4)))
 
     def test_frozen_weight_gets_no_gradient(self):

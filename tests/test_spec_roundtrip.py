@@ -334,6 +334,18 @@ class TestValidation:
         with pytest.raises(SpecValidationError, match="not valid JSON"):
             load_plan(str(path))
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_constants_rejected(self, tmp_path, value):
+        """``json`` reads ``NaN``/``Infinity`` by default; a NaN τ would
+        pass every range check and switch SAFELOC's detector off."""
+        with open(os.path.join(GOLDEN_DIR, "fig4.json")) as handle:
+            text = handle.read()
+        assert '"tau": 0.05' in text
+        path = tmp_path / "fig4.json"
+        path.write_text(text.replace('"tau": 0.05', f'"tau": {value}'))
+        with pytest.raises(SpecValidationError, match="not valid JSON"):
+            load_plan(str(path))
+
     def test_error_carries_file_path(self, tmp_path):
         payload = self.payload()
         payload["schema_version"] = 99
