@@ -44,7 +44,6 @@ from repro.experiments.artefact_registry import (
     find_collector,
 )
 from repro.experiments.engine import (
-    EXECUTORS,
     CellResult,
     SweepEngine,
     SweepPlan,
@@ -52,7 +51,12 @@ from repro.experiments.engine import (
     scenario,
 )
 from repro.experiments.scenarios import Preset, get_preset
-from repro.experiments.scheduler import ON_ERROR_MODES, SweepInterrupted
+from repro.experiments.scheduler import (
+    ENGINE_KNOBS,
+    EngineConfigError,
+    SweepInterrupted,
+    engine_problems,
+)
 from repro.experiments.specio import (
     SpecValidationError,
     load_payload,
@@ -98,13 +102,10 @@ class ExperimentBuilder:
         self._seed: Optional[int] = None
         self._overrides: Dict[str, object] = {}
         self._options: Dict[str, object] = {}
-        self._jobs: Optional[int] = None
-        self._executor: Optional[str] = None
+        #: the scheduling knobs set so far (``None`` unsets one)
+        self._knobs: Dict[str, object] = {}
         self._cache_dir: Optional[str] = None
         self._resume = False
-        self._cell_timeout: Optional[float] = None
-        self._retries: Optional[int] = None
-        self._on_error: Optional[str] = None
         self._engine: Optional[SweepEngine] = None
 
     # -- scenario shape ----------------------------------------------------
@@ -169,21 +170,27 @@ class ExperimentBuilder:
         return self
 
     # -- execution shape ---------------------------------------------------
-    def jobs(self, jobs: Optional[int]) -> "ExperimentBuilder":
-        """Run sweep cells on N workers (bit-identical to sequential)."""
-        self._jobs = jobs
+    # the scheduling knobs of repro.experiments.scheduler.EngineConfig
+    # (documented there), each checked when set
+    def _knob(self, name: str, value: object) -> "ExperimentBuilder":
+        """Set one scheduling knob; ``None`` unsets it."""
+        if value is None:
+            self._knobs.pop(name, None)
+            return self
+        problems = engine_problems({name: value})
+        if problems:
+            raise EngineConfigError(problems[0])
+        self._knobs[name] = value
         return self
 
+    def jobs(self, jobs: Optional[int]) -> "ExperimentBuilder":
+        """Run sweep cells on N workers (bit-identical to sequential)."""
+        return self._knob("jobs", jobs)
+
     def executor(self, executor: Optional[str]) -> "ExperimentBuilder":
-        """How cells run: ``"serial"`` (inline) or ``"process"`` (a pool
-        of :meth:`jobs` worker processes, bit-identical to inline).
-        Unset, ``jobs > 1`` selects ``"process"``."""
-        if executor is not None and executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
-        self._executor = executor
-        return self
+        """``"serial"`` (cells inline) or ``"process"`` (a pool of
+        :meth:`jobs` workers); unset, ``jobs > 1`` selects process."""
+        return self._knob("executor", executor)
 
     def cache(self, cache_dir: Optional[str]) -> "ExperimentBuilder":
         """Persist data/pre-train artifacts and finished cells here."""
@@ -195,39 +202,22 @@ class ExperimentBuilder:
         self._resume = bool(resume)
         return self
 
-    def cell_timeout(
-        self, seconds: Optional[float]
-    ) -> "ExperimentBuilder":
-        """Per-cell wall-clock budget; a hung process cell is preempted,
-        retried (see :meth:`retries`), and ultimately fails with a
-        ``timeout`` record.  Needs the ``"process"`` executor.  ``None``
-        (default) = unlimited."""
-        self._cell_timeout = None if seconds is None else float(seconds)
-        return self
+    def cell_timeout(self, seconds: Optional[float]) -> "ExperimentBuilder":
+        """Per-cell wall-clock budget in seconds (process executor)."""
+        return self._knob("cell_timeout", seconds)
 
     def retries(self, retries: Optional[int]) -> "ExperimentBuilder":
-        """Re-dispatches per cell after an exception, timeout or worker
-        crash (deterministic exponential backoff; retried cells
-        reproduce bit-identically).  Default 0."""
-        self._retries = None if retries is None else int(retries)
-        return self
+        """Re-dispatches per cell after an exception, timeout or crash."""
+        return self._knob("retries", retries)
 
     def on_error(self, mode: Optional[str]) -> "ExperimentBuilder":
-        """Failure policy once retries are exhausted: ``"abort"``
-        (default — re-raise after persisting finished cells) or
-        ``"continue"`` (record a ``CellFailure``, finish the sweep)."""
-        if mode is not None and mode not in ON_ERROR_MODES:
-            raise ValueError(
-                f"on_error must be one of {ON_ERROR_MODES}, got {mode!r}"
-            )
-        self._on_error = mode
-        return self
+        """``"abort"`` (default) or ``"continue"`` once a cell's retries
+        are exhausted."""
+        return self._knob("on_error", mode)
 
     def engine(self, engine: Optional[SweepEngine]) -> "ExperimentBuilder":
         """Run on an existing engine (shares its artifact cache);
-        overrides :meth:`jobs`, :meth:`executor`, :meth:`cache`,
-        :meth:`resume`, :meth:`cell_timeout`, :meth:`retries` and
-        :meth:`on_error`."""
+        overrides the scheduling knobs, :meth:`cache` and :meth:`resume`."""
         self._engine = engine
         return self
 
@@ -251,13 +241,7 @@ class ExperimentBuilder:
         if self._engine is not None:
             return self._engine
         return SweepEngine(
-            jobs=self._jobs,
-            cache_dir=self._cache_dir,
-            resume=self._resume,
-            executor=self._executor,
-            cell_timeout=self._cell_timeout,
-            retries=0 if self._retries is None else self._retries,
-            on_error=self._on_error or "abort",
+            cache_dir=self._cache_dir, resume=self._resume, **self._knobs
         )
 
     def plan(self) -> SweepPlan:
@@ -273,27 +257,19 @@ class ExperimentBuilder:
     def spec(self) -> Dict[str, object]:
         """The sweep as its versioned JSON-native payload.
 
-        Execution preferences set on the builder (``jobs``,
-        ``executor``, ``cell_timeout``, ``retries``, ``on_error``) ride
-        along in an optional ``engine`` block, which :func:`run_spec`
-        uses as defaults — so a saved spec replays with the scheduling
-        and failure policy it was authored with.  Unset preferences
-        emit no block (golden specs stay byte-stable).
+        The scheduling knobs set on the builder ride along in an
+        optional ``engine`` block, which :func:`run_spec` uses as
+        defaults — so a saved spec replays with the scheduling and
+        failure policy it was authored with.  Unset knobs emit no
+        block (golden specs stay byte-stable).
         """
         payload = self.plan().to_dict()
-        hints: Dict[str, object] = {}
-        if self._jobs is not None:
-            hints["jobs"] = self._jobs
-        if self._executor is not None:
-            hints["executor"] = self._executor
-        if self._cell_timeout is not None:
-            hints["cell_timeout"] = self._cell_timeout
-        if self._retries is not None:
-            hints["retries"] = self._retries
-        if self._on_error is not None:
-            hints["on_error"] = self._on_error
-        if hints:
-            payload["engine"] = hints
+        if self._knobs:
+            payload["engine"] = {
+                name: self._knobs[name]
+                for name in ENGINE_KNOBS
+                if name in self._knobs
+            }
         return payload
 
     def to_json(self) -> str:
@@ -390,11 +366,10 @@ def run_spec(
     type, bit-identical ``format_report()``.  Free-form plan names
     return the raw :class:`SweepResult`.
 
-    A spec's optional ``engine`` block (``jobs`` / ``executor`` /
-    ``cell_timeout`` / ``retries`` / ``on_error``, written by
+    A spec's optional ``engine`` block (written by
     :meth:`ExperimentBuilder.save_spec`) supplies defaults for any
-    scheduling argument the caller leaves unset; explicit arguments and
-    a passed ``engine`` always win.  Scheduling never changes results —
+    scheduling knob the caller leaves unset; explicit arguments and a
+    passed ``engine`` always win.  Scheduling never changes results —
     both executors are bit-identical and retried cells reproduce exactly
     — so honoring the hints is safe.
     """
@@ -421,27 +396,11 @@ def run_spec(
             plan, preset=replace(plan.preset, client_engine=client_engine)
         )
     if engine is None:
-        engine = SweepEngine(
-            jobs=jobs if jobs is not None else hints.get("jobs"),
-            cache_dir=cache_dir,
-            resume=resume,
-            executor=(
-                executor if executor is not None else hints.get("executor")
-            ),
-            cell_timeout=(
-                cell_timeout
-                if cell_timeout is not None
-                else hints.get("cell_timeout")
-            ),
-            retries=(
-                retries if retries is not None else hints.get("retries", 0)
-            ),
-            on_error=(
-                on_error
-                if on_error is not None
-                else hints.get("on_error", "abort")
-            ),
+        explicit = zip(
+            ENGINE_KNOBS, (jobs, executor, cell_timeout, retries, on_error)
         )
+        knobs = {**hints, **{k: v for k, v in explicit if v is not None}}
+        engine = SweepEngine(cache_dir=cache_dir, resume=resume, **knobs)
     driver = find_collector(plan.name) if collect else None
     if driver is not None:
         return driver.run_plan(plan, engine=engine)

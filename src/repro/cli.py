@@ -21,23 +21,19 @@ Commands:
   see :mod:`repro.lint` and docs/LINTING.md);
 * ``info`` — the unified component registry's inventory.
 
-``experiment``, ``ablation`` and ``sweep`` accept ``--jobs N``
-(N worker processes, bit-identical to sequential), ``--executor
-serial|process`` (cells inline, or in worker processes — ``process``
-scales past the GIL on multi-core hosts; unset, ``--jobs`` above 1
-selects it), ``--cache-dir PATH`` (on-disk artifact cache shared
-across invocations), ``--resume`` (skip cells already finished in the
-cache dir), ``--client-engine serial|batched`` (per-round client
-execution: each model's training program run client by client, or
-fold-batched cohort training that runs every honest client's local
-epochs as one stacked matmul program — bit-identical at float64), and the
-fault-tolerance knobs ``--cell-timeout SECONDS`` (process executor
-only), ``--retries N`` and ``--on-error abort|continue`` (see the
-scheduler docs).  ``run`` accepts ``--client-engine`` too.
+``experiment``, ``ablation`` and ``sweep`` accept the scheduling knobs
+``--jobs N``, ``--executor serial|process``, ``--cell-timeout
+SECONDS``, ``--retries N`` and ``--on-error abort|continue`` (one
+:class:`~repro.experiments.scheduler.EngineConfig`, checked before
+anything runs; none changes a result), plus ``--cache-dir PATH``
+(on-disk artifact cache shared across invocations), ``--resume`` (skip
+cells already finished in the cache dir) and ``--client-engine
+serial|batched`` (per-round client execution, bit-identical at
+float64).  ``run`` accepts ``--client-engine`` too.
 
 Exit codes: 0 clean; 1 spec-validation or runtime error; 2 usage
-(including engine knobs that cannot run together, such as
-``--cell-timeout`` on a serial run); 3 the sweep finished but some
+(including a bad engine knob, or knobs that cannot run together, such
+as ``--cell-timeout`` on a serial run); 3 the sweep finished but some
 cells failed under ``--on-error continue`` (partial tables must not
 look like clean runs); 130 the sweep was interrupted (Ctrl-C) —
 finished cells are already persisted when a ``--cache-dir`` is set,
@@ -68,10 +64,11 @@ def _api():
     return api
 
 
-def _builder(artefact: str, args: argparse.Namespace):
+def _builder(builder, args: argparse.Namespace):
+    """Apply the shared flags to an ``experiment(...)`` or
+    ``ablation(...)`` builder."""
     builder = (
-        _api().experiment(artefact)
-        .preset(args.preset)
+        builder.preset(args.preset)
         .seed(args.seed)
         .jobs(args.jobs)
         .executor(args.executor)
@@ -81,7 +78,7 @@ def _builder(artefact: str, args: argparse.Namespace):
         .retries(args.retries)
         .on_error(args.on_error)
     )
-    if getattr(args, "client_engine", None) is not None:
+    if args.client_engine is not None:
         builder = builder.client_engine(args.client_engine)
     return builder
 
@@ -115,36 +112,22 @@ def _print_result(result) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    api = _api()
     names = _ARTEFACTS if args.artefact == "all" else (args.artefact,)
     # one engine for all artefacts: pre-trains cached by one figure are
     # reused by every later figure that shares them
-    engine = _builder(names[0], args).build_engine()
+    engine = _builder(api.experiment(names[0]), args).build_engine()
     code = 0
     for name in names:
         start = time.time()
-        result = _builder(name, args).engine(engine).run()
+        result = _builder(api.experiment(name), args).engine(engine).run()
         code = max(code, _print_result(result))
         print(f"[{name} regenerated in {time.time() - start:.0f}s]\n")
     return code
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    api = _api()
-    builder = (
-        api.ablation(args.axis)
-        .preset(args.preset)
-        .seed(args.seed)
-        .jobs(args.jobs)
-        .executor(args.executor)
-        .cache(args.cache_dir)
-        .resume(args.resume)
-        .cell_timeout(args.cell_timeout)
-        .retries(args.retries)
-        .on_error(args.on_error)
-    )
-    if args.client_engine is not None:
-        builder = builder.client_engine(args.client_engine)
-    return _print_result(builder.run())
+    return _print_result(_builder(_api().ablation(args.axis), args).run())
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -406,20 +389,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "resume", False) and not args.cache_dir:
         parser.error("--resume requires --cache-dir")
-    if getattr(args, "jobs", None) is not None and args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if getattr(args, "retries", None) is not None and args.retries < 0:
-        parser.error("--retries must be >= 0")
-    if (
-        getattr(args, "cell_timeout", None) is not None
-        and args.cell_timeout <= 0
-    ):
-        parser.error("--cell-timeout must be positive")
     from repro.experiments.scheduler import (
+        ENGINE_KNOBS,
         EngineConfigError,
         SweepInterrupted,
+        engine_problems,
     )
 
+    knobs = {name: getattr(args, name, None) for name in ENGINE_KNOBS}
+    problems = engine_problems(
+        {name: value for name, value in knobs.items() if value is not None}
+    )
+    if problems:
+        parser.error("; ".join(problems))
     try:
         return args.func(args)
     except EngineConfigError as error:

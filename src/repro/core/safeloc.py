@@ -76,7 +76,7 @@ class SafeLocModel(LocalizationModel):
     ):
         self.input_dim = int(input_dim)
         self.num_classes = int(num_classes)
-        self.tau = float(tau)
+        self.tau = tau
         self.recon_weight = float(recon_weight)
         self.seed = int(seed)
         self.encoder_widths = tuple(encoder_widths)
@@ -88,10 +88,18 @@ class SafeLocModel(LocalizationModel):
         self.network = FusedAutoencoderClassifier(
             input_dim, num_classes, seed=seed, encoder_widths=encoder_widths
         )
-        self.detector = ThresholdDetector(tau)
         self._ce = SparseCrossEntropyLoss()
         #: samples flagged as poisoned during the most recent train_epochs
         self.last_flagged_count = 0
+
+    @property
+    def tau(self) -> float:
+        """The RCE threshold; :attr:`detector` holds the only copy."""
+        return self.detector.tau
+
+    @tau.setter
+    def tau(self, tau: float) -> None:
+        self.detector = ThresholdDetector(float(tau))
 
     # -- detection / de-noising -------------------------------------------
     def reconstruction_errors(self, features: np.ndarray) -> np.ndarray:

@@ -63,9 +63,9 @@ from repro.experiments.artifacts import (
 from repro.experiments.chaos import maybe_inject, resolve_chaos
 from repro.experiments.scenarios import Preset
 from repro.experiments.scheduler import (
-    ON_ERROR_MODES,
     CellFailure,
     CellScheduler,
+    EngineConfig,
     EngineConfigError,
     ProcessBackend,
     SerialBackend,
@@ -85,13 +85,6 @@ logger = get_logger("experiments.engine")
 #: rejects files written under any other version with a clear message.
 SPEC_FORMAT = "repro.sweep-plan"
 SPEC_SCHEMA_VERSION = 2
-
-#: cell-executor choices (``SweepEngine(executor=...)`` / ``--executor``).
-#: ``serial`` runs cells inline regardless of ``jobs``; ``process`` runs
-#: them on ``jobs`` worker processes — even a one-worker pool isolates
-#: cells in killable, timeout-enforceable workers.  Unset, ``jobs > 1``
-#: selects ``process`` and anything else ``serial``.
-EXECUTORS = ("serial", "process")
 
 #: framework kwargs that provably do not alter the pre-trained weights —
 #: they configure the untrusted-data defense or the aggregation strategy,
@@ -531,35 +524,15 @@ class SweepEngine:
     """Executes :class:`SweepPlan`\\ s through the staged, cached pipeline.
 
     Args:
-        jobs: Cell-level worker count (``None``/1 = sequential; results
-            are bit-identical either way).
+        jobs, executor, cell_timeout, retries, on_error, backoff_base:
+            The scheduling knobs, checked and stored as
+            ``self.config``, an
+            :class:`~repro.experiments.scheduler.EngineConfig` (see
+            there); none of them changes a result.
         cache_dir: On-disk artifact store; enables cross-process reuse of
             data/pre-train artifacts and (with ``resume``) cell skipping.
+            Process workers share artifacts through it when one is set.
         resume: Skip cells whose results already sit in ``cache_dir``.
-        executor: ``"serial"`` (cells run inline) or ``"process"``
-            (cells run on ``jobs`` worker processes, each holding its
-            own in-memory memo, sharing through ``cache_dir`` when one
-            is set, and shipping finished cells back as JSON-native
-            :class:`CellResult` payloads).  ``None`` selects
-            ``"process"`` when ``jobs > 1``, else ``"serial"``.
-            Results are bit-identical across executors.
-        cell_timeout: Per-cell wall-clock budget in seconds (``None`` =
-            unlimited).  A hung process cell is reclaimed by killing and
-            rebuilding the pool (innocent in-flight cells re-dispatch
-            without being charged an attempt).  Serial execution cannot
-            preempt a running cell, so a timeout there is refused.
-        retries: Re-dispatches allowed per cell after an exception,
-            timeout or worker crash (0 = fail on first injury).  Cells
-            are pure functions of (preset, spec) — all randomness comes
-            from named seed streams — so a retried cell reproduces
-            bit-identically.
-        on_error: ``"abort"`` (default) re-raises a cell's final error
-            once retries are exhausted — after every already-finished
-            cell reached the resume ledger; ``"continue"`` records a
-            :class:`~repro.experiments.scheduler.CellFailure` on the
-            result and completes the rest of the sweep.
-        backoff_base: First-retry delay in seconds; doubles with each
-            further attempt (deterministic — no jitter).
         chaos: Test-only deterministic fault injection: a
             :class:`~repro.experiments.chaos.ChaosSpec`, its token
             string (``"2:kill"``), or ``None`` to read the
@@ -582,41 +555,20 @@ class SweepEngine:
         backoff_base: float = 0.5,
         chaos=None,
     ):
-        if jobs is not None and jobs < 1:
-            raise EngineConfigError(f"jobs must be >= 1, got {jobs}")
         if resume and cache_dir is None:
             raise EngineConfigError(
                 "resume=True needs a cache_dir — there is nowhere to "
                 "resume finished cells from"
             )
-        if executor is None:
-            executor = "process" if (jobs or 1) > 1 else "serial"
-        if executor not in EXECUTORS:
-            raise EngineConfigError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise EngineConfigError(
-                f"cell_timeout must be positive, got {cell_timeout}"
-            )
-        if cell_timeout is not None and executor == "serial":
-            raise EngineConfigError(
-                "cell_timeout needs executor=\"process\": a serial run "
-                "executes cells inline and cannot stop a hung one"
-            )
-        if retries < 0:
-            raise EngineConfigError(f"retries must be >= 0, got {retries}")
-        if on_error not in ON_ERROR_MODES:
-            raise EngineConfigError(
-                f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
-            )
-        self.jobs = jobs
+        self.config = EngineConfig(
+            jobs=jobs,
+            executor=executor,
+            cell_timeout=cell_timeout,
+            retries=retries,
+            on_error=on_error,
+            backoff_base=backoff_base,
+        )
         self.resume = bool(resume)
-        self.executor = executor
-        self.cell_timeout = cell_timeout
-        self.retries = int(retries)
-        self.on_error = on_error
-        self.backoff_base = float(backoff_base)
         self.chaos = resolve_chaos(chaos)
         self.artifacts = ArtifactCache(cache_dir)
         self._sig_memo: Dict[tuple, str] = {}
@@ -645,7 +597,7 @@ class SweepEngine:
             kind=plan.kind,
             stats=stats,
             duration_s=time.perf_counter() - start,
-            jobs=self.jobs or 1,
+            jobs=self.config.jobs or 1,
             **outcome,
         )
         logger.info("%s", result.format_stats())
@@ -708,14 +660,7 @@ class SweepEngine:
                 )
             results[index] = result
 
-        scheduler = CellScheduler(
-            backend,
-            cell_timeout=self.cell_timeout,
-            retries=self.retries,
-            on_error=self.on_error,
-            backoff_base=self.backoff_base,
-            on_complete=complete,
-        )
+        scheduler = CellScheduler(backend, self.config, complete)
         try:
             scheduler.run(pending)
         except SweepInterrupted as interrupt:
@@ -751,12 +696,12 @@ class SweepEngine:
         at any ``jobs`` count: a one-worker pool still isolates cells in
         killable, timeout-enforceable workers.
         """
-        if plan.kind == "footprint" or self.executor == "serial":
+        if plan.kind == "footprint" or self.config.backend == "serial":
             return SerialBackend(self._runner(plan))
         return ProcessBackend(
             _pool_run_cell,
             self._process_payload(plan),
-            min(self.jobs or 1, pending),
+            min(self.config.jobs or 1, pending),
         )
 
     def _runner(self, plan: SweepPlan) -> Callable[[int, int], CellResult]:

@@ -5,7 +5,11 @@ A cell runs either inline (:class:`SerialBackend`) or in a worker
 process (:class:`ProcessBackend`).  Both sit behind one scheduler over
 an :class:`ExecutorBackend` interface plus a fault-tolerance layer, so
 one cell exception, one killed worker or one hung cell never costs the
-sweep its finished work:
+sweep its finished work.  The scheduling knobs (``jobs``,
+``executor``, ``cell_timeout``, ``retries``, ``on_error``) are one
+frozen :class:`EngineConfig`, and :func:`engine_problems` is the one
+place that checks them, for every frontend (engine, builder, spec
+files, CLI):
 
 * **out-of-order completion** — every finished cell is handed to the
   ``on_complete`` callback the moment it completes (the engine persists
@@ -15,8 +19,8 @@ sweep its finished work:
   a hung process cell is reclaimed by killing and rebuilding the pool
   (innocent in-flight cells are re-dispatched **without** being charged
   an attempt — on a timeout the culprit is known).  The serial backend
-  runs cells inline and cannot preempt, so the engine refuses a
-  ``cell_timeout`` there;
+  runs cells inline and cannot preempt, so :class:`EngineConfig`
+  refuses a ``cell_timeout`` there;
 * **bounded retry with exponential backoff** — a failed, timed-out or
   crashed attempt is re-dispatched up to ``retries`` times after a
   deterministic ``backoff_base * 2**attempt`` delay.  Cells are pure
@@ -47,6 +51,7 @@ harness in :mod:`repro.experiments.chaos` — see
 from __future__ import annotations
 
 import heapq
+import math
 import multiprocessing
 import time
 from collections import deque
@@ -61,26 +66,41 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.experiments.chaos import WorkerKilled
+from repro.registry import _did_you_mean
 from repro.utils.logging import get_logger
 
 logger = get_logger("experiments.scheduler")
 
 __all__ = [
+    "ENGINE_KNOBS",
+    "EXECUTORS",
     "ON_ERROR_MODES",
     "CellFailure",
     "CellScheduler",
     "CellTimeout",
+    "EngineConfig",
     "EngineConfigError",
     "ExecutorBackend",
     "ProcessBackend",
     "SerialBackend",
     "SweepInterrupted",
     "backoff_delay",
+    "engine_problems",
 ]
+
+#: cell executors: ``serial`` runs cells inline regardless of ``jobs``;
+#: ``process`` runs them on ``jobs`` worker processes — even a
+#: one-worker pool isolates cells in killable, timeout-enforceable
+#: workers
+EXECUTORS = ("serial", "process")
 
 #: failure policies: ``abort`` re-raises (legacy fail-fast, minus the
 #: lost work), ``continue`` records a :class:`CellFailure` and moves on
 ON_ERROR_MODES = ("abort", "continue")
+
+#: the scheduling knobs a spec's ``engine`` block, the builder and the
+#: CLI set, in the order a spec writes them
+ENGINE_KNOBS = ("jobs", "executor", "cell_timeout", "retries", "on_error")
 
 #: how long one ``wait()`` blocks before deadlines/backoffs are checked
 _TICK_S = 0.05
@@ -91,8 +111,120 @@ class CellTimeout(RuntimeError):
 
 
 class EngineConfigError(ValueError):
-    """Engine knobs that cannot run together, refused before any cell
-    starts (the CLI reports it as a usage error, exit status 2)."""
+    """Engine knobs that are out of range or cannot run together,
+    refused before any cell starts (the CLI reports it as a usage
+    error, exit status 2)."""
+
+
+def engine_problems(knobs: Dict[str, object], prefix: str = "") -> List[str]:
+    """Every problem with a mapping of set engine knobs, one message
+    per bad knob, tagged ``prefix + name`` (``"engine."`` for a spec's
+    ``engine`` block).  ``None`` is not a value here: a caller leaves
+    an unset knob out of the mapping."""
+    problems: List[str] = []
+    for name, value in knobs.items():
+        where = prefix + name
+        if name not in ENGINE_KNOBS:
+            message = f"{where}: unknown field"
+            suggestion = _did_you_mean(name, ENGINE_KNOBS)
+            if suggestion:
+                message += f" — did you mean {suggestion!r}?"
+            problems.append(message)
+        elif name in ("jobs", "retries"):
+            least = 1 if name == "jobs" else 0
+            if not (
+                isinstance(value, int)
+                and not isinstance(value, bool)
+                and value >= least
+            ):
+                problems.append(
+                    f"{where} must be an integer >= {least}, got {value!r}"
+                )
+        elif name == "cell_timeout":
+            # NaN fails both comparisons: ``elapsed > nan`` is never
+            # true, so a NaN budget would switch reclamation off
+            if not (
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and 0 < value < math.inf
+            ):
+                problems.append(
+                    f"{where} must be a positive, finite number of "
+                    f"seconds, got {value!r}"
+                )
+        else:
+            choices = EXECUTORS if name == "executor" else ON_ERROR_MODES
+            if value not in choices:
+                message = (
+                    f"{where} must be one of {list(choices)}, "
+                    f"got {value!r}"
+                )
+                if value == "thread":
+                    message += (
+                        " — the thread executor was removed; use "
+                        "'serial' or 'process'"
+                    )
+                problems.append(message)
+    return problems
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """How a sweep's cells are scheduled — never what they compute.
+
+    Every cell derives its randomness from named seed streams and
+    shares no mutable state, so results are bit-identical under any
+    valid config.  Construction checks every knob through
+    :func:`engine_problems` and raises :class:`EngineConfigError`.
+
+    Attributes:
+        jobs: Cell-level worker count (``None`` = 1).
+        executor: ``"serial"`` (cells run inline) or ``"process"``
+            (cells run on ``jobs`` worker processes).  ``None`` selects
+            ``"process"`` when ``jobs > 1``, else ``"serial"``; see
+            :attr:`backend`.
+        cell_timeout: Per-cell wall-clock budget in seconds (``None`` =
+            unlimited).  A hung process cell is reclaimed by killing
+            and rebuilding the pool.  A serial run cannot preempt a
+            cell, so a timeout there is refused.
+        retries: Re-dispatches allowed per cell after an exception,
+            timeout or worker crash (0 = fail on first injury).
+        on_error: ``"abort"`` re-raises a cell's final error once
+            retries are exhausted, after every finished cell was
+            persisted; ``"continue"`` records a :class:`CellFailure`
+            and completes the rest of the sweep.
+        backoff_base: First-retry delay in seconds; doubles with each
+            further attempt (deterministic — no jitter).
+    """
+
+    jobs: Optional[int] = None
+    executor: Optional[str] = None
+    cell_timeout: Optional[float] = None
+    retries: int = 0
+    on_error: str = "abort"
+    backoff_base: float = 0.5
+
+    def __post_init__(self) -> None:
+        knobs = {name: getattr(self, name) for name in ENGINE_KNOBS}
+        for name in ("jobs", "executor", "cell_timeout"):
+            if knobs[name] is None:  # unset
+                del knobs[name]
+        problems = engine_problems(knobs)
+        if not problems and knobs.get("cell_timeout") is not None:
+            if self.backend == "serial":
+                problems.append(
+                    "cell_timeout needs executor=\"process\": a serial "
+                    "run executes cells inline and cannot stop a hung one"
+                )
+        if problems:
+            raise EngineConfigError("; ".join(problems))
+
+    @property
+    def backend(self) -> str:
+        """The executor that runs the cells, ``executor`` resolved."""
+        if self.executor is not None:
+            return self.executor
+        return "process" if (self.jobs or 1) > 1 else "serial"
 
 
 class SweepInterrupted(RuntimeError):
@@ -325,13 +457,8 @@ class CellScheduler:
 
     Args:
         backend: The executor to dispatch on (started/stopped here).
-        cell_timeout: Per-cell wall-clock budget in seconds, or ``None``
-            (enforced on backends that can preempt — process).
-        retries: Re-dispatches allowed per cell after a failed, timed
-            out or crashed attempt (0 = fail on first injury).
-        on_error: ``"abort"`` re-raises the final error, ``"continue"``
-            records a :class:`CellFailure` and keeps going.
-        backoff_base: First-retry delay; doubles per further attempt.
+        config: ``cell_timeout`` (enforced on backends that can preempt
+            — process), ``retries``, ``on_error`` and ``backoff_base``.
         on_complete: Called as ``on_complete(index, outcome)`` the
             moment each cell finishes — in the scheduler's own thread,
             so callbacks may persist without locking.
@@ -344,27 +471,11 @@ class CellScheduler:
     def __init__(
         self,
         backend: ExecutorBackend,
-        cell_timeout: Optional[float] = None,
-        retries: int = 0,
-        on_error: str = "abort",
-        backoff_base: float = 0.5,
+        config: EngineConfig = EngineConfig(),
         on_complete: Optional[Callable[[int, object], None]] = None,
     ) -> None:
-        if on_error not in ON_ERROR_MODES:
-            raise ValueError(
-                f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
-            )
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise ValueError(
-                f"cell_timeout must be positive, got {cell_timeout}"
-            )
         self.backend = backend
-        self.cell_timeout = cell_timeout
-        self.retries = retries
-        self.on_error = on_error
-        self.backoff_base = backoff_base
+        self.config = config
         self.on_complete = on_complete
         self.results: Dict[int, object] = {}
         self.failures: Dict[int, CellFailure] = {}
@@ -475,7 +586,7 @@ class CellScheduler:
     def _wait_timeout(self) -> Optional[float]:
         """How long one wait() may block: finite whenever a deadline or
         a backoff timer needs polling."""
-        if self.cell_timeout is not None or self._retry_heap:
+        if self.config.cell_timeout is not None or self._retry_heap:
             return _TICK_S
         return None
 
@@ -483,13 +594,14 @@ class CellScheduler:
         self, in_flight: Dict[Future, Tuple[int, int, float]]
     ) -> None:
         """Enforce ``cell_timeout`` on backends that can preempt."""
-        if self.cell_timeout is None or self.backend.preemption == "none":
+        timeout = self.config.cell_timeout
+        if timeout is None or self.backend.preemption == "none":
             return
         now = time.monotonic()
         expired = [
             (future, meta)
             for future, meta in in_flight.items()
-            if now - meta[2] > self.cell_timeout and not future.done()
+            if now - meta[2] > timeout and not future.done()
         ]
         if not expired:
             return
@@ -517,7 +629,7 @@ class CellScheduler:
             "timeout",
             CellTimeout(
                 f"cell {index} exceeded cell_timeout="
-                f"{self.cell_timeout}s (attempt {attempt + 1})"
+                f"{self.config.cell_timeout}s (attempt {attempt + 1})"
             ),
         )
 
@@ -526,13 +638,14 @@ class CellScheduler:
     ) -> None:
         """Route one failed attempt: backoff-retry while budget remains,
         else record (continue) or re-raise (abort)."""
-        if attempt < self.retries:
+        if attempt < self.config.retries:
             self.retried += 1
             self._attempts[index] = attempt + 1
-            delay = backoff_delay(self.backoff_base, attempt)
+            delay = backoff_delay(self.config.backoff_base, attempt)
             logger.warning(
                 "cell %d %s (attempt %d/%d): %s — retrying in %.2fs",
-                index, kind, attempt + 1, self.retries + 1, error, delay,
+                index, kind, attempt + 1, self.config.retries + 1, error,
+                delay,
             )
             heapq.heappush(
                 self._retry_heap,
@@ -552,5 +665,5 @@ class CellScheduler:
         )
         self.failures[index] = failure
         logger.warning("cell failed: %s", failure.describe())
-        if self.on_error == "abort":
+        if self.config.on_error == "abort":
             raise error

@@ -24,12 +24,11 @@ import os
 from typing import Any, Dict, FrozenSet, List, Optional
 
 from repro.experiments.engine import (
-    EXECUTORS,
     SPEC_FORMAT,
     SPEC_SCHEMA_VERSION,
     SweepPlan,
 )
-from repro.experiments.scheduler import ON_ERROR_MODES
+from repro.experiments.scheduler import engine_problems
 from repro.registry import _did_you_mean, registry
 
 #: preset fields and the JSON types they must carry
@@ -254,74 +253,6 @@ def _validate_cell(
                 )
 
 
-def _validate_engine_block(engine: Any, errors: List[str]) -> None:
-    """The optional top-level ``engine`` block: scheduling and
-    failure-policy *hints* (``jobs``, ``executor``, ``cell_timeout``,
-    ``retries``, ``on_error``) that :func:`repro.api.run_spec` applies
-    as defaults — never anything that could change the numbers (retried
-    cells reproduce bit-identically)."""
-    if engine is None:
-        return
-    if not isinstance(engine, dict):
-        errors.append(
-            f"engine: expected an object, got {type(engine).__name__}"
-        )
-        return
-    known = ("jobs", "executor", "cell_timeout", "retries", "on_error")
-    for name, value in engine.items():
-        if name not in known:
-            message = f"engine.{name}: unknown field"
-            suggestion = _did_you_mean(name, known)
-            if suggestion:
-                message += f" — did you mean {suggestion!r}?"
-            errors.append(message)
-        elif name == "jobs":
-            if isinstance(value, bool) or not isinstance(value, int):
-                errors.append(
-                    f"engine.jobs: expected int, got "
-                    f"{type(value).__name__} ({value!r})"
-                )
-            elif value < 1:
-                errors.append(f"engine.jobs: must be >= 1, got {value}")
-        elif name == "executor" and value == "thread":
-            errors.append(
-                "engine.executor: the thread executor was removed; use "
-                "'serial' or 'process'"
-            )
-        elif name == "executor" and value not in EXECUTORS:
-            errors.append(
-                f"engine.executor: expected one of {list(EXECUTORS)}, "
-                f"got {value!r}"
-            )
-        elif name == "cell_timeout":
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
-                errors.append(
-                    f"engine.cell_timeout: expected a number of seconds, "
-                    f"got {type(value).__name__} ({value!r})"
-                )
-            elif value <= 0:
-                errors.append(
-                    f"engine.cell_timeout: must be positive, got {value}"
-                )
-        elif name == "retries":
-            if isinstance(value, bool) or not isinstance(value, int):
-                errors.append(
-                    f"engine.retries: expected int, got "
-                    f"{type(value).__name__} ({value!r})"
-                )
-            elif value < 0:
-                errors.append(
-                    f"engine.retries: must be >= 0, got {value}"
-                )
-        elif name == "on_error" and value not in ON_ERROR_MODES:
-            errors.append(
-                f"engine.on_error: expected one of {list(ON_ERROR_MODES)}, "
-                f"got {value!r}"
-            )
-
-
 def validate_plan_payload(
     payload: Dict, source: Optional[str] = None
 ) -> None:
@@ -378,7 +309,15 @@ def validate_plan_payload(
             if suggestion:
                 message += f" — did you mean {suggestion!r}?"
             errors.append(message)
-    _validate_engine_block(payload.get("engine"), errors)
+    # the optional engine block: scheduling hints that run_spec applies
+    # as defaults, never anything that could change the numbers
+    engine = payload.get("engine")
+    if isinstance(engine, dict):
+        errors.extend(engine_problems(engine, prefix="engine."))
+    elif engine is not None:
+        errors.append(
+            f"engine: expected an object, got {type(engine).__name__}"
+        )
     preset = payload.get("preset")
     if not isinstance(preset, dict):
         errors.append(

@@ -51,6 +51,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SafeLocModel(D, C, corruption_dropout=1.5)
 
+    def test_tau_lives_in_the_detector(self, model):
+        model.tau = 0.25
+        assert model.detector.tau == 0.25
+        assert model.clone().detector.tau == 0.25
+        for bad in (float("nan"), float("inf"), -0.1):
+            with pytest.raises(ValueError, match="tau"):
+                model.tau = bad
+        assert model.tau == 0.25
+
     def test_clone_preserves_everything(self, model):
         model.tau = 0.25
         copy = model.clone()

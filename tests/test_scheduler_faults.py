@@ -10,12 +10,17 @@ cell, re-runs only the injured cell on ``--resume``, and the surviving
 results are bit-identical to an undisturbed sequential run.
 """
 
+import math
 import os
 import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.api as api
+from repro.cli import main
 from repro.experiments.chaos import (
     ChaosError,
     ChaosSpec,
@@ -23,21 +28,28 @@ from repro.experiments.chaos import (
     resolve_chaos,
 )
 from repro.experiments.engine import (
-    EXECUTORS,
     SweepEngine,
     SweepPlan,
     scenario,
 )
 from repro.experiments.scenarios import tiny_preset
 from repro.experiments.scheduler import (
+    ENGINE_KNOBS,
+    EXECUTORS,
     CellFailure,
     CellScheduler,
     CellTimeout,
+    EngineConfig,
+    EngineConfigError,
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
     SweepInterrupted,
     backoff_delay,
+)
+from repro.experiments.specio import (
+    SpecValidationError,
+    validate_plan_payload,
 )
 
 
@@ -167,8 +179,9 @@ class TestSchedulerUnit:
     def run_scheduler(body, n=3, **kwargs):
         scheduler = CellScheduler(
             SerialBackend(body),
-            backoff_base=kwargs.pop("backoff_base", 0.01),
-            **kwargs,
+            EngineConfig(
+                backoff_base=kwargs.pop("backoff_base", 0.01), **kwargs
+            ),
         )
         scheduler.run(range(n))
         return scheduler
@@ -188,8 +201,11 @@ class TestSchedulerUnit:
     def run_stub(kind, n=3, fault=None, **kwargs):
         scheduler = CellScheduler(
             stub_backend(kind, **(fault or {})),
-            backoff_base=kwargs.pop("backoff_base", 0.01),
-            **kwargs,
+            EngineConfig(
+                executor=kind,
+                backoff_base=kwargs.pop("backoff_base", 0.01),
+                **kwargs,
+            ),
         )
         scheduler.run(range(n))
         return scheduler
@@ -302,13 +318,12 @@ class TestSchedulerUnit:
         assert backoff_delay(0.5, 3) == 4.0
 
     def test_rejects_bad_knobs(self):
-        backend = SerialBackend(lambda i, a: i)
         with pytest.raises(ValueError):
-            CellScheduler(backend, on_error="panic")
+            EngineConfig(on_error="panic")
         with pytest.raises(ValueError):
-            CellScheduler(backend, retries=-1)
+            EngineConfig(retries=-1)
         with pytest.raises(ValueError):
-            CellScheduler(backend, cell_timeout=0)
+            EngineConfig(executor="process", cell_timeout=0)
 
 
 class TestEngineKnobValidation:
@@ -328,9 +343,70 @@ class TestEngineKnobValidation:
         for knobs in ({}, {"jobs": 1}, {"jobs": 4, "executor": "serial"}):
             with pytest.raises(ValueError, match='executor="process"'):
                 SweepEngine(cell_timeout=30, **knobs)
-        assert SweepEngine(jobs=2, cell_timeout=30).executor == "process"
+        engine = SweepEngine(jobs=2, cell_timeout=30)
+        assert engine.config.backend == "process"
         single = SweepEngine(jobs=1, executor="process", cell_timeout=30)
-        assert single.cell_timeout == 30
+        assert single.config.cell_timeout == 30
+
+    @pytest.mark.parametrize(
+        "knob,value,flag",
+        [
+            ("jobs", 0, "0"),
+            ("jobs", 2.5, None),  # argparse refuses the flag itself
+            ("jobs", True, None),
+            ("retries", -1, "-1"),
+            ("retries", 1.9, None),
+            ("retries", True, None),
+            ("cell_timeout", 0, "0"),
+            ("cell_timeout", math.nan, "nan"),
+            ("cell_timeout", math.inf, "inf"),
+            ("executor", "gpu", None),
+        ],
+    )
+    def test_every_entry_point_refuses_a_bad_knob(self, knob, value, flag):
+        """Engine, builder setter, spec ``engine`` block and CLI flag all
+        refuse the same value.  A timeout is paired with the process
+        executor, so only the bad value itself can be at fault."""
+        process = {"executor": "process"} if knob == "cell_timeout" else {}
+        with pytest.raises(EngineConfigError, match=knob):
+            SweepEngine(**{knob: value}, **process)
+        builder = api.experiment("fig4").preset("tiny")
+        with pytest.raises(EngineConfigError, match=knob):
+            getattr(builder, knob)(value)
+        payload = builder.spec()
+        payload["engine"] = {knob: value}
+        with pytest.raises(SpecValidationError) as excinfo:
+            validate_plan_payload(payload)
+        assert len(excinfo.value.errors) == 1
+        assert f"engine.{knob}" in excinfo.value.errors[0]
+        if flag is not None:
+            argv = ["experiment", "fig4", "--preset", "tiny",
+                    "--executor", "process",
+                    f"--{knob.replace('_', '-')}", flag]
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        knob=st.sampled_from(ENGINE_KNOBS),
+        value=st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(-2, 4),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(EXECUTORS + ("thread", "abort", "continue")),
+        ),
+    )
+    def test_builder_spec_always_validates(self, knob, value):
+        """Whatever ``spec()`` writes, ``repro validate`` accepts: a bad
+        knob is refused by its setter, never written."""
+        builder = api.experiment("fig4").preset("tiny")
+        try:
+            getattr(builder, knob)(value)
+        except EngineConfigError:
+            return
+        validate_plan_payload(builder.spec())
 
     def test_every_backend_is_selectable(self):
         """Each ExecutorBackend is reachable from the frontends, so the

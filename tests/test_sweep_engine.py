@@ -466,7 +466,7 @@ class TestSweepResultStats:
             kind="footprint",
         )
         pooled_engine = SweepEngine(jobs=2)
-        assert pooled_engine.executor == "process"
+        assert pooled_engine.config.backend == "process"
         measured = pooled_engine.run(footprint)
         assert measured.executor == "serial"
         assert "jobs=2, serial" in measured.format_stats()
