@@ -233,7 +233,9 @@ class ExperimentBuilder:
                 self._preset, seed=42 if self._seed is None else self._seed
             )
         if self._overrides:
-            preset = replace(preset, **self._overrides)
+            # through the spec-file conversion: ints in float fields
+            # become floats, a misspelt field gets a did-you-mean error
+            preset = Preset.from_dict({**preset.to_dict(), **self._overrides})
         return preset
 
     def build_engine(self) -> SweepEngine:

@@ -55,6 +55,11 @@ from repro.registry import registry
 # experiment stack (tests assert these stay in sync)
 _ARTEFACTS = ("table1", "fig1", "fig4", "fig5", "fig6", "fig7")
 _ABLATIONS = ("aggregation", "denoise", "self-labeling")
+# literal mirrors of scheduler.EXECUTORS / ON_ERROR_MODES and
+# fl.server.CLIENT_ENGINES, for the same reason (tests pin them too)
+_EXECUTORS = ("serial", "process")
+_ON_ERROR_MODES = ("abort", "continue")
+_CLIENT_ENGINES = ("serial", "batched")
 
 
 def _api():
@@ -238,7 +243,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--executor",
-        choices=("serial", "process"),
+        choices=_EXECUTORS,
         default=None,
         help="'serial' runs cells inline, 'process' runs them in "
         "killable worker processes (default: 'process' when --jobs is "
@@ -277,7 +282,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--on-error",
-        choices=("abort", "continue"),
+        choices=_ON_ERROR_MODES,
         default=None,
         help="failure policy once retries are exhausted: 'abort' "
         "(default) re-raises after persisting finished cells; "
@@ -290,7 +295,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
 def _add_client_engine_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--client-engine",
-        choices=("serial", "batched"),
+        choices=_CLIENT_ENGINES,
         default=None,
         help="client execution engine per federation round: 'serial' "
         "(each client trains alone) or 'batched' (fold-stacked cohort "

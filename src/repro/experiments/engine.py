@@ -46,8 +46,8 @@ pre-training) all share one pre-train per building.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Dict, List, Literal, Optional, Tuple, get_args
 
 from repro.attacks import create_attack
 from repro.baselines.registry import make_framework
@@ -74,8 +74,9 @@ from repro.experiments.scheduler import (
 from repro.fl.simulation import build_federation
 from repro.metrics.localization import ErrorSummary, evaluate_model
 from repro.nn.dtype import compute_dtype
-from repro.registry import UnknownComponent, registry
+from repro.registry import registry
 from repro.utils.logging import get_logger
+from repro.utils.records import from_json, json_problems, to_json
 from repro.utils.rng import SeedSequence
 
 logger = get_logger("experiments.engine")
@@ -85,6 +86,8 @@ logger = get_logger("experiments.engine")
 #: rejects files written under any other version with a clear message.
 SPEC_FORMAT = "repro.sweep-plan"
 SPEC_SCHEMA_VERSION = 2
+#: what a plan's cells measure (see :class:`SweepPlan`)
+PlanKind = Literal["federation", "footprint"]
 
 #: framework kwargs that provably do not alter the pre-trained weights —
 #: they configure the untrusted-data defense or the aggregation strategy,
@@ -238,75 +241,49 @@ class ScenarioSpec:
 
     def identity(self) -> Dict[str, object]:
         """The spec fields that determine the cell's numbers (no label)."""
-        payload = asdict(self)
+        payload = to_json(self)
         payload.pop("label")
-        payload["framework_kwargs"] = list(
-            map(list, payload["framework_kwargs"])
-        )
         return payload
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """JSON-native payload (``framework_kwargs`` as a mapping);
         :meth:`from_dict` inverts it exactly."""
-        payload = asdict(self)
-        payload["framework_kwargs"] = dict(self.framework_kwargs)
-        return payload
+        return {**to_json(self), "framework_kwargs": self.kwargs}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ScenarioSpec":
         """Rebuild a spec from :meth:`to_dict` output or a hand-written
         cell; ``framework_kwargs`` may be a mapping or ``(key, value)``
         pairs (they are canonically sorted either way)."""
-        known = {f.name for f in fields(cls)}
-        data = dict(payload)
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise UnknownComponent("cell fields", unknown[0], known)
-        raw_kwargs = data.pop("framework_kwargs", {})
-        if isinstance(raw_kwargs, dict):
-            pairs = raw_kwargs.items()
-        else:
-            pairs = ((key, value) for key, value in raw_kwargs)
-        data["framework_kwargs"] = tuple(sorted(pairs))
-        if "epsilon" in data:
-            data["epsilon"] = float(data["epsilon"])
-        return cls(**data)
+        kwargs = payload.get("framework_kwargs", ())
+        if isinstance(kwargs, dict):
+            kwargs = kwargs.items()
+        return from_json(
+            cls, {**payload, "framework_kwargs": sorted(map(tuple, kwargs))}
+        )
 
 
 def scenario(
     framework: str = "safeloc",
     *,
-    attack: Optional[str] = None,
-    epsilon: float = 0.0,
-    building: Optional[str] = None,
-    num_clients: Optional[int] = None,
-    num_malicious: Optional[int] = None,
     framework_kwargs: Optional[Dict[str, object]] = None,
-    strategy: Optional[str] = None,
-    self_labeling: bool = True,
-    input_dim: Optional[int] = None,
-    num_classes: Optional[int] = None,
-    label: str = "",
+    **fields: object,
 ) -> ScenarioSpec:
-    """Ergonomic :class:`ScenarioSpec` constructor (kwargs as a dict);
-    validates the strategy name against the ``aggregations`` registry
-    namespace (built-in variants and registered plugins alike)."""
+    """Ergonomic :class:`ScenarioSpec` constructor: the other fields by
+    keyword, ``framework_kwargs`` as a dict, ``epsilon`` zeroed on a
+    clean cell.  Validates the strategy name against the
+    ``aggregations`` registry namespace (built-in variants and
+    registered plugins alike)."""
+    strategy = fields.get("strategy")
     if strategy is not None:
         registry.get("aggregations", strategy)  # raises with did-you-mean
+    epsilon = fields.pop("epsilon", 0.0)
     return ScenarioSpec(
         framework=framework,
-        attack=attack,
-        epsilon=float(epsilon) if attack else 0.0,
-        building=building,
-        num_clients=num_clients,
-        num_malicious=num_malicious,
+        epsilon=float(epsilon) if fields.get("attack") else 0.0,
         framework_kwargs=tuple(sorted((framework_kwargs or {}).items())),
-        strategy=strategy,
-        self_labeling=self_labeling,
-        input_dim=input_dim,
-        num_classes=num_classes,
-        label=label,
+        **fields,
     )
 
 
@@ -325,12 +302,12 @@ class SweepPlan:
     name: str
     preset: Preset
     cells: Tuple[ScenarioSpec, ...]
-    kind: str = "federation"
+    kind: PlanKind = "federation"
 
     def __post_init__(self):
         if not self.cells:
             raise ValueError(f"plan {self.name!r} has no cells")
-        if self.kind not in ("federation", "footprint"):
+        if self.kind not in get_args(PlanKind):
             raise ValueError(f"unknown plan kind {self.kind!r}")
 
     # -- serialization -----------------------------------------------------
@@ -391,41 +368,20 @@ class CellResult:
     resumed: bool = False
 
     def to_json_dict(self) -> Dict:
-        spec = asdict(self.spec)
-        spec["framework_kwargs"] = list(map(list, spec["framework_kwargs"]))
-        return {
-            "spec": spec,
-            "building": self.building,
-            "error_summary": (
-                asdict(self.error_summary) if self.error_summary else None
-            ),
-            "flagged_per_round": list(self.flagged_per_round),
-            "dropped_per_round": list(self.dropped_per_round),
-            "parameter_count": self.parameter_count,
-            "metrics": self.metrics,
-            "duration_s": self.duration_s,
-            "pretrain_cache_hit": self.pretrain_cache_hit,
-        }
+        """The resume-ledger record (``resumed`` belongs to the run that
+        reads a record, not to the record)."""
+        payload = to_json(self)
+        del payload["resumed"]
+        return payload
 
     @classmethod
     def from_json_dict(cls, record: Dict, resumed: bool = False) -> "CellResult":
-        spec_fields = dict(record["spec"])
-        spec_fields["framework_kwargs"] = tuple(
-            (k, v) for k, v in spec_fields.get("framework_kwargs", [])
-        )
-        summary = record.get("error_summary")
-        return cls(
-            spec=ScenarioSpec(**spec_fields),
-            building=record.get("building", ""),
-            error_summary=ErrorSummary(**summary) if summary else None,
-            flagged_per_round=list(record.get("flagged_per_round", [])),
-            dropped_per_round=list(record.get("dropped_per_round", [])),
-            parameter_count=int(record.get("parameter_count", 0)),
-            metrics=dict(record.get("metrics", {})),
-            duration_s=float(record.get("duration_s", 0.0)),
-            pretrain_cache_hit=bool(record.get("pretrain_cache_hit", False)),
-            resumed=resumed,
-        )
+        """Rebuild a result from :meth:`to_json_dict` output; a record
+        that is not that schema raises :class:`ValueError`."""
+        problems = json_problems(cls, record, "cell record")
+        if problems:
+            raise ValueError("; ".join(problems))
+        return replace(from_json(cls, record), resumed=resumed)
 
 
 @dataclass
@@ -754,10 +710,9 @@ class SweepEngine:
             return None
         try:
             result = CellResult.from_json_dict(record, resumed=True)
-        except (KeyError, TypeError, ValueError):
-            # parses but does not rebuild (a missing or unknown field, a
-            # non-object root): a miss, and the fresh run's store_cell
-            # overwrites the record
+        except ValueError:
+            # parses but is not a cell record: a miss, and the fresh
+            # run's store_cell overwrites it
             return None
         self.artifacts.stats.record("cells", hit=True)
         # cache keys hash the label-free cell identity, so the

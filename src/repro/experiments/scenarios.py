@@ -11,12 +11,15 @@ Three scales, identical code paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from repro.data.buildings import Building, get_building, scaled_building
+from repro.fl.server import ClientEngine
 from repro.fl.simulation import FederationConfig
+from repro.nn.dtype import ComputeDtype
 from repro.registry import registry
+from repro.utils.records import from_json, to_json
 
 
 @dataclass(frozen=True)
@@ -70,11 +73,11 @@ class Preset:
     #: "batched" (fold-stacked cohort training); both run each model's
     #: one training program, identical at float64 — see
     #: :mod:`repro.fl.batched_round`
-    client_engine: str = "serial"
+    client_engine: ClientEngine = "serial"
     #: numpy float width the whole stack computes at ("float64" is the
     #: bit-for-bit reference; "float32" halves state memory/bandwidth —
     #: see the ``fast32`` preset)
-    compute_dtype: str = "float64"
+    compute_dtype: ComputeDtype = "float64"
 
     def building(self, name: str) -> Building:
         """Materialize one of the preset's buildings at the preset scale."""
@@ -110,58 +113,14 @@ class Preset:
     def to_dict(self) -> Dict[str, object]:
         """JSON-native payload (tuples as lists) losslessly describing
         this preset; :meth:`from_dict` inverts it exactly."""
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "buildings": list(self.buildings),
-            "rp_fraction": self.rp_fraction,
-            "ap_fraction": self.ap_fraction,
-            "num_clients": self.num_clients,
-            "num_malicious": self.num_malicious,
-            "num_rounds": self.num_rounds,
-            "client_epochs": self.client_epochs,
-            "client_lr": self.client_lr,
-            "malicious_epochs": self.malicious_epochs,
-            "malicious_lr": self.malicious_lr,
-            "client_fingerprints_per_rp": self.client_fingerprints_per_rp,
-            "pretrain_epochs": self.pretrain_epochs,
-            "pretrain_lr": self.pretrain_lr,
-            "epsilon_grid": list(self.epsilon_grid),
-            "tau_grid": list(self.tau_grid),
-            "attacks": list(self.attacks),
-            "default_epsilon": self.default_epsilon,
-            "scalability_grid": [list(pair) for pair in self.scalability_grid],
-            "latency_repeats": self.latency_repeats,
-            "client_engine": self.client_engine,
-            "compute_dtype": self.compute_dtype,
-        }
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "Preset":
         """Rebuild a preset from :meth:`to_dict` output (or a hand-written
-        spec file); unknown or missing fields raise with the field named."""
-        from repro.registry import UnknownComponent
-
-        known = {f.name for f in fields(cls)}
-        data = dict(payload)
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise UnknownComponent("preset fields", unknown[0], known)
-        if "name" not in data:
-            raise ValueError("preset payload is missing the 'name' field")
-        for grid in ("buildings", "epsilon_grid", "tau_grid", "attacks"):
-            if grid in data:
-                data[grid] = tuple(data[grid])
-        if "epsilon_grid" in data:
-            data["epsilon_grid"] = tuple(float(e) for e in data["epsilon_grid"])
-        if "tau_grid" in data:
-            data["tau_grid"] = tuple(float(t) for t in data["tau_grid"])
-        if "scalability_grid" in data:
-            data["scalability_grid"] = tuple(
-                (int(total), int(poisoned))
-                for total, poisoned in data["scalability_grid"]
-            )
-        return cls(**data)
+        spec file): an integer in a float field reads as a float, and an
+        unknown field raises with a did-you-mean hint."""
+        return from_json(cls, payload)
 
 
 def tiny_preset(seed: int = 42) -> Preset:

@@ -62,12 +62,13 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.experiments.chaos import WorkerKilled
 from repro.registry import _did_you_mean
 from repro.utils.logging import get_logger
+from repro.utils.records import to_json
 
 logger = get_logger("experiments.scheduler")
 
@@ -125,11 +126,8 @@ def engine_problems(knobs: Dict[str, object], prefix: str = "") -> List[str]:
     for name, value in knobs.items():
         where = prefix + name
         if name not in ENGINE_KNOBS:
-            message = f"{where}: unknown field"
-            suggestion = _did_you_mean(name, ENGINE_KNOBS)
-            if suggestion:
-                message += f" — did you mean {suggestion!r}?"
-            problems.append(message)
+            hint = _did_you_mean(name, ENGINE_KNOBS)
+            problems.append(f"{where}: unknown field{hint}")
         elif name in ("jobs", "retries"):
             least = 1 if name == "jobs" else 0
             if not (
@@ -294,22 +292,8 @@ class CellFailure:
             f"[{self.elapsed_s:.1f}s]: {self.error_type}: {self.message}"
         )
 
-    def to_json_dict(self) -> Dict:
-        spec = None
-        if self.spec is not None:
-            spec = asdict(self.spec)
-            spec["framework_kwargs"] = list(
-                map(list, spec["framework_kwargs"])
-            )
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "error_type": self.error_type,
-            "message": self.message,
-            "attempts": self.attempts,
-            "elapsed_s": self.elapsed_s,
-            "spec": spec,
-        }
+    def to_json_dict(self) -> Dict[str, Any]:
+        return to_json(self)
 
 
 # -- executor backends -----------------------------------------------------

@@ -21,42 +21,19 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, FrozenSet, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.experiments.engine import (
     SPEC_FORMAT,
     SPEC_SCHEMA_VERSION,
+    PlanKind,
+    ScenarioSpec,
     SweepPlan,
 )
+from repro.experiments.scenarios import Preset
 from repro.experiments.scheduler import engine_problems
 from repro.registry import _did_you_mean, registry
-
-#: preset fields and the JSON types they must carry
-_PRESET_FIELD_TYPES = {
-    "name": str,
-    "seed": int,
-    "buildings": list,
-    "rp_fraction": (int, float),
-    "ap_fraction": (int, float),
-    "num_clients": int,
-    "num_malicious": int,
-    "num_rounds": int,
-    "client_epochs": int,
-    "client_lr": (int, float),
-    "malicious_epochs": int,
-    "malicious_lr": (int, float),
-    "client_fingerprints_per_rp": int,
-    "pretrain_epochs": int,
-    "pretrain_lr": (int, float),
-    "epsilon_grid": list,
-    "tau_grid": list,
-    "attacks": list,
-    "default_epsilon": (int, float),
-    "scalability_grid": list,
-    "latency_repeats": int,
-    "client_engine": str,
-    "compute_dtype": str,
-}
+from repro.utils.records import json_problems
 
 #: what changed since each older schema version — appended to the
 #: version-mismatch error so an old file says exactly what to edit
@@ -64,35 +41,6 @@ _SCHEMA_CHANGES = {
     1: "version 2 removed preset.max_workers (thread-pool client rounds); "
     "delete that field and set schema_version to 2",
 }
-
-_CELL_FIELD_TYPES = {
-    "framework": str,
-    "attack": (str, type(None)),
-    "epsilon": (int, float),
-    "building": (str, type(None)),
-    "num_clients": (int, type(None)),
-    "num_malicious": (int, type(None)),
-    "framework_kwargs": (dict, list),
-    "strategy": (str, type(None)),
-    "self_labeling": bool,
-    "input_dim": (int, type(None)),
-    "num_classes": (int, type(None)),
-    "label": str,
-}
-
-
-def preset_field_names() -> FrozenSet[str]:
-    """The preset fields the validator knows (cross-checked against
-    ``Preset``'s dataclass fields and ``to_dict`` keys by
-    ``tests/test_spec_roundtrip.py`` so the validation table cannot
-    silently drift from the spec format)."""
-    return frozenset(_PRESET_FIELD_TYPES)
-
-
-def cell_field_names() -> FrozenSet[str]:
-    """The cell fields the validator knows (checked against
-    ``ScenarioSpec`` like :func:`preset_field_names`)."""
-    return frozenset(_CELL_FIELD_TYPES)
 
 
 class SpecValidationError(ValueError):
@@ -113,137 +61,51 @@ class SpecValidationError(ValueError):
         )
 
 
-def _type_name(expected: Any) -> str:
-    if isinstance(expected, tuple):
-        return " or ".join(
-            "null" if t is type(None) else t.__name__ for t in expected
-        )
-    return expected.__name__
-
-
-def _check_fields(
-    payload: Dict, types: Dict[str, Any], where: str, errors: List[str]
-) -> None:
-    for name, value in payload.items():
-        if name not in types:
-            message = f"{where}.{name}: unknown field"
-            suggestion = _did_you_mean(name, types)
-            if suggestion:
-                message += f" — did you mean {suggestion!r}?"
-            errors.append(message)
-            continue
-        expected = types[name]
-        # bool is an int subclass; don't let true/false pass as counts
-        if isinstance(value, bool) and expected is not bool:
-            errors.append(
-                f"{where}.{name}: expected {_type_name(expected)}, "
-                f"got a boolean"
-            )
-        elif not isinstance(value, expected):
-            errors.append(
-                f"{where}.{name}: expected {_type_name(expected)}, "
-                f"got {type(value).__name__} ({value!r})"
-            )
-
-
-def _check_elements(
-    preset: Dict, errors: List[str]
-) -> None:
-    """Element-level checks for the preset's list fields (the container
-    check alone would let malformed entries crash construction)."""
-    for field in ("buildings", "attacks"):
-        for index, entry in enumerate(preset.get(field) or ()):
-            if not isinstance(entry, str):
-                errors.append(
-                    f"preset.{field}[{index}]: expected string, got "
-                    f"{type(entry).__name__} ({entry!r})"
-                )
-    for field in ("epsilon_grid", "tau_grid"):
-        for index, entry in enumerate(preset.get(field) or ()):
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                errors.append(
-                    f"preset.{field}[{index}]: expected number, got "
-                    f"{type(entry).__name__} ({entry!r})"
-                )
-    for index, pair in enumerate(preset.get("scalability_grid") or ()):
-        good = (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(
-                isinstance(v, int) and not isinstance(v, bool) for v in pair
-            )
-        )
-        if not good:
-            errors.append(
-                f"preset.scalability_grid[{index}]: expected a "
-                f"[total, poisoned] integer pair, got {pair!r}"
-            )
-
-
 def _check_name(
     namespace: str, name: str, where: str, errors: List[str]
 ) -> None:
     if registry.has(namespace, name):
         return
-    message = f"{where}: unknown {namespace[:-1]} {name!r}"
-    suggestion = _did_you_mean(name, registry.names(namespace))
-    if suggestion:
-        message += f" — did you mean {suggestion!r}?"
-    else:
-        message += f"; choices: {sorted(registry.names(namespace))}"
-    errors.append(message)
+    hint = _did_you_mean(name, registry.names(namespace))
+    if not hint:
+        hint = f"; choices: {sorted(registry.names(namespace))}"
+    errors.append(f"{where}: unknown {namespace[:-1]} {name!r}{hint}")
 
 
 def _validate_cell(
     cell: Any, index: int, kind: str, errors: List[str]
 ) -> None:
     where = f"cells[{index}]"
+    kwargs = cell.get("framework_kwargs") if isinstance(cell, dict) else None
+    if isinstance(kwargs, dict):
+        # spec files write the kwargs as a mapping, records as pairs
+        cell = {**cell, "framework_kwargs": list(kwargs.items())}
+    problems = json_problems(ScenarioSpec, cell, where)
+    errors.extend(problems)
     if not isinstance(cell, dict):
-        errors.append(f"{where}: expected an object, got {type(cell).__name__}")
         return
-    _check_fields(cell, _CELL_FIELD_TYPES, where, errors)
     if "framework" not in cell:
         errors.append(f"{where}.framework: required field is missing")
-    elif isinstance(cell["framework"], str):
-        _check_name("frameworks", cell["framework"], f"{where}.framework", errors)
-    attack = cell.get("attack")
-    if isinstance(attack, str):
-        _check_name("attacks", attack, f"{where}.attack", errors)
-    strategy = cell.get("strategy")
-    if isinstance(strategy, str):
-        # validated against the registry so plugin aggregations are
-        # spec-addressable like built-ins
-        _check_name("aggregations", strategy, f"{where}.strategy", errors)
-    kwargs = cell.get("framework_kwargs", {})
-    if isinstance(kwargs, list):
-        good = all(
-            isinstance(pair, list) and len(pair) == 2
-            and isinstance(pair[0], str)
-            for pair in kwargs
-        )
-        if not good:
-            errors.append(
-                f"{where}.framework_kwargs: pair form must be "
-                f"[[name, value], ...]"
-            )
-            kwargs = {}
-        else:
-            kwargs = dict(kwargs)
-    if isinstance(kwargs, dict) and registry.has(
-        "frameworks", cell.get("framework", "")
+    # component names resolve through the registry, plugins included
+    for field, namespace in (
+        ("framework", "frameworks"),
+        ("attack", "attacks"),
+        ("strategy", "aggregations"),
     ):
+        if isinstance(cell.get(field), str):
+            _check_name(namespace, cell[field], f"{where}.{field}", errors)
+    kwargs_where = f"{where}.framework_kwargs"
+    well_formed = not any(p.startswith(kwargs_where) for p in problems)
+    if well_formed and registry.has("frameworks", cell.get("framework", "")):
         universe = registry.accepted_kwargs("frameworks")
         info = registry.get("frameworks", cell["framework"])
-        for kwarg in kwargs:
+        for kwarg, _ in cell.get("framework_kwargs", ()):
             if not info.accepts_kwarg(kwarg) and kwarg not in universe:
-                message = (
-                    f"{where}.framework_kwargs.{kwarg}: no registered "
-                    f"framework accepts this kwarg"
+                hint = _did_you_mean(kwarg, universe)
+                errors.append(
+                    f"{kwargs_where}.{kwarg}: no registered framework "
+                    f"accepts this kwarg{hint}"
                 )
-                suggestion = _did_you_mean(kwarg, universe)
-                if suggestion:
-                    message += f" — did you mean {suggestion!r}?"
-                errors.append(message)
     if kind == "footprint":
         for required in ("input_dim", "num_classes"):
             if cell.get(required) is None:
@@ -294,21 +156,15 @@ def validate_plan_payload(
     if not isinstance(name, str) or not name:
         errors.append("name: required non-empty string is missing")
     kind = payload.get("kind", "federation")
-    if kind not in ("federation", "footprint"):
-        errors.append(
-            f"kind: expected 'federation' or 'footprint', got {kind!r}"
-        )
+    errors.extend(json_problems(PlanKind, kind, "kind"))
     top_level = (
         "format", "schema_version", "name", "kind", "preset", "cells",
         "engine",
     )
     for field in payload:
         if field not in top_level:
-            message = f"{field}: unknown top-level field"
-            suggestion = _did_you_mean(field, top_level)
-            if suggestion:
-                message += f" — did you mean {suggestion!r}?"
-            errors.append(message)
+            hint = _did_you_mean(field, top_level)
+            errors.append(f"{field}: unknown top-level field{hint}")
     # the optional engine block: scheduling hints that run_spec applies
     # as defaults, never anything that could change the numbers
     engine = payload.get("engine")
@@ -319,30 +175,13 @@ def validate_plan_payload(
             f"engine: expected an object, got {type(engine).__name__}"
         )
     preset = payload.get("preset")
-    if not isinstance(preset, dict):
-        errors.append(
-            f"preset: expected an object, got {type(preset).__name__}"
-        )
-    else:
-        _check_fields(preset, _PRESET_FIELD_TYPES, "preset", errors)
-        _check_elements(preset, errors)
-        if "name" not in preset:
-            errors.append("preset.name: required field is missing")
-        for index, attack in enumerate(preset.get("attacks") or ()):
+    errors.extend(json_problems(Preset, preset, "preset"))
+    if isinstance(preset, dict) and isinstance(preset.get("attacks"), list):
+        for index, attack in enumerate(preset["attacks"]):
             if isinstance(attack, str):
                 _check_name(
                     "attacks", attack, f"preset.attacks[{index}]", errors
                 )
-        if preset.get("compute_dtype") not in (None, "float32", "float64"):
-            errors.append(
-                f"preset.compute_dtype: expected 'float32' or 'float64', "
-                f"got {preset.get('compute_dtype')!r}"
-            )
-        if preset.get("client_engine") not in (None, "serial", "batched"):
-            errors.append(
-                f"preset.client_engine: expected 'serial' or 'batched', "
-                f"got {preset.get('client_engine')!r}"
-            )
     cells = payload.get("cells")
     if not isinstance(cells, list) or not cells:
         errors.append("cells: expected a non-empty array of cell objects")

@@ -9,7 +9,7 @@ their LMs back through the configured aggregation strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Literal, Optional, Sequence, get_args
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from repro.utils.rng import SeedSequence
 logger = get_logger("fl.server")
 
 #: recognized client execution engines (see :class:`FederatedServer`)
-CLIENT_ENGINES = ("serial", "batched")
+ClientEngine = Literal["serial", "batched"]
+CLIENT_ENGINES = get_args(ClientEngine)
 
 
 @dataclass

@@ -18,22 +18,23 @@ scope a half-width region without leaking it.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from typing import Literal, get_args
 
 import numpy as np
 
-#: Widths the substrate supports; float16 accumulates too much error in
-#: the optimizers to be useful on this workload.
-SUPPORTED_DTYPES = (np.float32, np.float64)
+#: Widths the substrate supports, by name; float16 accumulates too much
+#: error in the optimizers to be useful on this workload.
+ComputeDtype = Literal["float32", "float64"]
 
 _default_dtype = np.float64
 
 
 def _validate(dtype) -> np.dtype:
     resolved = np.dtype(dtype)
-    if resolved not in (np.dtype(d) for d in SUPPORTED_DTYPES):
+    if resolved not in map(np.dtype, get_args(ComputeDtype)):
         raise ValueError(
             f"unsupported compute dtype {dtype!r}; "
-            f"choices: {[np.dtype(d).name for d in SUPPORTED_DTYPES]}"
+            f"choices: {list(get_args(ComputeDtype))}"
         )
     return resolved.type
 

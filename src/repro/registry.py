@@ -78,11 +78,10 @@ class UnknownComponent(KeyError, ValueError):
         self, namespace: str, name: str, choices: Iterable[str]
     ) -> None:
         choices = sorted(choices)
-        message = f"unknown {namespace[:-1]} {name!r}; choices: {choices}"
-        suggestion = _did_you_mean(name, choices)
-        if suggestion:
-            message += f" — did you mean {suggestion!r}?"
-        super().__init__(message)
+        super().__init__(
+            f"unknown {namespace[:-1]} {name!r}; choices: {choices}"
+            + _did_you_mean(name, choices)
+        )
         self.namespace = namespace
         self.name = name
 
@@ -101,21 +100,19 @@ class UnknownComponentKwarg(TypeError):
         universe: Iterable[str],
     ) -> None:
         universe = sorted(universe)
-        message = (
+        super().__init__(
             f"{namespace[:-1]} {name!r} got unknown kwarg {kwarg!r} "
             f"(accepted by no component in the sweep; known kwargs: "
-            f"{universe})"
+            f"{universe})" + _did_you_mean(kwarg, universe)
         )
-        suggestion = _did_you_mean(kwarg, universe)
-        if suggestion:
-            message += f" — did you mean {suggestion!r}?"
-        super().__init__(message)
         self.kwarg = kwarg
 
 
-def _did_you_mean(word: str, choices: Iterable[str]) -> Optional[str]:
+def _did_you_mean(word: str, choices: Iterable[str]) -> str:
+    """`` — did you mean 'x'?`` for a close match in ``choices``, else
+    ``""``: the suffix every unknown-name message ends with."""
     matches = difflib.get_close_matches(word, list(choices), n=1, cutoff=0.6)
-    return matches[0] if matches else None
+    return f" — did you mean {matches[0]!r}?" if matches else ""
 
 
 def _signature_kwargs(factory: Callable) -> Tuple[Dict[str, object], bool]:

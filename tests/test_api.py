@@ -73,6 +73,17 @@ class TestBuilder:
         assert plan.preset.epsilon_grid == (0.1,)
         assert len(plan.cells) == 1
 
+    def test_override_converts_like_a_spec_file(self):
+        """Overrides go through the spec-file conversion: an integer
+        spelling of a float field stores a float, and a misspelt field
+        gets a did-you-mean error."""
+        builder = api.experiment("fig4").preset("tiny")
+        preset = builder.override(rp_fraction=1).build_preset()
+        assert type(preset.rp_fraction) is float
+        assert preset.to_dict()["rp_fraction"] == 1.0
+        with pytest.raises(ValueError, match="did you mean 'rp_fraction'"):
+            builder.override(rp_fractoin=1).build_preset()
+
     def test_attacks_override_validates_names(self):
         with pytest.raises(UnknownComponent, match="did you mean"):
             api.experiment("fig5").attacks("fgsm", "fgsmm")

@@ -168,6 +168,15 @@ class TestParser:
         assert _ARTEFACTS == api.PAPER_ARTEFACTS
         assert _ABLATIONS == tuple(api.ABLATION_ARTEFACTS)
 
+    def test_engine_choices_in_sync_with_their_declarations(self):
+        from repro.cli import _CLIENT_ENGINES, _EXECUTORS, _ON_ERROR_MODES
+        from repro.experiments.scheduler import EXECUTORS, ON_ERROR_MODES
+        from repro.fl.server import CLIENT_ENGINES
+
+        assert _EXECUTORS == EXECUTORS
+        assert _ON_ERROR_MODES == ON_ERROR_MODES
+        assert _CLIENT_ENGINES == CLIENT_ENGINES
+
 
 class TestRunCommand:
     def test_printed_summary_is_pinned(self, capsys):

@@ -10,16 +10,15 @@ import pytest
 from repro.experiments.engine import (
     SPEC_SCHEMA_VERSION,
     ScenarioSpec,
+    SweepEngine,
     SweepPlan,
     scenario,
 )
 from repro.experiments.scenarios import Preset, get_preset, tiny_preset
 from repro.experiments.specio import (
     SpecValidationError,
-    cell_field_names,
     load_plan,
     plan_to_json,
-    preset_field_names,
     save_plan,
     validate_plan_payload,
 )
@@ -33,6 +32,16 @@ def build_plan(artefact: str) -> SweepPlan:
     import repro.api as api
 
     return api.experiment(artefact).preset("tiny").plan()
+
+
+def _edit(change):
+    """A payload mutator from an in-place edit."""
+
+    def mutate(payload):
+        change(payload)
+        return payload
+
+    return mutate
 
 
 class TestRoundTrip:
@@ -67,6 +76,21 @@ class TestRoundTrip:
         payload["framework_kwargs"] = [["tau", 0.1]]
         assert ScenarioSpec.from_dict(payload).kwargs == {"tau": 0.1}
 
+    def test_integer_spelling_of_a_float_field_is_one_cell(self):
+        """``"rp_fraction": 1`` and ``1.0`` build equal presets, so they
+        must also write the same spec and share data, pre-train and cell
+        keys (the keys hash the JSON text, where ``1`` is not ``1.0``)."""
+        payload = build_plan("fig4").to_dict()
+        keys, texts = [], []
+        for value in (1, 1.0):
+            payload["preset"]["rp_fraction"] = value
+            plan = SweepPlan.from_dict(payload)
+            assert type(plan.preset.rp_fraction) is float
+            texts.append(plan_to_json(plan))
+            keys.append(SweepEngine()._cell_key(plan, plan.cells[0]))
+        assert texts[0] == texts[1]
+        assert keys[0] == keys[1]
+
     def test_save_load_file_roundtrip(self, tmp_path):
         plan = build_plan("fig7")
         path = str(tmp_path / "fig7.json")
@@ -75,24 +99,16 @@ class TestRoundTrip:
 
 
 class TestFieldTables:
-    """The validator's hand-maintained field tables, each spec
-    dataclass's fields and its ``to_dict`` keys name the same set: a
-    field missing from a table fails validation of specs that set it, a
-    stale table entry promises a field ``from_dict`` refuses, and a
-    field ``to_dict`` drops makes saved specs lossy."""
+    """Each spec dataclass's ``to_dict`` keys name its fields: a field
+    ``to_dict`` drops makes saved specs lossy."""
 
     @pytest.mark.parametrize(
-        "cls, table, probe",
-        [
-            (Preset, preset_field_names, lambda: Preset("probe")),
-            (ScenarioSpec, cell_field_names, ScenarioSpec),
-        ],
+        "cls, probe",
+        [(Preset, lambda: Preset("probe")), (ScenarioSpec, ScenarioSpec)],
         ids=["preset", "cell"],
     )
-    def test_tables_match_dataclass_and_to_dict(self, cls, table, probe):
-        declared = {f.name for f in fields(cls)}
-        assert table() == declared
-        assert set(probe().to_dict()) == declared
+    def test_to_dict_matches_dataclass(self, cls, probe):
+        assert set(probe().to_dict()) == {f.name for f in fields(cls)}
 
 
 class TestGoldenFiles:
@@ -353,6 +369,49 @@ class TestValidation:
         path.write_text(json.dumps(payload))
         with pytest.raises(SpecValidationError, match="plan.json"):
             load_plan(str(path))
+
+    @pytest.mark.parametrize(
+        "mutate, prefix",
+        [
+            (_edit(lambda p: p["cells"].__setitem__(0, 5)), "cells[0]:"),
+            (_edit(lambda p: p["cells"][0].pop("framework")),
+             "cells[0].framework:"),
+            (_edit(lambda p: p["cells"][0].update(
+                framework_kwargs=[["tau", 0.1]])), None),
+            (_edit(lambda p: p["cells"][0].update(
+                framework_kwargs=[["tau"]])), "cells[0].framework_kwargs"),
+            (lambda p: [p], "spec root:"),
+            (_edit(lambda p: p.pop("name")), "name:"),
+            (_edit(lambda p: p.update(name="")), "name:"),
+            (_edit(lambda p: p.update(kind="bogus")), "kind:"),
+            (_edit(lambda p: p.update(extra=1)), "extra:"),
+            (_edit(lambda p: p.update(engine=[1])), "engine:"),
+            (_edit(lambda p: p.update(preset=[1])), "preset:"),
+            (_edit(lambda p: p["preset"].pop("name")), "preset.name:"),
+            (_edit(lambda p: p["preset"].update(compute_dtype="float16")),
+             "preset.compute_dtype:"),
+            (_edit(lambda p: p["preset"].update(client_engine="gpu")),
+             "preset.client_engine:"),
+        ],
+        ids=[
+            "cell-not-object", "cell-without-framework", "pair-kwargs",
+            "malformed-pair-kwargs", "root-not-object", "missing-name",
+            "empty-name", "bad-kind", "unknown-top-level-field",
+            "engine-not-object", "preset-not-object", "missing-preset-name",
+            "bad-compute-dtype", "bad-client-engine",
+        ],
+    )
+    def test_each_error_path_names_its_field(self, mutate, prefix):
+        """Each structural check reports exactly one error, tagged with
+        the path of the offending field (``None``: the payload is valid)."""
+        payload = mutate(self.payload())
+        if prefix is None:
+            validate_plan_payload(payload)
+            return
+        with pytest.raises(SpecValidationError) as excinfo:
+            validate_plan_payload(payload)
+        (error,) = excinfo.value.errors
+        assert error.startswith(prefix), error
 
     def test_valid_payload_passes_untouched(self):
         payload = self.payload()

@@ -291,7 +291,11 @@ class TestResumeStore:
         assert summaries_of(again) == summaries_of(reference)
 
     @pytest.mark.parametrize(
-        "shape", ["torn", "missing-spec", "unknown-spec-field", "list-root"]
+        "shape",
+        [
+            "torn", "missing-spec", "unknown-spec-field", "list-root",
+            "string-mean", "string-flagged",
+        ],
     )
     def test_invalid_ledger_record_recomputed(self, tmp_path, shape):
         """A resume-ledger record that does not rebuild a cell is a miss:
@@ -314,6 +318,12 @@ class TestResumeStore:
             text = json.dumps(record)
         elif shape == "unknown-spec-field":
             record["spec"]["engine"] = {"executor": "serial"}
+            text = json.dumps(record)
+        elif shape == "string-mean":
+            record["error_summary"]["mean"] = "oops"
+            text = json.dumps(record)
+        elif shape == "string-flagged":
+            record["flagged_per_round"] = "abc"
             text = json.dumps(record)
         else:
             text = json.dumps([record])
