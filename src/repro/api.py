@@ -27,9 +27,7 @@ with ``format_report()`` plus their underlying
 :class:`~repro.experiments.engine.SweepResult`), never printed tables;
 printing is the CLI's job (:mod:`repro.cli` is a thin shell over this
 module).  Component names resolve through the unified registry
-(:mod:`repro.registry`), so plugins registered via
-``repro.registry.register_plugin`` or ``repro.components`` entry points
-are first-class everywhere.
+(:mod:`repro.registry`) of the paper's built-in components.
 """
 
 from __future__ import annotations
@@ -294,8 +292,8 @@ class ExperimentBuilder:
 
 
 def experiment(artefact: str) -> ExperimentBuilder:
-    """Fluent builder for a paper artefact (``fig1`` … ``table1``) or a
-    registered ablation/plugin artefact."""
+    """Fluent builder for a paper artefact (``fig1`` … ``table1``) or an
+    ablation artefact (``ablation-*``)."""
     return ExperimentBuilder(artefact)
 
 
@@ -455,9 +453,6 @@ def info() -> Dict[str, List[Dict[str, object]]]:
                 "paper": component.paper,
                 "defaults": dict(component.defaults),
                 "doc": component.doc,
-                "supports_batched_clients": (
-                    component.supports_batched_clients
-                ),
             }
             for component in registry.components(namespace)
         ]

@@ -2,7 +2,7 @@
 
 Since the unified-registry redesign this module is a thin shim: the
 attacks live in :data:`repro.registry.registry` under the ``attacks``
-namespace (metadata, strict kwarg validation, plugin discovery), and
+namespace (metadata, strict kwarg validation), and
 :func:`create_attack` delegates to :meth:`Registry.create`.
 
 Unknown kwargs now **raise** with a did-you-mean suggestion unless they
@@ -39,11 +39,7 @@ for _name, _factory, _paper, _doc in (
     ("gaussian_noise", GaussianNoise, False,
      "Gaussian noise: gradient-free perturbation control"),
 ):
-    # replace=True gives the built-ins authority over their names even
-    # if an entry-point plugin registered first
-    registry.add(
-        "attacks", _name, _factory, paper=_paper, doc=_doc, replace=True
-    )
+    registry.add("attacks", _name, _factory, paper=_paper, doc=_doc)
 
 #: the paper's §III.A attack set (fixed by the paper, not a registry query)
 PAPER_ATTACKS = ("clb", "fgsm", "pgd", "mim", "label_flip")

@@ -50,11 +50,6 @@ for _name, _factory, _paper, _doc, _extra in (
     ("krum", make_krum, False,
      "KRUM: MLP + Byzantine-robust single-LM selection [22]", ()),
 ):
-    # replace=True gives the built-ins authority over their names even
-    # if an entry-point plugin registered first.  Every built-in model
-    # exposes a fold-batch program (SAFELOC/ONLAD composite, DNN
-    # classifier), so client_engine="batched" stacks all of them —
-    # a test probes the claim against each model's fold_batch_program().
     registry.add(
         "frameworks",
         _name,
@@ -62,8 +57,6 @@ for _name, _factory, _paper, _doc, _extra in (
         paper=_paper,
         doc=_doc,
         extra_kwargs=_extra,
-        replace=True,
-        supports_batched_clients=True,
     )
 
 #: Fig. 6 / Table I comparison set, in the paper's ranking order

@@ -227,8 +227,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
             defaults = _format_defaults(entry["defaults"])
             if defaults:
                 line += f" (defaults: {defaults})"
-            if entry.get("supports_batched_clients"):
-                line += " [batched-clients]"
             print(line)
     return 0
 

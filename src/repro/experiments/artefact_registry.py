@@ -104,8 +104,6 @@ for _name, _plan, _collect, _paper, _doc, _options in (
      collect_ablation, False,
      "Ablation — §III pseudo-label loop vs oracle labels", ()),
 ):
-    # replace=True gives the built-ins authority over their names even
-    # if an entry-point plugin registered first
     registry.add(
         "artefacts",
         _name,
@@ -113,7 +111,6 @@ for _name, _plan, _collect, _paper, _doc, _options in (
         paper=_paper,
         doc=_doc,
         extra_kwargs=_options,
-        replace=True,
     )
 
 

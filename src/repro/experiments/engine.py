@@ -186,15 +186,12 @@ for _name, _paper, _doc in (
     ("trimmed-mean", False, "Coordinate-wise trimmed mean (trim=1)"),
     ("norm-clipping", False, "Update-norm clipping before averaging"),
 ):
-    # replace=True gives the built-ins authority over their names even
-    # if an entry-point plugin registered first
     registry.add(
         "aggregations",
         _name,
         (lambda _n: lambda: _named_strategies()[_n]())(_name),
         paper=_paper,
         doc=_doc,
-        replace=True,
     )
 
 
@@ -273,8 +270,7 @@ def scenario(
     """Ergonomic :class:`ScenarioSpec` constructor: the other fields by
     keyword, ``framework_kwargs`` as a dict, ``epsilon`` zeroed on a
     clean cell.  Validates the strategy name against the
-    ``aggregations`` registry namespace (built-in variants and
-    registered plugins alike)."""
+    ``aggregations`` registry namespace."""
     strategy = fields.get("strategy")
     if strategy is not None:
         registry.get("aggregations", strategy)  # raises with did-you-mean

@@ -201,20 +201,7 @@ for _name, _factory, _paper, _doc in (
     ("paper", paper_preset, True,
      "The paper's §V.A configuration — hours of CPU"),
 ):
-    # replace=True gives the built-ins authority over their names even
-    # if an entry-point plugin registered first
-    registry.add(
-        "presets", _name, _factory, paper=_paper, doc=_doc, replace=True
-    )
-
-#: legacy name→factory mapping (built-ins only; ``get_preset`` also
-#: resolves registry plugins)
-PRESETS = {
-    "tiny": tiny_preset,
-    "fast": fast_preset,
-    "fast32": fast32_preset,
-    "paper": paper_preset,
-}
+    registry.add("presets", _name, _factory, paper=_paper, doc=_doc)
 
 
 def get_preset(name: str, seed: int = 42) -> Preset:

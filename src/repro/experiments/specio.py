@@ -12,9 +12,8 @@ engine:
     plan.json: cells[3].framework: unknown framework 'safelok' — did
     you mean 'safeloc'?
 
-Validation checks names against the unified component registry
-(:mod:`repro.registry`), so out-of-tree plugins registered through
-``register_plugin`` / entry points validate exactly like built-ins.
+Validation checks names and framework kwargs against the unified
+component registry (:mod:`repro.registry`).
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ def _validate_cell(
         return
     if "framework" not in cell:
         errors.append(f"{where}.framework: required field is missing")
-    # component names resolve through the registry, plugins included
+    # component names resolve through the registry
     for field, namespace in (
         ("framework", "frameworks"),
         ("attack", "attacks"),
@@ -96,11 +95,16 @@ def _validate_cell(
             _check_name(namespace, cell[field], f"{where}.{field}", errors)
     kwargs_where = f"{where}.framework_kwargs"
     well_formed = not any(p.startswith(kwargs_where) for p in problems)
-    if well_formed and registry.has("frameworks", cell.get("framework", "")):
+    framework = cell.get("framework")
+    if (
+        well_formed
+        and isinstance(framework, str)
+        and registry.has("frameworks", framework)
+    ):
+        # a kwarg only another framework takes is filtered, not an error
         universe = registry.accepted_kwargs("frameworks")
-        info = registry.get("frameworks", cell["framework"])
         for kwarg, _ in cell.get("framework_kwargs", ()):
-            if not info.accepts_kwarg(kwarg) and kwarg not in universe:
+            if kwarg not in universe:
                 hint = _did_you_mean(kwarg, universe)
                 errors.append(
                     f"{kwargs_where}.{kwarg}: no registered framework "

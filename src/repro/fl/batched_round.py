@@ -37,7 +37,7 @@ pipeline (:class:`~repro.core.safeloc.SafeLocFoldProgram`) and ONLAD's
 localizer/detector pair (:class:`~repro.baselines.onlad.OnladFoldProgram`).
 Clients whose model has no program
 (:meth:`~repro.fl.interfaces.LocalizationModel.fold_batch_program`
-returns ``None`` — plugins with their own ``train_epochs``) train
+returns ``None`` — e.g. a subclass overriding ``train_epochs``) train
 through that method inside the cohort, so ``client_engine="batched"`` is
 safe for every framework.
 

@@ -13,7 +13,7 @@ dependency beyond numpy:
 * fold stacks and their per-fold losses (:mod:`repro.nn.batched`),
 * input-gradient computation (``Module.input_gradient``), which the
   gradient-based poisoning attacks (FGSM/PGD/MIM/CLB) require,
-* state-dict (de)serialization and numeric gradient checking.
+* state-dict (de)serialization.
 """
 
 from repro.nn.dtype import (
@@ -40,7 +40,6 @@ from repro.nn.serialization import (
     save_state,
     state_allclose,
 )
-from repro.nn.gradcheck import check_input_gradient, check_parameter_gradients
 
 __all__ = [
     "compute_dtype",
@@ -67,6 +66,4 @@ __all__ = [
     "load_state",
     "clone_state",
     "state_allclose",
-    "check_parameter_gradients",
-    "check_input_gradient",
 ]

@@ -1,11 +1,8 @@
-"""Unified component registry — every pluggable piece of the package by
+"""Unified component registry — every built-in piece of the package by
 (namespace, name).
 
 Frameworks, attacks, aggregation strategies, presets and artefact
-drivers used to live in disconnected name→factory dicts
-(``attacks/registry.py``, ``baselines/registry.py``, plus ad-hoc preset
-and artefact wiring in the CLI).  This module replaces them with one
-:class:`Registry` holding typed namespaces:
+drivers live in one :class:`Registry` holding typed namespaces:
 
 * ``frameworks``    — comparable localization systems (§II / §V),
 * ``attacks``       — data-poisoning attacks (§III.A + extensions),
@@ -17,7 +14,9 @@ Each entry is a :class:`ComponentInfo` carrying the factory plus
 metadata: whether the component belongs to the paper set or is an
 extension, its default kwargs, the kwarg names it accepts and a one-line
 doc — which is what ``repro info`` enumerates and what the spec
-validator (:mod:`repro.experiments.specio`) checks names against.
+validator (:mod:`repro.experiments.specio`) checks names against.  The
+component sets are the paper's and fixed: the five modules listed in
+:func:`_populate` register them when a namespace is first queried.
 
 Kwarg validation is **strict**: :meth:`Registry.create` raises
 :class:`UnknownComponentKwarg` (with a did-you-mean suggestion) for any
@@ -26,20 +25,14 @@ kwarg no component in the sweep set accepts, so a typo like
 Kwargs accepted by *some* component of the sweep set but not the target
 are still filtered, so drivers can pass one uniform kwargs set across
 e.g. all five attacks (``num_classes`` only reaches label flipping).
-
-Out-of-tree components join through :func:`register_plugin` or a
-``repro.components`` entry point exposing a ``register(registry)``
-callable — once registered they are sweepable, spec-addressable and
-listed by ``repro info`` exactly like the built-ins.
 """
 
 from __future__ import annotations
 
 import difflib
+import importlib
 import inspect
-import logging
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -52,8 +45,6 @@ from typing import (
     Tuple,
 )
 
-logger = logging.getLogger("repro.registry")
-
 NAMESPACES = (
     "frameworks",
     "attacks",
@@ -61,9 +52,6 @@ NAMESPACES = (
     "presets",
     "artefacts",
 )
-
-#: entry-point group scanned by :meth:`Registry.load_entry_points`
-ENTRY_POINT_GROUP = "repro.components"
 
 
 class UnknownComponent(KeyError, ValueError):
@@ -115,60 +103,33 @@ def _did_you_mean(word: str, choices: Iterable[str]) -> str:
     return f" — did you mean {matches[0]!r}?" if matches else ""
 
 
-def _signature_kwargs(factory: Callable) -> Tuple[Dict[str, object], bool]:
-    """(defaulted-kwarg → default, accepts **kwargs) for a factory.
+def _signature(
+    factory: Callable,
+) -> Tuple[FrozenSet[str], Dict[str, object], bool]:
+    """(parameter names, defaulted parameter → default, takes
+    ``**kwargs``) for a factory.
 
-    Classes are inspected through ``__init__``; positional-only and
-    no-default parameters (the required construction arguments such as
-    ``epsilon`` or ``input_dim``) are not part of the kwarg surface.
+    Classes are read through ``__init__`` (without ``self``).  The
+    defaulted parameters are the factory's kwarg surface; the ones
+    without a default (the required construction arguments such as
+    ``epsilon`` or ``input_dim``) are not.  A factory without a readable
+    signature reports an empty surface that takes ``**kwargs``.
     """
     try:
         signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins without signatures
-        return {}, True
-    defaults: Dict[str, object] = {}
-    open_kwargs = False
-    for parameter in signature.parameters.values():
-        if parameter.kind == inspect.Parameter.VAR_KEYWORD:
-            open_kwargs = True
-        elif (
-            parameter.kind
-            in (
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                inspect.Parameter.KEYWORD_ONLY,
-            )
-            and parameter.default is not inspect.Parameter.empty
-        ):
-            defaults[parameter.name] = parameter.default
-    return defaults, open_kwargs
-
-
-def _signature_surface(
-    factory: Callable,
-) -> Tuple[FrozenSet[str], FrozenSet[str], bool]:
-    """(all parameter names, defaulted names, takes ``**kwargs``) for a
-    factory — what :func:`_info_problems` compares metadata against."""
-    target = factory
-    if inspect.isclass(factory):
-        target = factory.__init__
-    try:
-        signature = inspect.signature(target)
-    except (TypeError, ValueError):  # builtins without signatures
-        return frozenset(), frozenset(), True
+    except (TypeError, ValueError):  # not callable, or no signature
+        return frozenset(), {}, True
     names: Set[str] = set()
-    defaulted: Set[str] = set()
-    open_kwargs = False
+    defaults: Dict[str, object] = {}
+    takes_kwargs = False
     for parameter in signature.parameters.values():
         if parameter.kind == inspect.Parameter.VAR_KEYWORD:
-            open_kwargs = True
-        elif parameter.kind == inspect.Parameter.VAR_POSITIONAL:
-            continue
-        else:
+            takes_kwargs = True
+        elif parameter.kind != inspect.Parameter.VAR_POSITIONAL:
             names.add(parameter.name)
             if parameter.default is not inspect.Parameter.empty:
-                defaulted.add(parameter.name)
-    names.discard("self")
-    return frozenset(names), frozenset(defaulted), open_kwargs
+                defaults[parameter.name] = parameter.default
+    return frozenset(names), defaults, takes_kwargs
 
 
 def _info_problems(info: "ComponentInfo") -> List[str]:
@@ -176,35 +137,18 @@ def _info_problems(info: "ComponentInfo") -> List[str]:
     where = f"{info.namespace}/{info.name}"
     if not callable(info.factory):
         return [f"{where}: registered factory is not callable"]
-    problems: List[str] = []
-    params, defaulted, takes_kwargs = _signature_surface(info.factory)
-    # every declared default must be a kwarg create() can actually pass
-    for kwarg in sorted(info.defaults):
-        if not info.accepts_kwarg(kwarg):
-            problems.append(
-                f"{where}: declared default {kwarg!r} is outside the "
-                f"accepted-kwarg set — create() filters it out before "
-                f"the factory ever sees it"
-            )
-    if not takes_kwargs:
-        # a closed factory signature must honor every advertised kwarg:
-        # extra_kwargs naming parameters the factory lost raise
-        # TypeError at construction time
-        for kwarg in sorted(info.accepts - params):
-            problems.append(
-                f"{where}: accepted kwarg {kwarg!r} is not a parameter "
-                f"of the factory (and it takes no **kwargs) — passing "
-                f"it raises TypeError at sweep time"
-            )
-        # signature drift: a factory kwarg with a default that
-        # registration never declared is invisible to spec validation
-        for kwarg in sorted(defaulted - info.accepts):
-            problems.append(
-                f"{where}: factory kwarg {kwarg!r} has a default but is "
-                f"missing from the accepted-kwarg set — specs setting "
-                f"it are rejected as typos"
-            )
-    return problems
+    params, _, takes_kwargs = _signature(info.factory)
+    if takes_kwargs:
+        return []
+    # a closed factory signature must honor every advertised kwarg:
+    # extra_kwargs naming parameters the factory lost raise TypeError
+    # at construction time
+    return [
+        f"{where}: accepted kwarg {kwarg!r} is not a parameter of the "
+        f"factory (and it takes no **kwargs) — passing it raises "
+        f"TypeError at sweep time"
+        for kwarg in sorted(info.accepts - params)
+    ]
 
 
 @dataclass(frozen=True)
@@ -217,86 +161,32 @@ class ComponentInfo:
         factory: Builds the component (class or function).
         paper: True for the paper's component set, False for extensions.
         doc: One-line description (``repro info`` output).
-        defaults: Default kwargs as read off the factory signature (or
-            overridden at registration).
-        accepts: Every kwarg name the factory accepts.
-        open_kwargs: Factory takes ``**kwargs`` beyond ``accepts`` (its
-            kwarg surface is open; strict filtering passes everything).
-        supports_batched_clients: For frameworks — whether the stock
-            model exposes a fold-batch program, so ``client_engine=
-            "batched"`` stacks its local training instead of training
-            each client alone through the model's own ``train_epochs``.
-            ``None`` means undeclared (plugins that never said either
-            way).
+        defaults: Default kwargs as read off the factory signature.
+        accepts: Every kwarg name the factory accepts: its defaulted
+            parameters plus the ``extra_kwargs`` it forwards.
     """
 
     namespace: str
     name: str
     factory: Callable
-    paper: bool = True
-    doc: str = ""
-    defaults: Dict[str, object] = field(default_factory=dict)
-    accepts: frozenset = frozenset()
-    open_kwargs: bool = False
-    supports_batched_clients: Optional[bool] = None
-
-    def accepts_kwarg(self, kwarg: str) -> bool:
-        return self.open_kwargs or kwarg in self.accepts
+    paper: bool
+    doc: str
+    defaults: Dict[str, object]
+    accepts: FrozenSet[str]
 
 
 class Registry:
     """Typed multi-namespace component registry.
 
-    Thread-safe for registration and lookup; one process-global instance
-    (:data:`registry`) backs the whole package, but independent
-    instances can be built for tests.
+    One process-global instance (:data:`registry`) backs the whole
+    package; independent instances can be built for tests.
     """
 
     def __init__(self, namespaces: Tuple[str, ...] = NAMESPACES) -> None:
-        self._lock = threading.RLock()
         self._components: Dict[str, Dict[str, ComponentInfo]] = {
             namespace: {} for namespace in namespaces
         }
         self._populated: Set[str] = set()
-        self._entry_points_loaded = False
-
-    # -- registration ------------------------------------------------------
-    def register(
-        self,
-        namespace: str,
-        name: str,
-        *,
-        paper: bool = True,
-        doc: Optional[str] = None,
-        defaults: Optional[Dict[str, object]] = None,
-        extra_kwargs: Optional[Tuple[str, ...]] = None,
-        replace: bool = False,
-        supports_batched_clients: Optional[bool] = None,
-    ) -> Callable[[Callable], Callable]:
-        """Decorator registering ``factory`` as ``namespace/name``.
-
-        ``extra_kwargs`` (any non-``None`` value, empty included) names
-        the kwargs a ``**kwargs`` factory forwards to an inner component
-        (e.g. SAFELOC's strategy knobs), closing its kwarg surface so
-        typos are caught instead of passed through.  ``doc`` defaults to
-        the factory docstring's first line.
-        """
-
-        def decorator(factory: Callable) -> Callable:
-            self.add(
-                namespace,
-                name,
-                factory,
-                paper=paper,
-                doc=doc,
-                defaults=defaults,
-                extra_kwargs=extra_kwargs,
-                replace=replace,
-                supports_batched_clients=supports_batched_clients,
-            )
-            return factory
-
-        return decorator
 
     def add(
         self,
@@ -305,85 +195,29 @@ class Registry:
         factory: Callable,
         *,
         paper: bool = True,
-        doc: Optional[str] = None,
-        defaults: Optional[Dict[str, object]] = None,
-        extra_kwargs: Optional[Tuple[str, ...]] = None,
-        replace: bool = False,
-        supports_batched_clients: Optional[bool] = None,
+        doc: str = "",
+        extra_kwargs: Tuple[str, ...] = (),
     ) -> ComponentInfo:
-        """Imperative registration (what the decorator delegates to)."""
+        """Register ``factory`` as ``namespace/name``.
+
+        ``extra_kwargs`` names the kwargs a ``**kwargs`` factory forwards
+        to an inner component (e.g. SAFELOC's strategy knobs), so they
+        validate like the factory's own.
+        """
         space = self._space(namespace)
-        sig_defaults, open_kwargs = _signature_kwargs(factory)
-        if extra_kwargs is not None:
-            # the forwarded kwargs are now enumerated: close the surface
-            open_kwargs = False
-        else:
-            extra_kwargs = ()
-        if doc is None:
-            doc = (inspect.getdoc(factory) or "").split("\n", 1)[0].strip()
-        info = ComponentInfo(
+        if name in space:
+            raise ValueError(f"{namespace}/{name} is already registered")
+        _, defaults, _ = _signature(factory)
+        info = space[name] = ComponentInfo(
             namespace=namespace,
             name=name,
             factory=factory,
             paper=paper,
             doc=doc,
-            defaults=dict(defaults if defaults is not None else sig_defaults),
-            accepts=frozenset((*sig_defaults, *extra_kwargs)),
-            open_kwargs=open_kwargs,
-            supports_batched_clients=supports_batched_clients,
+            defaults=defaults,
+            accepts=frozenset((*defaults, *extra_kwargs)),
         )
-        with self._lock:
-            if name in space and not replace:
-                raise ValueError(
-                    f"{namespace}/{name} is already registered; pass "
-                    f"replace=True to override"
-                )
-            space[name] = info
         return info
-
-    def load_entry_points(self) -> int:
-        """Discover out-of-tree components once per process.
-
-        Scans the :data:`ENTRY_POINT_GROUP` entry-point group; each
-        entry point must resolve to a callable taking this registry
-        (``def register(registry): ...``).  Returns the number of entry
-        points invoked; environments without ``importlib.metadata``
-        entry-point support simply discover nothing.
-        """
-        with self._lock:
-            if self._entry_points_loaded:
-                return 0
-            self._entry_points_loaded = True
-        try:
-            from importlib import metadata
-        except ImportError:  # pragma: no cover - py3.7 fallback
-            return 0
-        try:
-            points = metadata.entry_points()
-            if hasattr(points, "select"):  # py3.10+
-                points = points.select(group=ENTRY_POINT_GROUP)
-            else:  # pragma: no cover - legacy mapping API
-                points = points.get(ENTRY_POINT_GROUP, [])  # type: ignore[attr-defined,unused-ignore]
-        # repro: allow[REP302] malformed third-party dist metadata must not break registry access
-        except Exception:  # pragma: no cover - malformed metadata
-            return 0
-        count = 0
-        for point in points:
-            # a broken third-party plugin must degrade to a warning, not
-            # take down every first registry access in the process
-            try:
-                hook = point.load()
-                hook(self)
-            # repro: allow[REP302] broken plugin degrades to a logged warning, not a crash
-            except Exception:
-                logger.warning(
-                    "repro.components entry point %r failed to register; "
-                    "skipping it", getattr(point, "name", point),
-                    exc_info=True,
-                )
-                continue
-            count += 1
-        return count
 
     # -- lookup ------------------------------------------------------------
     def _space(self, namespace: str) -> Dict[str, ComponentInfo]:
@@ -396,28 +230,17 @@ class Registry:
 
     def _populated_space(self, namespace: str) -> Dict[str, ComponentInfo]:
         space = self._space(namespace)
-        # population is tracked per namespace, NOT inferred from
-        # emptiness: a plugin registering early must not suppress the
-        # built-in imports (flag set only after they succeed)
-        with self._lock:
-            populated = namespace in self._populated
-        if not populated:
+        if namespace not in self._populated:
             _populate(self, namespace)
-            with self._lock:
-                self._populated.add(namespace)
-        if self is registry:
-            # after the built-ins: a plugin can never beat a built-in to
-            # a name, and a colliding plugin fails loudly instead
-            self.load_entry_points()
+            self._populated.add(namespace)
         return space
 
     def get(self, namespace: str, name: str) -> ComponentInfo:
         """The registered component, or :class:`UnknownComponent`."""
         space = self._populated_space(namespace)
-        with self._lock:
-            if name not in space:
-                raise UnknownComponent(namespace, name, space)
-            return space[name]
+        if name not in space:
+            raise UnknownComponent(namespace, name, space)
+        return space[name]
 
     def has(self, namespace: str, name: str) -> bool:
         return name in self._populated_space(namespace)
@@ -426,20 +249,17 @@ class Registry:
         self, namespace: str, paper: Optional[bool] = None
     ) -> Tuple[str, ...]:
         """Component names in registration order (``paper`` filters)."""
-        space = self._populated_space(namespace)
-        with self._lock:
-            return tuple(
-                name
-                for name, info in space.items()
-                if paper is None or info.paper == paper
-            )
+        return tuple(
+            name
+            for name, info in self._populated_space(namespace).items()
+            if paper is None or info.paper == paper
+        )
 
     def components(self, namespace: str) -> Tuple[ComponentInfo, ...]:
         """All components of a namespace, sorted by name (stable output
         for ``repro info``)."""
         space = self._populated_space(namespace)
-        with self._lock:
-            return tuple(space[name] for name in sorted(space))
+        return tuple(space[name] for name in sorted(space))
 
     # -- construction ------------------------------------------------------
     def accepted_kwargs(
@@ -464,7 +284,7 @@ class Registry:
         """Raise :class:`UnknownComponentKwarg` for any kwarg accepted by
         no component of the sweep set (default: the whole namespace)."""
         info = self.get(namespace, name)
-        unknown = [k for k in kwargs if not info.accepts_kwarg(k)]
+        unknown = [k for k in kwargs if k not in info.accepts]
         if not unknown:
             return
         universe = self.accepted_kwargs(namespace, sweep)
@@ -477,16 +297,13 @@ class Registry:
         """Registration metadata inconsistent with factory signatures.
 
         :meth:`create` filters kwargs to ``ComponentInfo.accepts`` before
-        calling the factory, so metadata that disagrees with the live
-        signature surfaces as a ``TypeError`` (or a silently dropped
-        knob) at sweep time.  This hook re-derives each factory's
-        signature and reports every discrepancy as one message;
-        ``tests/test_registry.py`` asserts the list is empty.
+        calling the factory, so an accepted kwarg the factory cannot take
+        surfaces as a ``TypeError`` at sweep time.  This hook re-reads
+        each factory's signature and reports every discrepancy as one
+        message; ``tests/test_registry.py`` asserts the list is empty.
         """
         problems: List[str] = []
-        with self._lock:
-            namespaces = tuple(self._components)
-        for namespace in namespaces:
+        for namespace in self._components:
             for info in self.components(namespace):
                 problems.extend(_info_problems(info))
         return problems
@@ -507,58 +324,30 @@ class Registry:
         """
         info = self.get(namespace, name)
         self.validate_kwargs(namespace, name, kwargs, sweep=sweep)
-        if not info.open_kwargs:
-            kwargs = {k: v for k, v in kwargs.items() if k in info.accepts}
+        kwargs = {k: v for k, v in kwargs.items() if k in info.accepts}
         return info.factory(*args, **kwargs)
 
 
 #: the process-global registry every shim and the facade share
 registry = Registry()
 
-
-def register(namespace: str, name: str, **meta: Any) -> Callable:
-    """``@register("frameworks", "safeloc")`` on the global registry."""
-    return registry.register(namespace, name, **meta)
-
-
-def register_plugin(
-    namespace: str, name: str, factory: Callable, **meta: Any
-) -> ComponentInfo:
-    """Register an out-of-tree component on the global registry.
-
-    The public plugin hook: once registered the component is
-    constructible by name everywhere built-ins are — sweep specs, the
-    :mod:`repro.api` facade, the CLI and ``repro info``.  Plugins are
-    extensions by default (``paper=False``): the paper component sets
-    (``COMPARISON_FRAMEWORKS``, ``PAPER_ATTACKS``, ``repro experiment
-    all``) are fixed by the paper, so a plugin never joins them just by
-    being installed.  Built-in names cannot be taken: registering over
-    one raises ``ValueError``.
-    """
-    meta.setdefault("paper", False)
-    return registry.add(namespace, name, factory, **meta)
+#: the module that registers each namespace's built-ins at import
+_BUILTIN_MODULES = {
+    "frameworks": "repro.baselines.registry",
+    "attacks": "repro.attacks.registry",
+    "aggregations": "repro.experiments.engine",
+    "presets": "repro.experiments.scenarios",
+    "artefacts": "repro.experiments.artefact_registry",
+}
 
 
 def _populate(target: Registry, namespace: str) -> None:
-    """Lazily import the modules that register a namespace's built-ins.
+    """Lazily import the module that registers a namespace's built-ins.
 
     Registration lives next to the components (their modules call
-    :func:`register`/``registry.add`` at import); this hook only makes
-    sure those modules are imported the first time an empty namespace is
-    queried, so ``repro.registry`` never has to import the heavy
-    packages up front.  Entry-point plugins are discovered afterwards,
-    on the first populated query (:meth:`Registry._populated_space`).
+    ``registry.add`` at import); this hook only makes sure that module
+    is imported the first time the namespace is queried, so
+    ``repro.registry`` never has to import the heavy packages up front.
     """
-    if target is not registry:  # test registries populate themselves
-        return
-    import importlib
-
-    modules = {
-        "frameworks": ("repro.baselines.registry",),
-        "attacks": ("repro.attacks.registry",),
-        "aggregations": ("repro.experiments.engine",),
-        "presets": ("repro.experiments.scenarios",),
-        "artefacts": ("repro.experiments.artefact_registry",),
-    }
-    for module in modules.get(namespace, ()):
-        importlib.import_module(module)
+    if target is registry:  # test registries populate themselves
+        importlib.import_module(_BUILTIN_MODULES[namespace])

@@ -1,9 +1,8 @@
 """Central-difference gradient verification.
 
 Because the substrate implements backprop by hand, every layer's backward
-pass is validated against numeric differentiation in the test suite.  These
-helpers are part of the public API so downstream users extending the layer
-zoo can check their own modules.
+pass is validated against numeric differentiation: the nn tests compare
+each analytic gradient with these central differences.
 """
 
 from __future__ import annotations

@@ -173,6 +173,17 @@ class TestInfo:
         assert safeloc["doc"]
         assert "seed" in safeloc["defaults"]
 
+    def test_inventory_lists_every_registered_component(self):
+        from repro.registry import registry
+
+        inventory = api.info()
+        for namespace, entries in inventory.items():
+            assert sorted(e["name"] for e in entries) == sorted(
+                registry.names(namespace)
+            ), namespace
+            for entry in entries:
+                assert set(entry) == {"name", "paper", "defaults", "doc"}
+
 
 class TestThreeFrontendEquivalence:
     """Acceptance: one artefact (fig4, tiny) through the CLI subcommand,

@@ -290,6 +290,19 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "did you mean 'safeloc'" in err
 
+    def test_malformed_framework_is_reported_not_raised(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        with open(os.path.join(GOLDEN_DIR, "fig4.json")) as handle:
+            payload = json.load(handle)
+        payload["cells"][0]["framework"] = ["safeloc"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["validate", str(bad)]) == 1
+        assert "cells[0].framework" in capsys.readouterr().err
+
     def test_missing_file_reported(self, capsys, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
         assert "cannot read spec file" in capsys.readouterr().err

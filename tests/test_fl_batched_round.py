@@ -601,13 +601,13 @@ class TestAnyTwoPathsAgree:
 
 
 class TestAllAdvertisedFrameworksBatched:
-    """Every framework that advertises ``supports_batched_clients`` must
-    prove it: one tiny cell per framework, batched vs. serial client
-    engines, identical tables.  The drift guard pins the explicit name
-    list below to the registry, so a newly-advertising framework fails
-    here until it is added."""
+    """Every registered framework runs on the batched client engine and
+    must prove it: one tiny cell per framework, batched vs. serial
+    client engines, identical tables.  The drift guard pins the explicit
+    name list below to the registry, so a new framework fails here until
+    it is added."""
 
-    #: every advertised framework, spelled out
+    #: every registered framework, spelled out
     ADVERTISED = (
         "fedcc",
         "fedhil",
@@ -624,12 +624,9 @@ class TestAllAdvertisedFrameworksBatched:
     def test_list_matches_registry(self):
         from repro.registry import registry
 
-        advertised = sorted(
-            info.name
-            for info in registry.components("frameworks")
-            if info.supports_batched_clients
+        assert sorted(registry.names("frameworks")) == sorted(
+            self.ADVERTISED
         )
-        assert advertised == sorted(self.ADVERTISED)
 
     @pytest.mark.parametrize("framework", ADVERTISED)
     def test_batched_matches_serial(self, framework):

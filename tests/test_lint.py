@@ -649,8 +649,6 @@ class TestConcurrencySurface:
             for path in sorted(SRC_REPRO.rglob("*.py"))
         }
         assert concurrency_surface(sources) == {
-            ("registry.py", "threading.RLock()"),
-            ("registry.py", "with self._lock"),
             ("fl/packed.py", "threading.local()"),
         }, (
             "src/repro's threads/locks changed.  The race rules (REP7xx) "

@@ -22,6 +22,7 @@ import pytest
 
 import repro.utils.rng as rng_module
 from repro.data.datasets import FingerprintDataset, iterate_batches
+from reference.gradcheck import check_input_gradient, check_parameter_gradients
 from repro.nn import (
     Adam,
     BatchedAdam,
@@ -37,7 +38,6 @@ from repro.nn import (
     fold_stack,
     iterate_fold_batches,
 )
-from repro.nn.gradcheck import check_input_gradient, check_parameter_gradients
 from repro.utils.rng import spawn_rng
 
 F, B, DIN, DOUT = 3, 4, 5, 6  # folds, batch, in, out

@@ -4,14 +4,13 @@ passes verified against central-difference gradients."""
 import numpy as np
 import pytest
 
+from reference.gradcheck import check_input_gradient, check_parameter_gradients
 from repro.nn import (
     Linear,
     MSELoss,
     ReLU,
     Sequential,
     TiedLinear,
-    check_input_gradient,
-    check_parameter_gradients,
 )
 
 RNG = np.random.default_rng(1234)

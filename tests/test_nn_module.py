@@ -5,6 +5,7 @@ Glorot initializer and the numeric gradient checkers."""
 import numpy as np
 import pytest
 
+from reference.gradcheck import check_input_gradient, check_parameter_gradients
 from repro.nn import (
     Linear,
     Module,
@@ -13,8 +14,6 @@ from repro.nn import (
     ReLU,
     Sequential,
     TiedLinear,
-    check_input_gradient,
-    check_parameter_gradients,
     compute_dtype,
     default_dtype,
     glorot_uniform,

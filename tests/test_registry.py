@@ -6,7 +6,6 @@ from repro.registry import (
     Registry,
     UnknownComponent,
     UnknownComponentKwarg,
-    register_plugin,
     registry,
 )
 
@@ -35,15 +34,23 @@ class TestRegistryCore:
         fresh.add("frameworks", "thing", lambda: None)
         with pytest.raises(ValueError, match="already registered"):
             fresh.add("frameworks", "thing", lambda: None)
-        # replace=True is the explicit override
-        fresh.add("frameworks", "thing", lambda: 1, replace=True)
-        assert fresh.get("frameworks", "thing").factory() == 1
+
+    def test_builtin_name_cannot_be_registered_again(self):
+        original = registry.get("frameworks", "safeloc")
+        with pytest.raises(ValueError, match="already registered"):
+            registry.add("frameworks", "safeloc", lambda: None)
+        assert registry.get("frameworks", "safeloc") is original
+
+    def test_has_reports_registered_names_only(self):
+        assert registry.has("frameworks", "safeloc")
+        assert not registry.has("frameworks", "safelok")
+        with pytest.raises(KeyError):
+            registry.has("spaceships", "enterprise")
 
     def test_metadata_from_signature(self):
         info = registry.get("attacks", "pgd")
         assert info.defaults == {"num_steps": 10, "step_fraction": 0.25}
         assert "num_steps" in info.accepts
-        assert not info.open_kwargs
 
     def test_paper_flag_partition(self):
         paper = registry.names("attacks", paper=True)
@@ -70,17 +77,14 @@ class TestContracts:
             "frameworks", "closed", lambda clients, seed=0: None,
             extra_kwargs=("lost",),
         )
-        fresh.add(
-            "frameworks", "stray", lambda clients, seed=0: None,
-            defaults={"tau": 0.5},
-        )
+        fresh.add("frameworks", "inert", 42)
         problems = fresh.contract_problems()
         assert len(problems) == 2
         assert problems[0].startswith(
             "frameworks/closed: accepted kwarg 'lost'"
         )
-        assert problems[1].startswith(
-            "frameworks/stray: declared default 'tau'"
+        assert problems[1] == (
+            "frameworks/inert: registered factory is not callable"
         )
 
 
@@ -114,8 +118,28 @@ class TestStrictKwargs:
 
     def test_closed_surface_for_extra_kwargs_factory(self):
         info = registry.get("frameworks", "safeloc")
-        assert not info.open_kwargs
         assert "server_mixing" in info.accepts
+
+    def test_accepts_is_defaulted_parameters_plus_extra_kwargs(self):
+        fresh = Registry(("frameworks",))
+        info = fresh.add(
+            "frameworks", "inner", lambda clients, seed=0, **kwargs: None,
+            extra_kwargs=("tau",),
+        )
+        assert info.defaults == {"seed": 0}
+        assert info.accepts == {"seed", "tau"}  # required params excluded
+
+    def test_var_keyword_factory_is_not_open(self):
+        """A ``**kwargs`` factory accepts only what it declares: a kwarg
+        outside its surface and its namespace's is still rejected."""
+        fresh = Registry(("frameworks",))
+        fresh.add(
+            "frameworks", "inner", lambda clients, seed=0, **kwargs: kwargs,
+            extra_kwargs=("tau",),
+        )
+        assert fresh.create("frameworks", "inner", 3, tau=0.1) == {"tau": 0.1}
+        with pytest.raises(UnknownComponentKwarg, match="did you mean 'tau'"):
+            fresh.create("frameworks", "inner", 3, taus=0.1)
 
 
 class TestShims:
@@ -149,105 +173,14 @@ class TestShims:
         assert FRAMEWORK_NAMES == (*COMPARISON_FRAMEWORKS, "krum")
 
 
-class TestPlugins:
-    def test_register_plugin_is_first_class(self):
-        name = "test-plugin-attack"
-        if not registry.has("attacks", name):
-            from repro.attacks.fgsm import FGSM
-
-            class PluginAttack(FGSM):
-                """A plugin attack for the registry test."""
-
-            register_plugin(
-                "attacks", name, PluginAttack, paper=False,
-                doc="test plugin",
-            )
-        info = registry.get("attacks", name)
-        assert not info.paper
-        assert name in registry.names("attacks")
-        attack = registry.create("attacks", name, 0.3)
-        assert attack.epsilon == 0.3
-
-    def test_entry_point_discovery_is_idempotent(self):
-        assert registry.load_entry_points() == 0  # already scanned
-
-    def test_early_plugin_does_not_suppress_builtins(self):
-        """A plugin registering into a not-yet-populated namespace must
-        not stop the built-ins from loading (population is tracked per
-        namespace, not inferred from emptiness)."""
-        import os
-        import subprocess
-        import sys
-
-        code = (
-            "from repro.registry import register_plugin, registry\n"
-            "register_plugin('frameworks', 'early', lambda i, c, seed=0: None)\n"
-            "names = registry.names('frameworks')\n"
-            "assert 'early' in names, names\n"
-            "assert 'safeloc' in names, names\n"
-            "registry.get('frameworks', 'safeloc')\n"
-        )
-        env = dict(os.environ)
-        src = os.path.join(
-            os.path.dirname(__file__), os.pardir, "src"
-        )
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        subprocess.run(
-            [sys.executable, "-c", code], env=env, check=True
-        )
-
-    def test_plugin_aggregation_is_spec_addressable(self):
-        """A registered plugin aggregation validates in specs and is
-        what the engine would construct for strategy cells."""
-        from repro.experiments.engine import scenario
-        from repro.experiments.specio import validate_plan_payload
-        from repro.fl.aggregation import FedAvg
-
-        name = "test-plugin-aggregation"
-        if not registry.has("aggregations", name):
-            register_plugin(
-                "aggregations", name, FedAvg, doc="plugin aggregation"
-            )
-        assert isinstance(registry.create("aggregations", name), FedAvg)
-        import repro.api as api
-
-        payload = api.experiment("fig4").preset("tiny").spec()
-        payload["cells"][0]["strategy"] = name
-        validate_plan_payload(payload)  # plugin name validates
-        spec = scenario("safeloc", strategy=name)
-        assert spec.strategy == name
-
-
 class TestBatchedClientsCapability:
-    def test_builtin_frameworks_declare_support(self):
-        from repro.baselines.registry import FRAMEWORK_NAMES
+    def test_every_framework_model_has_a_fold_batch_program(self):
+        """``client_engine="batched"`` stacks every registered
+        framework's local training: each stock model must expose a
+        fold-batch program."""
+        from repro.baselines.registry import make_framework
 
-        for name in FRAMEWORK_NAMES:
-            assert registry.get("frameworks", name).supports_batched_clients
-
-    def test_metadata_matches_model_probe(self):
-        """The declared capability must agree with what the stock model
-        actually exposes: a non-None fold_batch_program()."""
-        from repro.baselines.registry import FRAMEWORK_NAMES, make_framework
-
-        for name in FRAMEWORK_NAMES:
+        for name in registry.names("frameworks"):
             spec = make_framework(name, 8, 5, seed=0)
             program = spec.model_factory().fold_batch_program()
-            declared = registry.get(
-                "frameworks", name
-            ).supports_batched_clients
-            assert (program is not None) == bool(declared), name
-
-    def test_plugin_default_is_undeclared(self):
-        fresh = Registry(("frameworks",))
-        info = fresh.add("frameworks", "mystery", lambda: None)
-        assert info.supports_batched_clients is None
-
-    def test_api_info_exposes_capability(self):
-        import repro.api as api
-
-        frameworks = {
-            entry["name"]: entry for entry in api.info()["frameworks"]
-        }
-        assert frameworks["safeloc"]["supports_batched_clients"] is True
-        assert frameworks["onlad"]["supports_batched_clients"] is True
+            assert program is not None, name

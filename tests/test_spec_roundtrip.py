@@ -376,6 +376,10 @@ class TestValidation:
             (_edit(lambda p: p["cells"].__setitem__(0, 5)), "cells[0]:"),
             (_edit(lambda p: p["cells"][0].pop("framework")),
              "cells[0].framework:"),
+            (_edit(lambda p: p["cells"][0].update(framework=["safeloc"])),
+             "cells[0].framework:"),
+            (_edit(lambda p: p["cells"][0].update(framework={})),
+             "cells[0].framework:"),
             (_edit(lambda p: p["cells"][0].update(
                 framework_kwargs=[["tau", 0.1]])), None),
             (_edit(lambda p: p["cells"][0].update(
@@ -394,7 +398,8 @@ class TestValidation:
              "preset.client_engine:"),
         ],
         ids=[
-            "cell-not-object", "cell-without-framework", "pair-kwargs",
+            "cell-not-object", "cell-without-framework",
+            "list-framework", "object-framework", "pair-kwargs",
             "malformed-pair-kwargs", "root-not-object", "missing-name",
             "empty-name", "bad-kind", "unknown-top-level-field",
             "engine-not-object", "preset-not-object", "missing-preset-name",
