@@ -22,7 +22,13 @@ reference loop in ``tests/reference/fedls.py`` on identical inputs,
 * ``shared_encoder`` — the O(n) shared-encoder detector (one pooled
   encoder, per-fold batched decoder heads) vs the full per-fold
   leave-one-out fit at 64/256 clients.  Approximate by design, so the
-  gate is decision-level: the kept set must match the exact detector's.
+  gate is decision-level: the kept set must match the exact detector's;
+* ``aggregate_memory`` — the ``tracemalloc`` peak of one FEDLS
+  aggregate (summaries, leave-one-out detection, weighted mean) over a
+  cohort of FEDLS-width client states at 8/32/128 clients, above its
+  inputs.  ``client_round`` cells likewise record each engine's round
+  peak.  Peaks come from one extra untimed call, since tracing slows
+  every allocation.
 
 ``scripts/run_benchmarks.py --suite fedls`` runs it and writes
 ``BENCH_fedls.json`` at the repo root; any equivalence failure makes the
@@ -36,14 +42,19 @@ import os
 import platform
 import sys
 import time
-from typing import Dict, List, Sequence
+import tracemalloc
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.baselines.dnn import DNNLocalizer
-from repro.baselines.fedls import LatentSpaceAggregation, robust_normalize
+from repro.baselines.fedls import (
+    FEDLS_HIDDEN,
+    LatentSpaceAggregation,
+    robust_normalize,
+)
 from repro.data import FingerprintDataset
-from repro.fl import FedAvg, FederatedClient, FederatedServer
+from repro.fl import ClientUpdate, FedAvg, FederatedClient, FederatedServer
 from repro.fl.client import ClientConfig
 from repro.utils.rng import SeedSequence
 
@@ -73,6 +84,19 @@ def _normalized_summaries(n_clients: int, seed: int) -> np.ndarray:
 
 def _kept_mask(errors: np.ndarray) -> np.ndarray:
     return errors <= OUTLIER_FACTOR * (np.median(errors) + 1e-12)
+
+
+def _traced_peak_mb(call: Callable[[], object]) -> float:
+    """``call()``'s ``tracemalloc`` peak in MB above the memory traced
+    when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return round((peak - start) / 2**20, 2)
 
 
 def bench_detector_fit(
@@ -170,16 +194,21 @@ def _round_cohort(n_clients: int, model_factory=_dnn_model) -> List[FederatedCli
     return clients
 
 
-def _run_engine_round(engine: str, n_clients: int, model_factory=_dnn_model):
-    """One federation round under one client engine; returns (seconds,
-    update list, final GM state)."""
-    server = FederatedServer(
+def _engine_server(engine: str, n_clients: int, model_factory=_dnn_model):
+    """A fresh FedAvg federation over the synthetic cohort."""
+    return FederatedServer(
         model_factory(999),
         FedAvg(),
         _round_cohort(n_clients, model_factory),
         seeds=SeedSequence(7),
         client_engine=engine,
     )
+
+
+def _run_engine_round(engine: str, n_clients: int, model_factory=_dnn_model):
+    """One federation round under one client engine; returns (seconds,
+    update list, final GM state)."""
+    server = _engine_server(engine, n_clients, model_factory)
     start = time.perf_counter()
     record = server.run_round()
     elapsed = time.perf_counter() - start
@@ -204,7 +233,8 @@ def bench_client_round(
 ) -> Dict[str, dict]:
     """Serial per-client loop vs the fold-batched client engine, one full
     federation round (broadcast, self-label, train, aggregate) on
-    identical cohorts; every client update compared bit for bit."""
+    identical cohorts; every client update compared bit for bit.  Each
+    engine's round peak is traced on one more fresh federation."""
     cells: Dict[str, dict] = {}
     for n_clients in client_counts:
         serial_best = batched_best = float("inf")
@@ -221,12 +251,76 @@ def bench_client_round(
             np.array_equal(serial_gm[key], batched_gm[key])
             for key in serial_gm
         )
+        peaks = {
+            engine: _traced_peak_mb(_engine_server(engine, n_clients).run_round)
+            for engine in ("serial", "batched")
+        }
         cells[str(n_clients)] = {
             "epochs": ROUND_EPOCHS,
             "serial_ms": round(serial_best * 1e3, 2),
             "batched_ms": round(batched_best * 1e3, 2),
             "speedup": round(serial_best / batched_best, 2),
             "bit_identical_updates": bool(identical),
+            "serial_peak_mb": peaks["serial"],
+            "batched_peak_mb": peaks["batched"],
+        }
+    return cells
+
+
+#: aggregate-memory suite: FEDLS's client DNN on a small synthetic survey
+AGGREGATE_FEATURES, AGGREGATE_CLASSES = 20, 20
+AGGREGATE_CLIENT_COUNTS = (8, 32, 128)
+
+
+def bench_aggregate_memory(
+    client_counts: Sequence[int] = AGGREGATE_CLIENT_COUNTS,
+    epochs: int = 40,
+) -> Dict[str, dict]:
+    """Traced peak of one FEDLS aggregate above its inputs.
+
+    The cohort is the global state plus seeded noise at FEDLS's client
+    width, one attacker scaled up.  ``peak_state_vectors`` divides the
+    peak by one state's bytes: the summaries stream one delta at a time,
+    so what grows with the cohort is the weighted mean's packed matrix
+    of kept states.
+    """
+    model = DNNLocalizer(
+        AGGREGATE_FEATURES, AGGREGATE_CLASSES, hidden=FEDLS_HIDDEN, seed=0
+    )
+    global_state = model.state_dict()
+    state_bytes = sum(tensor.nbytes for tensor in global_state.values())
+    cells: Dict[str, dict] = {}
+    for n_clients in client_counts:
+        rng = np.random.default_rng(n_clients)
+        updates = [
+            ClientUpdate(
+                client_name=f"c{i}",
+                state={
+                    name: tensor
+                    + rng.normal(size=tensor.shape)
+                    * (0.5 if i == n_clients - 1 else 0.01)
+                    for name, tensor in global_state.items()
+                },
+                num_samples=48,
+            )
+            for i in range(n_clients)
+        ]
+        strategy = LatentSpaceAggregation(detector_epochs=epochs, seed=0)
+        summaries_mb = _traced_peak_mb(
+            lambda: strategy.normalized_summaries(global_state, updates)
+        )
+        aggregate_mb = _traced_peak_mb(
+            lambda: strategy.aggregate(global_state, updates)
+        )
+        cells[str(n_clients)] = {
+            "epochs": epochs,
+            "state_mb": round(state_bytes / 2**20, 2),
+            "summaries_peak_mb": summaries_mb,
+            "aggregate_peak_mb": aggregate_mb,
+            "peak_state_vectors": round(
+                aggregate_mb * 2**20 / state_bytes, 1
+            ),
+            "dropped": strategy.last_dropped_count,
         }
     return cells
 
@@ -395,6 +489,9 @@ def run_all(quick: bool = False) -> Dict[str, object]:
         epochs=epochs,
         repeats=2 if quick else 3,
     )
+    aggregate_memory = bench_aggregate_memory(
+        client_counts=(8, 32) if quick else AGGREGATE_CLIENT_COUNTS,
+    )
     headline = fit[str(HEADLINE_CLIENTS)]
     return {
         "meta": {
@@ -405,7 +502,9 @@ def run_all(quick: bool = False) -> Dict[str, object]:
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
             "protocol": "min wall time over repeats, identical summaries, "
-            "same process; equivalence re-asserted each run",
+            "same process; equivalence re-asserted each run; memory is "
+            "the tracemalloc peak above the call's start, from one extra "
+            "untimed call",
         },
         "headline": {
             "cell": (
@@ -419,6 +518,7 @@ def run_all(quick: bool = False) -> Dict[str, object]:
         "composite_round": composite_round,
         "sampled_peers": peers,
         "shared_encoder": shared,
+        "aggregate_memory": aggregate_memory,
     }
 
 
@@ -486,7 +586,8 @@ def format_report(results: Dict[str, object]) -> str:
         lines.append(
             f"  {n_clients:>4s} clients  {cell['speedup']:6.2f}x  "
             f"({cell['serial_ms']:9.2f} -> {cell['batched_ms']:8.2f} ms, "
-            f"bit-identical {cell['bit_identical_updates']})"
+            f"bit-identical {cell['bit_identical_updates']}, peak "
+            f"{cell['serial_peak_mb']} -> {cell['batched_peak_mb']} MB)"
         )
     for framework, cells in results["composite_round"].items():
         lines.append(
@@ -513,6 +614,13 @@ def format_report(results: Dict[str, object]) -> str:
             f"  {n_clients:>4s} clients  {cell['speedup']:6.2f}x  "
             f"({cell['full_loo_ms']:9.2f} -> {cell['shared_ms']:8.2f} ms, "
             f"kept-set match {cell['same_kept_set']})"
+        )
+    lines.append("\nFEDLS aggregate, tracemalloc peak above its inputs:")
+    for n_clients, cell in results["aggregate_memory"].items():
+        lines.append(
+            f"  {n_clients:>4s} clients  {cell['aggregate_peak_mb']:8.2f} MB "
+            f"({cell['peak_state_vectors']} state vectors of "
+            f"{cell['state_mb']} MB; summaries {cell['summaries_peak_mb']} MB)"
         )
     return "\n".join(lines)
 

@@ -15,9 +15,10 @@ trajectory is tracked PR over PR:
   8/32/128 clients), the batched vs serial **client-round engine**
   (one stacked matmul program per federation round, 8–512 clients,
   bit-identity asserted — for plain DNN cohorts *and* the composite
-  SAFELOC/ONLAD models), sampled-peers vs full leave-one-out detection
-  and the O(n) shared-encoder detector (kept-set agreement gated)
-  → ``BENCH_fedls.json``.
+  SAFELOC/ONLAD models), sampled-peers vs full leave-one-out detection,
+  the O(n) shared-encoder detector (kept-set agreement gated) and the
+  ``tracemalloc`` peaks of each engine's round and of one FEDLS
+  aggregate at 8/32/128 clients → ``BENCH_fedls.json``.
 
 Every suite re-asserts its equivalence contracts and the runner exits
 non-zero when any of them fails, so bench runs double as a correctness

@@ -34,7 +34,7 @@ import numpy as np
 from repro.baselines.dnn import DNNLocalizer
 from repro.fl.aggregation import AggregationStrategy, ClientUpdate
 from repro.fl.interfaces import FrameworkSpec
-from repro.fl.packed import PackedStates, PackLayout
+from repro.fl.packed import PackLayout
 from repro.fl.state import StateDict, state_weighted_mean
 from repro.nn import (
     Adam,
@@ -46,6 +46,7 @@ from repro.nn import (
     Sequential,
     fold_stack,
 )
+from repro.nn.dtype import default_dtype
 from repro.utils.rng import spawn_rng
 
 #: FEDLS's client DNN per Table I (282,676 params in the paper — largest).
@@ -136,31 +137,35 @@ def summarize_packed_deltas(
     ``(n_clients, n_params)`` delta matrix: one ``ufunc.reduceat`` per
     statistic instead of a Python loop over tensors, so the cost is a
     fixed handful of full-matrix passes regardless of how many tensors
-    the architecture has.
+    the architecture has.  Every pass writes into one scratch matrix, so
+    the call needs one matrix of working memory beside ``deltas``.
+    Each row's statistics depend on that row alone, bit for bit.
     """
     deltas = np.asarray(deltas)
     n_clients = deltas.shape[0]
+    spans = [layout.slice_of(name) for name, _ in layout.spec]
     starts = np.fromiter(
-        (layout.slice_of(name).start for name, _ in layout.spec),
-        dtype=np.intp,
-        count=len(layout.spec),
+        (span.start for span in spans), dtype=np.intp, count=len(spans)
     )
-    # integer widths keep the mean/std denominators and the repeat
-    # counts exact at any tensor size; the small (n, T) quotients are
-    # cast back to the delta dtype before touching full-width temporaries
+    # integer widths keep the mean/std denominators exact at any tensor
+    # size; the small (n, T) quotients are cast back to the delta dtype
+    # before touching full-width rows
     widths = np.diff(np.append(starts, layout.size))
-    abs_deltas = np.abs(deltas)
-    mean_abs = np.add.reduceat(abs_deltas, starts, axis=1) / widths
-    max_abs = np.maximum.reduceat(abs_deltas, starts, axis=1)
-    l2 = np.sqrt(np.add.reduceat(deltas * deltas, starts, axis=1))
+    work = np.abs(deltas)
+    mean_abs = np.add.reduceat(work, starts, axis=1) / widths
+    max_abs = np.maximum.reduceat(work, starts, axis=1)
+    np.multiply(work, work, out=work)  # |x|·|x| is x·x bit for bit
+    l2 = np.sqrt(np.add.reduceat(work, starts, axis=1))
     # np.std's two-pass algorithm: center on the segment mean, then
     # average the squared deviations
     means = (np.add.reduceat(deltas, starts, axis=1) / widths).astype(
         deltas.dtype, copy=False
     )
-    centered = deltas - np.repeat(means, widths, axis=1)
-    std = np.sqrt(np.add.reduceat(centered * centered, starts, axis=1) / widths)
-    out = np.empty((n_clients, 4 * len(layout.spec)), dtype=deltas.dtype)
+    for column, span in enumerate(spans):
+        np.subtract(deltas[:, span], means[:, column, None], out=work[:, span])
+    np.multiply(work, work, out=work)
+    std = np.sqrt(np.add.reduceat(work, starts, axis=1) / widths)
+    out = np.empty((n_clients, 4 * len(spans)), dtype=deltas.dtype)
     out[:, 0::4] = mean_abs
     out[:, 1::4] = std
     out[:, 2::4] = max_abs
@@ -316,12 +321,24 @@ class LatentSpaceAggregation(AggregationStrategy):
         """Median/MAD-normalized per-client update summaries.
 
         Robust column normalization keeps the outlier from dominating
-        the feature scale before the detectors ever see it.
+        the feature scale before the detectors ever see it.  The cohort
+        streams through one reusable flat row, one delta ``LM − GM`` at
+        a time, so the working set is two state vectors (the row and the
+        summary's scratch) whatever the cohort size; per-row summaries
+        make this bit-identical to summarizing the packed delta matrix.
         """
-        packed = PackedStates.from_updates(updates)
-        summaries = summarize_packed_deltas(
-            packed.deltas(packed.layout.flatten(global_state)), packed.layout
-        )
+        layout = PackLayout.for_state(global_state)
+        row = np.empty(layout.size, dtype=default_dtype())
+        reference = [
+            (layout.slice_of(name), np.asarray(global_state[name], row.dtype))
+            for name, _ in layout.spec
+        ]
+        summaries = np.empty((len(updates), 4 * len(reference)), row.dtype)
+        for index, update in enumerate(updates):
+            layout.flatten(update.state, out=row)
+            for span, tensor in reference:
+                row[span] -= tensor.reshape(-1)
+            summaries[index] = summarize_packed_deltas(row[None], layout)[0]
         return robust_normalize(summaries)
 
     def leave_one_out_errors(

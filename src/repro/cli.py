@@ -62,6 +62,22 @@ _ON_ERROR_MODES = ("abort", "continue")
 _CLIENT_ENGINES = ("serial", "batched")
 
 
+class _RegistryNames:
+    """A namespace's registered names, read when argparse first checks a
+    value or prints the choices, so building the parser populates no
+    namespace and imports no component module.  Arguments using it pass
+    a ``metavar``: without one, ``add_argument`` lists the choices."""
+
+    def __init__(self, namespace: str) -> None:
+        self.namespace = namespace
+
+    def __iter__(self):
+        return iter(registry.names(self.namespace))
+
+    def __contains__(self, name: object) -> bool:
+        return isinstance(name, str) and registry.has(self.namespace, name)
+
+
 def _api():
     # deferred so `repro --version` / usage errors stay import-light
     import repro.api as api
@@ -304,7 +320,8 @@ def _add_client_engine_option(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    presets = registry.names("presets")
+    presets = _RegistryNames("presets")
+    preset_help = "experiment scale: %(choices)s (default: %(default)s)"
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SAFELOC reproduction command-line interface",
@@ -314,24 +331,53 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="regenerate a paper artefact")
     exp.add_argument("artefact", choices=(*_ARTEFACTS, "all"))
-    exp.add_argument("--preset", default="fast", choices=presets)
+    exp.add_argument(
+        "--preset",
+        default="fast",
+        choices=presets,
+        metavar="PRESET",
+        help=preset_help,
+    )
     exp.add_argument("--seed", type=int, default=42)
     _add_engine_options(exp)
     exp.set_defaults(func=_cmd_experiment)
 
     abl = sub.add_parser("ablation", help="run an ablation study")
     abl.add_argument("axis", choices=_ABLATIONS)
-    abl.add_argument("--preset", default="fast", choices=presets)
+    abl.add_argument(
+        "--preset",
+        default="fast",
+        choices=presets,
+        metavar="PRESET",
+        help=preset_help,
+    )
     abl.add_argument("--seed", type=int, default=42)
     _add_engine_options(abl)
     abl.set_defaults(func=_cmd_ablation)
 
     run = sub.add_parser("run", help="one federation under one scenario")
-    run.add_argument("framework", choices=registry.names("frameworks"))
-    run.add_argument("--attack", choices=registry.names("attacks"), default=None)
+    run.add_argument(
+        "framework",
+        choices=_RegistryNames("frameworks"),
+        metavar="FRAMEWORK",
+        help="one of: %(choices)s",
+    )
+    run.add_argument(
+        "--attack",
+        choices=_RegistryNames("attacks"),
+        metavar="ATTACK",
+        default=None,
+        help="one of: %(choices)s (default: no attack)",
+    )
     run.add_argument("--epsilon", type=float, default=0.5)
     run.add_argument("--building", default=None)
-    run.add_argument("--preset", default="fast", choices=presets)
+    run.add_argument(
+        "--preset",
+        default="fast",
+        choices=presets,
+        metavar="PRESET",
+        help=preset_help,
+    )
     run.add_argument("--seed", type=int, default=42)
     _add_client_engine_option(run)
     run.set_defaults(func=_cmd_run)

@@ -11,15 +11,19 @@ examples and for trajectory-aware extensions of the framework.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.data.buildings import Building
 from repro.data.datasets import FingerprintDataset
 from repro.data.devices import DeviceProfile
 from repro.data.fingerprints import FingerprintCollector
+
+# networkx is imported where a graph is built or walked, so importing
+# repro.data (every process does) does not load it
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def build_rp_graph(building: Building, max_edge_m: float = 1.5) -> nx.Graph:
@@ -30,6 +34,8 @@ def build_rp_graph(building: Building, max_edge_m: float = 1.5) -> nx.Graph:
     points.  Row ends are additionally linked to the nearest RP of the
     next row so the graph is connected (walkable corridors).
     """
+    import networkx as nx
+
     if max_edge_m <= 0:
         raise ValueError("max_edge_m must be positive")
     graph = nx.Graph()
@@ -107,6 +113,8 @@ class TrajectorySimulator:
     ) -> List[int]:
         """Random-waypoint RP sequence: shortest paths between random
         waypoints, concatenated."""
+        import networkx as nx
+
         if num_waypoints <= 0:
             raise ValueError("num_waypoints must be positive")
         current = int(rng.integers(self.building.num_rps)) if start is None else int(start)

@@ -41,7 +41,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.functional import log_softmax
-from repro.nn.module import Module
+from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam
 
 
@@ -51,16 +51,21 @@ def fold_stack(modules: Sequence[Module]) -> Iterator[Module]:
 
     Inside the block, ``modules[0]``'s parameters hold every module's
     tensors stacked on a leading fold axis (fold ``k`` is
-    ``modules[k]``), each with a fresh zero gradient, and ``modules[0]``
-    runs the stack: its rank-generic layers contract every fold in one
-    3-D ``np.matmul``.  The structure is ``modules[0]``'s, so ties hold
-    by construction — a :class:`~repro.nn.layers.TiedLinear` reads its
-    source's parameter, i.e. the stacked encoder weight, and accumulates
-    its gradient there.
+    ``modules[k]``), and ``modules[0]`` runs the stack: its rank-generic
+    layers contract every fold in one 3-D ``np.matmul``.  The structure
+    is ``modules[0]``'s, so ties hold by construction — a
+    :class:`~repro.nn.layers.TiedLinear` reads its source's parameter,
+    i.e. the stacked encoder weight, and accumulates its gradient there.
+    Modules ``1..n−1`` meanwhile hold their fold ``stack[k]`` as a view.
 
-    On exit, also when the block raises, every module gets its own fold
-    back as a copy, with a zero gradient.  All stacks are built before
-    any parameter is replaced, so a structure mismatch raises with
+    On exit, also when the block raises, every module keeps its fold
+    ``stack[k]`` as a view, so handing the folds back copies nothing.
+    No gradient buffer survives the block, inside it none exists until
+    the first backward (see :attr:`~repro.nn.module.Parameter.grad`).
+    Folds are disjoint slices, so writing one never changes another, but
+    a view keeps its whole stack alive: a fold that outlives the rest
+    holds all ``n`` folds' memory.  All stacks are built before any
+    parameter is replaced, so a structure mismatch raises with
     ``modules[0]`` untouched; stacking runs no initializer and draws no
     rng.  Passing one module ``n`` times stacks ``n`` copies of it, and
     the module leaves the block holding the last fold.
@@ -80,16 +85,21 @@ def fold_stack(modules: Sequence[Module]) -> Iterator[Module]:
     slots = list(zip(*([param for _, param in params] for params in named)))
     stacks = [np.stack([param.data for param in slot]) for slot in slots]
     for slot, stack in zip(slots, stacks):
-        slot[0].data = stack
-        slot[0].grad = np.zeros_like(stack)
+        _lend_folds(slot, stack)
+        slot[0].data = stack  # last: a module passed twice runs the stack
     try:
         yield modules[0]
     finally:
         for slot in slots:
-            stack = slot[0].data
-            for fold, param in enumerate(slot):
-                param.data = stack[fold].copy()
-                param.grad = np.zeros_like(param.data)
+            _lend_folds(slot, slot[0].data)
+
+
+def _lend_folds(slot: Sequence[Parameter], stack: np.ndarray) -> None:
+    """Point ``slot[k]`` at the view ``stack[k]``, in fold order (a
+    parameter listed twice keeps its last fold), with no gradient."""
+    for fold, param in enumerate(slot):
+        param.data = stack[fold]
+        param.grad = None
 
 
 class BatchedMSELoss:

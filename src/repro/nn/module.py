@@ -11,7 +11,7 @@ poisoning attacks (which need input gradients) and federated aggregation
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -28,7 +28,9 @@ class Parameter:
             (float64 unless :func:`repro.nn.dtype.set_default_dtype`
             lowered it).
         grad: Accumulated gradient of the same shape, zeroed by
-            :meth:`zero_grad`.
+            :meth:`zero_grad`.  It is allocated on first use: until a
+            backward pass (or a reader) touches it, no buffer exists and
+            the gradient is zero (:attr:`has_grad` is False).
         trainable: When False, optimizers skip the parameter and
             ``backward`` leaves ``grad`` untouched (used for frozen/tied
             weights in the fused network's decoder).
@@ -36,9 +38,26 @@ class Parameter:
 
     def __init__(self, data: np.ndarray, name: str = "", trainable: bool = True):
         self.data = np.asarray(data, dtype=default_dtype())
-        self.grad = np.zeros_like(self.data)
+        self._grad: Optional[np.ndarray] = None
         self.name = name
         self.trainable = trainable
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The accumulated gradient; the first read allocates it as zeros."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        """Replace the buffer; ``None`` releases it (the gradient is zero)."""
+        self._grad = value
+
+    @property
+    def has_grad(self) -> bool:
+        """Whether a gradient buffer is allocated (reading it allocates none)."""
+        return self._grad is not None
 
     @property
     def shape(self):
@@ -49,7 +68,8 @@ class Parameter:
         return int(self.data.size)
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flag = "" if self.trainable else ", frozen"
@@ -143,8 +163,14 @@ class Module:
             param.data = value.copy()
 
     def gradient_dict(self) -> Dict[str, np.ndarray]:
-        """Copy of every accumulated parameter gradient, by dotted name."""
-        return {name: p.grad.copy() for name, p in self.named_parameters()}
+        """Copy of every accumulated parameter gradient, by dotted name.
+
+        An unallocated gradient reads as zeros and stays unallocated.
+        """
+        return {
+            name: p.grad.copy() if p.has_grad else np.zeros_like(p.data)
+            for name, p in self.named_parameters()
+        }
 
     # -- input gradients (attack support) -----------------------------------
     def input_gradient(self, grad_output: np.ndarray) -> np.ndarray:
@@ -152,9 +178,13 @@ class Module:
 
         Convenience wrapper over :meth:`backward` that restores parameter
         gradients afterwards, so attack code can probe input gradients
-        without perturbing an in-progress training step.
+        without perturbing an in-progress training step.  The backward
+        pass accumulates into fresh buffers that are dropped afterwards;
+        the saved buffers, allocated or not, are put back untouched.
         """
-        saved = [(p, p.grad.copy()) for p in self.parameters()]
+        saved = [(p, p._grad) for p in self.parameters()]
+        for param, _ in saved:
+            param.grad = None
         try:
             return self.backward(grad_output)
         finally:

@@ -1,10 +1,31 @@
 """Tests for the command-line interface."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+#: the ``src`` directory this checkout's ``repro`` was imported from
+SRC = Path(repro.__file__).resolve().parents[1]
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter importing this checkout's repro;
+    return its stdout."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+        check=True,
+    )
+    return done.stdout
 
 
 class TestParser:
@@ -34,6 +55,43 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
+
+    def test_version_imports_no_experiment_module(self):
+        """Building the parser reads no registry namespace, so
+        ``--version`` stays import-light."""
+        loaded = _fresh_python(
+            "import sys\n"
+            "from repro.cli import main\n"
+            "try:\n"
+            "    main(['--version'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('repro.experiments', 'repro.baselines', 'repro.attacks'))))\n"
+        )
+        assert loaded.splitlines()[-1] == "[]"
+
+    def test_run_help_lists_the_registered_components(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--help"])
+        assert excinfo.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        from repro.registry import registry
+
+        for namespace in ("frameworks", "attacks", "presets"):
+            assert ", ".join(registry.names(namespace)) in out
+
+    def test_invalid_choice_names_the_valid_ones(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "bogus"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert "'safeloc', 'onlad'" in err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "fig4", "--preset", "huge"])
+        assert excinfo.value.code == 2
+        assert "'tiny', 'fast'" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,9 +1,15 @@
 """Tests for CSV import/export and trajectory simulation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
 
+import repro
 from repro.data import (
     FingerprintCollector,
     FingerprintDataset,
@@ -34,6 +40,25 @@ def dataset(building):
         building="building5",
         device="HTC U11",
     )
+
+
+def test_importing_the_package_leaves_networkx_unloaded():
+    """Only the trajectory graph needs networkx; importing the data and
+    experiment packages must not load it."""
+    code = (
+        "import sys, repro.data, repro.experiments.engine\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    src = Path(repro.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestCsvRoundTrip:

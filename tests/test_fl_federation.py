@@ -5,8 +5,9 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from repro.attacks import LabelFlip
+from repro.attacks import FGSM, LabelFlip
 from repro.baselines.dnn import DNNLocalizer
+from repro.baselines.registry import FRAMEWORK_NAMES, make_framework
 from repro.data import FingerprintDataset, scaled_building
 from repro.data.devices import ATTACKER_DEVICE, TRAIN_DEVICE
 from repro.data.fingerprints import paper_protocol
@@ -21,6 +22,8 @@ from repro.fl import (
     build_federation,
 )
 from repro.fl.client import ClientConfig
+from repro.fl.interfaces import LocalizationModel
+from repro.nn import Module
 from repro.utils.rng import SeedSequence
 
 NUM_APS = 10
@@ -39,6 +42,51 @@ def _dataset(seed=0, n=30):
 
 def _model(seed=0):
     return DNNLocalizer(NUM_APS, NUM_RPS, hidden=(16,), seed=seed)
+
+
+def _model_parameters(model):
+    """Every distinct Parameter a framework model holds, found through its
+    Module attributes and its nested models (ONLAD's localizer)."""
+    found = {}
+    stack = [model]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Module):
+            found.update((id(p), p) for p in node.parameters())
+        elif isinstance(node, LocalizationModel):
+            stack.extend(vars(node).values())
+    return list(found.values())
+
+
+class TestLazyGradients:
+    """A client model allocates no gradient buffer until it trains."""
+
+    @pytest.mark.parametrize("name", FRAMEWORK_NAMES)
+    def test_fresh_client_model_holds_no_gradient_buffers(self, name):
+        spec = make_framework(name, NUM_APS, NUM_RPS, seed=0)
+        client = FederatedClient(
+            "c0",
+            spec.model_factory(),
+            _dataset(),
+            attack=FGSM(0.5),
+            seeds=SeedSequence(3),
+        )
+        params = _model_parameters(client.model)
+        assert sum(p.size for p in params) == client.model.parameter_count()
+        assert not any(p.has_grad for p in params)
+        # broadcast, self-labeling and the attack's input gradients
+        client.begin_local_round(client.model.state_dict(), 1)
+        assert not any(p.has_grad for p in params)
+
+    def test_input_gradient_keeps_allocated_buffers(self):
+        model = _model()
+        network = model.network
+        network.parameters()[0].grad[...] = 2.0
+        kept = network.parameters()[0].grad
+        model.gradient_oracle()(_dataset().features, _dataset().labels)
+        assert network.parameters()[0].grad is kept
+        np.testing.assert_array_equal(kept, 2.0)
+        assert not any(p.has_grad for p in network.parameters()[1:])
 
 
 class TestClientConfig:

@@ -10,9 +10,10 @@ Four contracts:
   drift bound at float32), which is what every fold program stands on;
 * isolation — fold ``k``'s output and gradients are unaffected by the
   other folds' data;
-* bookkeeping — :func:`fold_stack` hands every module its own fold back,
-  also when the block raises, touches nothing when the structures
-  differ, draws no rng, and keeps ties on the stacked encoder.
+* bookkeeping — :func:`fold_stack` hands every module its own fold back
+  as an independent view of the stack with no gradient buffer, also
+  when the block raises, touches nothing when the structures differ,
+  draws no rng, and keeps ties on the stacked encoder.
 """
 
 import itertools
@@ -69,6 +70,30 @@ def _tied_pairs(seed=13, train_weight=True, n=F, din=DIN, dout=HID):
 
 def _state(module):
     return {name: p.data.copy() for name, p in module.named_parameters()}
+
+
+def _live_folds(modules, stacked=None):
+    """Each fold's live arrays by name: ``modules[k]``'s own, or inside
+    a block (``stacked`` given) fold 0 as ``stacked``'s slice 0."""
+    folds = [dict(module.named_parameters()) for module in modules]
+    folds = [{name: p.data for name, p in fold.items()} for fold in folds]
+    if stacked is not None:
+        folds[0] = {name: p.data[0] for name, p in stacked.named_parameters()}
+    return folds
+
+
+def _assert_folds_independent(folds):
+    """Writing fold k's arrays leaves every fold j != k unchanged."""
+    for k, fold in enumerate(folds):
+        before = [{n: a.copy() for n, a in other.items()} for other in folds]
+        for array in fold.values():
+            array += 1.0
+        for j, other in enumerate(folds):
+            for name, array in other.items():
+                expected = before[j][name] + (1.0 if j == k else 0.0)
+                np.testing.assert_array_equal(array, expected)
+        for array in fold.values():
+            array -= 1.0
 
 
 class TestStackedLinear:
@@ -268,8 +293,8 @@ class TestFoldStack:
             np.testing.assert_array_equal(out[k], out_k)
 
     def test_copies_exactly_without_init(self, monkeypatch):
-        """Fold k holds an exact copy of module k's tensors, sharing no
-        memory with it, with a zero gradient, and stacking runs no
+        """Fold k holds an exact copy of module k's tensors, with no
+        gradient buffer until a backward pass, and stacking runs no
         initializer: the global fallback stream is not drawn."""
         singles = _serial_nets(seed=9)
         states = [_state(single) for single in singles]
@@ -280,15 +305,16 @@ class TestFoldStack:
             assert len(stacked.parameters()) == 4
             for name, param in stacked.named_parameters():
                 assert param.data.shape[0] == F
-                assert param.grad.shape == param.data.shape
-                assert not param.grad.any()
+                assert not param.has_grad
                 for k, single in enumerate(singles):
                     np.testing.assert_array_equal(
                         param.data[k], states[k][name]
                     )
-                    if k:
+                    if k:  # folds 1..n-1 lend their slice, no buffers
                         own = dict(single.named_parameters())[name]
-                        assert not np.shares_memory(param.data, own.data)
+                        assert np.shares_memory(own.data, param.data)
+                        assert not own.has_grad
+            _assert_folds_independent(_live_folds(singles, stacked))
 
     def test_exit_hands_each_fold_back(self):
         singles = _serial_nets(seed=11)
@@ -300,15 +326,30 @@ class TestFoldStack:
             for name, param in single.named_parameters():
                 np.testing.assert_array_equal(param.data, trained[name][k])
                 assert param.data.shape == trained[name].shape[1:]
-                assert param.data.flags.owndata  # a copy, not a view
-                assert param.grad.shape == param.data.shape
-                assert not param.grad.any()
-            assert not any(
-                np.shares_memory(param.data, other.data)
-                for other_single in singles
-                if other_single is not single
-                for other in other_single.parameters()
-            )
+                assert not param.has_grad
+        _assert_folds_independent(_live_folds(singles))
+
+    def test_exit_lends_views_of_the_stack(self):
+        """Handing a fold back copies nothing: every fold's array is a
+        slice of the one stack per parameter."""
+        singles = _serial_nets(seed=11)
+        with fold_stack(singles) as stacked:
+            stacks = {name: p.data for name, p in stacked.named_parameters()}
+        for single in singles:
+            for name, param in single.named_parameters():
+                assert np.shares_memory(param.data, stacks[name])
+
+    def test_no_gradient_buffer_outlives_training(self):
+        singles = _serial_nets(seed=8)
+        x = np.random.default_rng(3).normal(size=(F, B, DIN))
+        with fold_stack(singles) as stacked:
+            loss = BatchedMSELoss()
+            loss(stacked.forward(x), x)
+            stacked.backward(loss.backward())
+            assert all(p.has_grad for p in stacked.parameters())
+        assert not any(
+            p.has_grad for single in singles for p in single.parameters()
+        )
 
     def test_exit_restores_every_fold_when_the_block_raises(self):
         singles = _serial_nets(seed=12)

@@ -8,6 +8,8 @@ a fixed set of pinned cohort shapes, and the compute-dtype tests pin
 float32 threading end to end.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,13 @@ from hypothesis import strategies as st
 from reference import aggregation as ref
 from repro.baselines.dnn import DNNLocalizer
 from repro.baselines.fedcc import ClusteredAggregation
-from repro.baselines.fedls import summarize_delta, summarize_packed_deltas
+from repro.baselines.fedls import (
+    FEDLS_HIDDEN,
+    LatentSpaceAggregation,
+    robust_normalize,
+    summarize_delta,
+    summarize_packed_deltas,
+)
 from repro.baselines.krum import KrumAggregation
 from repro.core.saliency import SaliencyAggregation
 from repro.fl import FedAvg, PackedStates, PackLayout
@@ -294,6 +302,55 @@ class TestPackedStates:
             [summarize_delta(state_sub(u.state, gm)) for u in updates]
         )
         np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-12)
+
+
+class TestFedlsStreamedSummaries:
+    """FEDLS summarizes one client delta at a time: the result is the
+    packed-matrix summary bit for bit, in a working set that does not
+    grow with the cohort."""
+
+    @staticmethod
+    def _packed_reference(gm, updates):
+        packed = PackedStates.from_updates(updates)
+        return robust_normalize(
+            summarize_packed_deltas(
+                packed.deltas(packed.layout.flatten(gm)), packed.layout
+            )
+        )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_clients=st.integers(3, 40),
+        exponent=st.integers(-8, 3),
+        n_attackers=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_streamed_equals_packed_bitwise(
+        self, n_clients, exponent, n_attackers, seed
+    ):
+        gm = {k: v * 10.0**exponent for k, v in _gm(seed).items()}
+        gm["scale"] = np.array(10.0**exponent)  # a 0-d tensor segment
+        updates = _cohort(gm, n_clients, min(n_attackers, n_clients), seed)
+        streamed = LatentSpaceAggregation.normalized_summaries(gm, updates)
+        expected = self._packed_reference(gm, updates)
+        assert streamed.dtype == expected.dtype
+        assert streamed.tobytes() == expected.tobytes()
+
+    def test_working_set_is_independent_of_the_cohort(self):
+        """32 FEDLS-sized clients: the call peaks under 3 state vectors
+        above its inputs (the packed path held about 5 per client)."""
+        model = DNNLocalizer(NUM_APS, NUM_RPS, hidden=FEDLS_HIDDEN, seed=0)
+        gm = model.state_dict()
+        updates = _cohort(gm, 32, 4)
+        state_bytes = sum(v.nbytes for v in gm.values())
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            LatentSpaceAggregation.normalized_summaries(gm, updates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 3 * state_bytes
 
 
 NUM_APS, NUM_RPS = 10, 6
