@@ -23,6 +23,11 @@ reference loop in ``tests/reference/fedls.py`` on identical inputs,
   encoder, per-fold batched decoder heads) vs the full per-fold
   leave-one-out fit at 64/256 clients.  Approximate by design, so the
   gate is decision-level: the kept set must match the exact detector's;
+* ``train_step`` — µs per phase (zero, forward, loss, backward, Adam)
+  of one paper-shape SAFELOC pre-train step and one 32-fold DNN cohort
+  step, plus whether a run of pre-train epochs equals the serial
+  reference loop of ``tests/reference/training.py`` bit for bit (an
+  equivalence gate);
 * ``aggregate_memory`` — the ``tracemalloc`` peak of one FEDLS
   aggregate (summaries, leave-one-out detection, weighted mean) over a
   cohort of FEDLS-width client states at 8/32/128 clients, above its
@@ -465,6 +470,155 @@ def bench_sampled_peers(
     }
 
 
+#: train-step suite shape: building1 (203 APs, 60 RPs), the paper batch
+STEP_APS, STEP_RPS, STEP_BATCH = 203, 60, 32
+#: the central pre-train's server survey (10 batches an epoch)
+STEP_SAMPLES = 300
+STEP_COHORT = 32
+STEP_PHASES = ("zero", "forward", "loss", "backward", "adam")
+#: the first Adam step whose bias correction 1 − 0.9**t is exactly 1.0
+STEP_BIAS_SHORTCUT_T = 356
+
+
+def _safeloc_step(model, batch, labels):
+    """One pre-train step of ``model``'s network (a fold stack of one),
+    as ``SafeLocFoldProgram.train_cohort`` runs it, split by phase.
+
+    Yields once per phase boundary, so the caller times each phase.
+    """
+    from repro.nn import Adam, BatchedMSELoss, BatchedSparseCrossEntropyLoss
+
+    network = model.network
+    optimizer = Adam(network.trainable_parameters(), lr=0.001)
+    mse, ce = BatchedMSELoss(), BatchedSparseCrossEntropyLoss()
+    while True:
+        optimizer.zero_grad()
+        yield
+        latent = network.encode(batch)
+        reconstruction = network.decode(latent)
+        logits = network.classify_latent(latent)
+        yield
+        mse(reconstruction, batch, value=False)
+        ce(logits, labels, value=False)
+        grad_recon = model.recon_weight * mse.backward()
+        grad_logits = ce.backward()
+        yield
+        network.joint_backward(grad_recon, grad_logits, input_grad=False)
+        yield
+        optimizer.step()
+        yield
+
+
+def _classifier_step(network, batch, labels):
+    """One step of ``run_classifier_epochs`` on a fold stack, by phase."""
+    from repro.nn import Adam, BatchedSparseCrossEntropyLoss
+
+    optimizer = Adam(network.trainable_parameters(), lr=0.001)
+    loss = BatchedSparseCrossEntropyLoss()
+    while True:
+        optimizer.zero_grad()
+        yield
+        logits = network.forward(batch)
+        yield
+        loss(logits, labels, value=False)
+        grad = loss.backward()
+        yield
+        network.backward(grad, input_grad=False)
+        yield
+        optimizer.step()
+        yield
+
+
+def _phase_us(step, steps: int) -> Dict[str, float]:
+    """Median µs per phase over ``steps`` steps of a phase generator."""
+    samples = np.empty((steps, len(STEP_PHASES)))
+    for row in range(steps):
+        for col in range(len(STEP_PHASES)):
+            start = time.perf_counter()
+            next(step)
+            samples[row, col] = time.perf_counter() - start
+    medians = np.median(samples, axis=0) * 1e6
+    phases = {
+        name: round(float(us), 1) for name, us in zip(STEP_PHASES, medians)
+    }
+    phases["step"] = round(float(np.median(samples.sum(axis=1)) * 1e6), 1)
+    return phases
+
+
+def _step_data(rng, folds: int):
+    batch = rng.uniform(0, 1, size=(folds, STEP_BATCH, STEP_APS))
+    labels = rng.integers(0, STEP_RPS, size=(folds, STEP_BATCH))
+    return batch, labels
+
+
+def _pretrain_matches_reference(epochs: int) -> bool:
+    """``epochs`` of the central pre-train (trusted data, paper shape)
+    through the fold program vs the serial reference loop: weights and
+    returned loss bit for bit."""
+    from reference.training import safeloc_train_epochs
+    from repro.core.safeloc import SafeLocModel
+
+    rng = np.random.default_rng(7)
+    survey = FingerprintDataset(
+        rng.uniform(0, 1, size=(STEP_SAMPLES, STEP_APS)),
+        rng.integers(0, STEP_RPS, size=STEP_SAMPLES),
+    )
+    program = SafeLocModel(STEP_APS, STEP_RPS, seed=3)
+    serial = SafeLocModel(STEP_APS, STEP_RPS, seed=3)
+    loss = program.train_epochs(
+        survey, epochs, 0.001, np.random.default_rng(11), trusted=True
+    )
+    expected = safeloc_train_epochs(
+        serial, survey, epochs, 0.001, np.random.default_rng(11),
+        trusted=True,
+    )
+    reference = serial.state_dict()
+    return loss == expected and all(
+        np.array_equal(value, reference[key])
+        for key, value in program.state_dict().items()
+    )
+
+
+def bench_train_step(steps: int = 200, epochs: int = 40) -> Dict[str, dict]:
+    """µs per phase of one training step, at the paper's shape.
+
+    ``safeloc_pretrain``: one step of the central pre-train (one fold,
+    batch 32 × 203 APs, the fused network); ``dnn_cohort``: one step of
+    a 32-fold DNN client cohort.  Median per phase over ``steps`` steps.
+    The pre-train step is timed past t = 356, as almost all of the
+    700-epoch pre-train runs; the cohort step after ``steps // 10``
+    warm-up steps, as a few-epoch client round runs.
+    ``pretrain_bit_identical``
+    checks that ``epochs`` pre-train epochs (40 × 10 steps cross
+    t = 356, where Adam's bias shortcut starts) equal the serial
+    reference loop bit for bit.
+    """
+    from repro.core.safeloc import SafeLocModel
+    from repro.nn import fold_stack
+
+    rng = np.random.default_rng(5)
+    cells: Dict[str, dict] = {}
+    model = SafeLocModel(STEP_APS, STEP_RPS, seed=1)
+    with fold_stack([model.network]):
+        step = _safeloc_step(model, *_step_data(rng, 1))
+        # 6,645 of the pre-train's 7,000 steps run past t = 356
+        _phase_us(step, STEP_BIAS_SHORTCUT_T)
+        cells["safeloc_pretrain"] = {"folds": 1, **_phase_us(step, steps)}
+    networks = [
+        DNNLocalizer(STEP_APS, STEP_RPS, seed=seed).network
+        for seed in range(STEP_COHORT)
+    ]
+    with fold_stack(networks) as stacked:
+        step = _classifier_step(stacked, *_step_data(rng, STEP_COHORT))
+        _phase_us(step, steps // 10)
+        cells["dnn_cohort"] = {"folds": STEP_COHORT, **_phase_us(step, steps)}
+    cells["safeloc_pretrain"]["pretrain_epochs_checked"] = epochs
+    cells["safeloc_pretrain"]["pretrain_bit_identical"] = (
+        _pretrain_matches_reference(epochs)
+    )
+    return cells
+
+
 def run_all(quick: bool = False) -> Dict[str, object]:
     """Full benchmark → result dict (shape of ``BENCH_fedls.json``)."""
     client_counts = (8, 32) if quick else CLIENT_COUNTS
@@ -491,6 +645,9 @@ def run_all(quick: bool = False) -> Dict[str, object]:
     )
     aggregate_memory = bench_aggregate_memory(
         client_counts=(8, 32) if quick else AGGREGATE_CLIENT_COUNTS,
+    )
+    train_step = bench_train_step(
+        steps=50 if quick else 200, epochs=36 if quick else 40
     )
     headline = fit[str(HEADLINE_CLIENTS)]
     return {
@@ -519,6 +676,7 @@ def run_all(quick: bool = False) -> Dict[str, object]:
         "sampled_peers": peers,
         "shared_encoder": shared,
         "aggregate_memory": aggregate_memory,
+        "train_step": train_step,
     }
 
 
@@ -558,6 +716,11 @@ def equivalence_failures(results: Dict[str, object]) -> List[str]:
                 f"shared-encoder detector changed the kept set at "
                 f"{n_clients} clients"
             )
+    if not results["train_step"]["safeloc_pretrain"]["pretrain_bit_identical"]:
+        failures.append(
+            "the SAFELOC pre-train program diverged from the serial "
+            "reference loop"
+        )
     return failures
 
 
@@ -622,6 +785,18 @@ def format_report(results: Dict[str, object]) -> str:
             f"({cell['peak_state_vectors']} state vectors of "
             f"{cell['state_mb']} MB; summaries {cell['summaries_peak_mb']} MB)"
         )
+    lines.append("\ntraining step, median µs per phase:")
+    for name, cell in results["train_step"].items():
+        phases = ", ".join(f"{p} {cell[p]}" for p in STEP_PHASES)
+        lines.append(
+            f"  {name:<16s} ({cell['folds']:>2d} folds)  step "
+            f"{cell['step']:8.1f}  ({phases})"
+        )
+    pretrain = results["train_step"]["safeloc_pretrain"]
+    lines.append(
+        f"  {pretrain['pretrain_epochs_checked']} pre-train epochs equal "
+        f"the serial reference: {pretrain['pretrain_bit_identical']}"
+    )
     return "\n".join(lines)
 
 

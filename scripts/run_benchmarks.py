@@ -16,9 +16,12 @@ trajectory is tracked PR over PR:
   (one stacked matmul program per federation round, 8–512 clients,
   bit-identity asserted — for plain DNN cohorts *and* the composite
   SAFELOC/ONLAD models), sampled-peers vs full leave-one-out detection,
-  the O(n) shared-encoder detector (kept-set agreement gated) and the
+  the O(n) shared-encoder detector (kept-set agreement gated), the
   ``tracemalloc`` peaks of each engine's round and of one FEDLS
-  aggregate at 8/32/128 clients → ``BENCH_fedls.json``.
+  aggregate at 8/32/128 clients, and the µs per phase of one
+  paper-shape SAFELOC pre-train step and one 32-fold DNN cohort step
+  (pre-train bit-identity to the serial loop gated) →
+  ``BENCH_fedls.json``.
 
 Every suite re-asserts its equivalence contracts and the runner exits
 non-zero when any of them fails, so bench runs double as a correctness

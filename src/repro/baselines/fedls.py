@@ -100,9 +100,9 @@ class UpdateAutoencoder:
         """Self-supervised fit on this round's update summaries."""
         optimizer = Adam(self.network.trainable_parameters(), lr=self.lr)
         for _ in range(self.epochs):
-            self.network.zero_grad()
+            optimizer.zero_grad()
             self._loss(self.network.forward(features), features)
-            self.network.backward(self._loss.backward())
+            self.network.backward(self._loss.backward(), input_grad=False)
             optimizer.step()
 
     def reconstruction_errors(self, features: np.ndarray) -> np.ndarray:
@@ -395,9 +395,9 @@ class LatentSpaceAggregation(AggregationStrategy):
                 network.trainable_parameters(), lr=DETECTOR_LR
             )
             for _ in range(self.detector_epochs):
-                network.zero_grad()
-                loss(network.forward(peers), peers)
-                network.backward(loss.backward())
+                optimizer.zero_grad()
+                loss(network.forward(peers), peers, value=False)
+                network.backward(loss.backward(), input_grad=False)
                 optimizer.step()
             recon = network.forward(normalized[:, None, :])
         return np.sqrt(
@@ -448,9 +448,9 @@ class LatentSpaceAggregation(AggregationStrategy):
                 heads.trainable_parameters(), lr=DETECTOR_LR
             )
             for _ in range(self.detector_epochs):
-                heads.zero_grad()
-                loss(heads.forward(peer_latent), peer_target)
-                heads.backward(loss.backward())
+                optimizer.zero_grad()
+                loss(heads.forward(peer_latent), peer_target, value=False)
+                heads.backward(loss.backward(), input_grad=False)
                 optimizer.step()
             recon = heads.forward(np.ascontiguousarray(latent[:, None, :]))
         return np.sqrt(

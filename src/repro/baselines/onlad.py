@@ -227,9 +227,13 @@ class OnladFoldProgram(FoldProgram):
                 for batch_features, _labels in iterate_fold_batches(
                     features, labels, config.batch_size, rngs
                 ):
-                    detector.zero_grad()
-                    mse(detector.forward(batch_features), batch_features)
-                    detector.backward(mse.backward())
+                    optimizer.zero_grad()
+                    mse(
+                        detector.forward(batch_features),
+                        batch_features,
+                        value=False,
+                    )
+                    detector.backward(mse.backward(), input_grad=False)
                     optimizer.step()
         return fold_final
 

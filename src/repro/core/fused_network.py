@@ -22,7 +22,7 @@ and each tie reads (and accumulates into) the stacked encoder weight.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -106,25 +106,29 @@ class FusedAutoencoderClassifier(Module):
         """Default forward = classification logits (no detection)."""
         return self.classify_latent(self.encode(features))
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         """Backward for the plain classification path (matches
         :meth:`forward`)."""
         grad_latent = self.classifier.backward(grad_output)
-        return self.encoder.backward(grad_latent)
+        return self.encoder.backward(grad_latent, input_grad=input_grad)
 
     # -- joint training step -------------------------------------------------
     def joint_backward(
         self,
         grad_reconstruction: np.ndarray,
         grad_logits: np.ndarray,
-    ) -> np.ndarray:
+        input_grad: bool = True,
+    ) -> Optional[np.ndarray]:
         """Backpropagate both branches through the shared encoder.
 
         Must be preceded by one forward pass through
         :meth:`encode` → (:meth:`decode`, :meth:`classify_latent`) on the
         same batch so the layer caches line up.  Returns the gradient with
-        respect to the input features.
+        respect to the input features, or ``None`` when ``input_grad``
+        is False (a training step, which never reads it).
         """
         grad_latent = self.decoder.backward(grad_reconstruction)
         grad_latent = grad_latent + self.classifier.backward(grad_logits)
-        return self.encoder.backward(grad_latent)
+        return self.encoder.backward(grad_latent, input_grad=input_grad)

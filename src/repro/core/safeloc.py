@@ -293,12 +293,14 @@ class SafeLocFoldProgram(FoldProgram):
             optimizer = BatchedAdam(
                 network.trainable_parameters(), lr=config.lr
             )
-            for _ in range(config.epochs):
+            for epoch in range(config.epochs):
+                # only the final epoch's losses are returned
+                final = epoch == config.epochs - 1
                 batch_losses = []
                 for batch_features, batch_labels, idx in iterate_fold_batches(
                     features, labels, config.batch_size, rngs, with_index=True
                 ):
-                    network.zero_grad()
+                    optimizer.zero_grad()
                     inputs = batch_features
                     if corrupted:
                         # each trusted fold draws its corruption from its
@@ -310,20 +312,24 @@ class SafeLocFoldProgram(FoldProgram):
                             )
                     latent = network.encode(inputs)
                     # de-noising objective: reconstruct the CLEAN fingerprint
-                    mse(network.decode(latent), batch_features)
-                    ce(network.classify_latent(latent), batch_labels)
+                    mse(network.decode(latent), batch_features, final)
+                    ce(network.classify_latent(latent), batch_labels, final)
                     grad_recon = recon_weight * mse.backward()
                     # flagged rows were *replaced by reconstructions*;
                     # feeding them back into the autoencoder objective
                     # would collapse the detector onto its own outputs, so
                     # only the classification branch learns from them
                     grad_recon[flagged[fold_idx, idx]] = 0.0
-                    network.joint_backward(grad_recon, ce.backward())
-                    optimizer.step()
-                    batch_losses.append(
-                        ce.fold_losses + recon_weight * mse.fold_losses
+                    network.joint_backward(
+                        grad_recon, ce.backward(), input_grad=False
                     )
-                fold_final = fold_mean(batch_losses)
+                    optimizer.step()
+                    if final:
+                        batch_losses.append(
+                            ce.fold_losses + recon_weight * mse.fold_losses
+                        )
+                if final:
+                    fold_final = fold_mean(batch_losses)
         return fold_final
 
 

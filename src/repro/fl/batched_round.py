@@ -174,17 +174,21 @@ def run_classifier_epochs(
     loss = BatchedSparseCrossEntropyLoss()
     optimizer = BatchedAdam(network.trainable_parameters(), lr=lr)
     fold_final = np.zeros(len(rngs))
-    for _ in range(epochs):
+    for epoch in range(epochs):
+        # only the final epoch's losses are returned
+        final = epoch == epochs - 1
         batch_losses: List[np.ndarray] = []
         for batch_features, batch_labels in iterate_fold_batches(
             features, labels, batch_size, rngs
         ):
-            network.zero_grad()
-            loss(network.forward(batch_features), batch_labels)
-            network.backward(loss.backward())
+            optimizer.zero_grad()
+            loss(network.forward(batch_features), batch_labels, final)
+            network.backward(loss.backward(), input_grad=False)
             optimizer.step()
-            batch_losses.append(loss.fold_losses.copy())
-        fold_final = fold_mean(batch_losses)
+            if final:
+                batch_losses.append(loss.fold_losses)
+        if final:
+            fold_final = fold_mean(batch_losses)
     return fold_final
 
 

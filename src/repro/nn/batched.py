@@ -19,7 +19,7 @@ the fold axis:
   :class:`~repro.nn.losses.SparseCrossEntropyLoss` fold by fold (the
   kernel behind the batched federated-client engine);
 * :class:`BatchedAdam` — Adam over the stacked parameters: one tiled
-  in-place sweep per tensor updates every fold;
+  in-place sweep of the stack's one buffer updates every fold;
 * :func:`iterate_fold_batches` — per-fold shuffled mini-batch slicing,
   each fold consuming its own generator exactly as
   :func:`~repro.data.datasets.iterate_batches` would.
@@ -36,13 +36,13 @@ against the serial loops of ``tests/reference/training.py``).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.functional import log_softmax
 from repro.nn.module import Module, Parameter
-from repro.nn.optim import Adam
+from repro.nn.optim import Adam, flat_views
 
 
 @contextmanager
@@ -60,8 +60,11 @@ def fold_stack(modules: Sequence[Module]) -> Iterator[Module]:
 
     On exit, also when the block raises, every module keeps its fold
     ``stack[k]`` as a view, so handing the folds back copies nothing.
-    No gradient buffer survives the block, inside it none exists until
-    the first backward (see :attr:`~repro.nn.module.Parameter.grad`).
+    The stacks lie back to back in one contiguous buffer, which an
+    :class:`~repro.nn.optim.Adam` over the stacked parameters steps in
+    place.  No gradient buffer survives the block, inside it none exists
+    until the first backward or an optimizer over the stack (see
+    :attr:`~repro.nn.module.Parameter.grad`).
     Folds are disjoint slices, so writing one never changes another, but
     a view keeps its whole stack alive: a fold that outlives the rest
     holds all ``n`` folds' memory.  All stacks are built before any
@@ -83,7 +86,7 @@ def fold_stack(modules: Sequence[Module]) -> Iterator[Module]:
             )
     # slot i: parameter i of every module, in fold order
     slots = list(zip(*([param for _, param in params] for params in named)))
-    stacks = [np.stack([param.data for param in slot]) for slot in slots]
+    stacks = _stack_into_one_buffer(slots)
     for slot, stack in zip(slots, stacks):
         _lend_folds(slot, stack)
         slot[0].data = stack  # last: a module passed twice runs the stack
@@ -92,6 +95,21 @@ def fold_stack(modules: Sequence[Module]) -> Iterator[Module]:
     finally:
         for slot in slots:
             _lend_folds(slot, slot[0].data)
+
+
+def _stack_into_one_buffer(
+    slots: Sequence[Sequence[Parameter]],
+) -> List[np.ndarray]:
+    """One stack per slot, laid out back to back in one contiguous
+    buffer, so an optimizer over the stacked parameters steps that
+    buffer in place (see :class:`~repro.nn.optim.Adam`)."""
+    dtype = np.result_type(*{p.data.dtype for slot in slots for p in slot})
+    shapes = [(len(slot),) + slot[0].shape for slot in slots]
+    buffer = np.empty(sum(int(np.prod(shape)) for shape in shapes), dtype)
+    stacks = flat_views(buffer, shapes)
+    for slot, stack in zip(slots, stacks):
+        np.stack([param.data for param in slot], out=stack)
+    return stacks
 
 
 def _lend_folds(slot: Sequence[Parameter], stack: np.ndarray) -> None:
@@ -111,13 +129,17 @@ class BatchedMSELoss:
     gradient :class:`~repro.nn.losses.MSELoss` produces for that fold
     alone, which is what makes batched training bit-match the serial
     loop.  Mirrors ``MSELoss``'s float64 internal accumulation.
+    ``value=False`` prepares ``backward`` only: no loss value is formed,
+    ``forward`` returns ``None`` and :attr:`fold_losses` is ``None``.
     """
 
     def __init__(self) -> None:
         self._diff: Optional[np.ndarray] = None
         self.fold_losses: Optional[np.ndarray] = None
 
-    def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
+    def forward(
+        self, prediction: np.ndarray, target: np.ndarray, value: bool = True
+    ) -> Optional[float]:
         prediction = np.asarray(prediction, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
         if prediction.ndim != 3 or prediction.shape != target.shape:
@@ -126,6 +148,9 @@ class BatchedMSELoss:
                 f"{prediction.shape} vs {target.shape}"
             )
         self._diff = prediction - target
+        if not value:
+            self.fold_losses = None
+            return None
         self.fold_losses = (self._diff**2).mean(axis=(1, 2))
         return float(self.fold_losses.mean())
 
@@ -135,8 +160,10 @@ class BatchedMSELoss:
         per_fold_size = self._diff.shape[1] * self._diff.shape[2]
         return 2.0 * self._diff / per_fold_size
 
-    def __call__(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        return self.forward(prediction, target)
+    def __call__(
+        self, prediction: np.ndarray, target: np.ndarray, value: bool = True
+    ) -> Optional[float]:
+        return self.forward(prediction, target, value)
 
 
 class BatchedSparseCrossEntropyLoss:
@@ -150,7 +177,8 @@ class BatchedSparseCrossEntropyLoss:
     fold count) is the divisor, so fold ``k``'s gradient is bit-identical
     to what the serial loss hands fold ``k`` alone.  ``forward`` returns
     the mean of the per-fold losses (diagnostic; the per-fold values stay
-    in :attr:`fold_losses`).
+    in :attr:`fold_losses`).  ``value=False`` prepares ``backward`` only,
+    as for :class:`BatchedMSELoss`.
     """
 
     def __init__(self) -> None:
@@ -158,7 +186,9 @@ class BatchedSparseCrossEntropyLoss:
         self._labels: Optional[np.ndarray] = None
         self.fold_losses: Optional[np.ndarray] = None
 
-    def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
+    def forward(
+        self, prediction: np.ndarray, target: np.ndarray, value: bool = True
+    ) -> Optional[float]:
         logits = np.asarray(prediction, dtype=np.float64)
         labels = np.asarray(target, dtype=np.int64)
         if logits.ndim != 3:
@@ -180,6 +210,9 @@ class BatchedSparseCrossEntropyLoss:
         logp = log_softmax(logits, axis=-1)
         self._probs = np.exp(logp)
         self._labels = labels
+        if not value:
+            self.fold_losses = None
+            return None
         gathered = np.take_along_axis(logp, labels[:, :, None], axis=2)
         self.fold_losses = -gathered[:, :, 0].mean(axis=1)
         return float(self.fold_losses.mean())
@@ -196,8 +229,10 @@ class BatchedSparseCrossEntropyLoss:
         ] -= 1.0
         return grad / batch
 
-    def __call__(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        return self.forward(prediction, target)
+    def __call__(
+        self, prediction: np.ndarray, target: np.ndarray, value: bool = True
+    ) -> Optional[float]:
+        return self.forward(prediction, target, value)
 
 
 def iterate_fold_batches(
@@ -253,16 +288,14 @@ class BatchedAdam(Adam):
     """Adam over fold-stacked parameters — the fold-aware optimizer.
 
     Because every moment update and the parameter step are elementwise,
-    Adam advances **all** folds of a stacked ``(n_folds, …)`` parameter
-    in one sweep per tensor: a 4-layer stack steps 8 arrays per epoch
-    regardless of the fold count, where the serial loop steps ``8·n``
-    Python-level parameters.  A stack larger than
-    :data:`~repro.nn.optim.ADAM_TILE` elements is swept tile by tile,
-    each cache-sized slice running all of the step's elementwise passes
-    before the next is loaded — the fold stacks are what make Adam's
-    passes DRAM-bound.  Since the math is elementwise along the fold
-    axis, each fold's trajectory is bit-identical to a serial per-fold
-    Adam given identical init and gradients (pinned by
-    ``tests/test_nn_batched.py``).  This subclass names that contract;
-    it adds no behavior.
+    Adam advances **all** folds in one sweep: :func:`fold_stack` lays
+    the stacks back to back in one buffer, and Adam steps that buffer in
+    place, :data:`~repro.nn.optim.ADAM_TILE` elements at a time, each
+    cache-sized tile running all of the step's elementwise passes
+    before the next is loaded.  The call count per step depends on
+    neither the fold count nor the number of tensors.  Since the math is
+    elementwise along the fold axis, each fold's trajectory is
+    bit-identical to a serial per-fold Adam given identical init and
+    gradients (pinned by ``tests/test_nn_batched.py``).  This subclass
+    names that contract; it adds no behavior.
     """

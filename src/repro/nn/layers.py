@@ -6,6 +6,10 @@ or ``(n_folds, in, out)`` for a fold stack (see
 ``np.matmul`` on a 3-D stack runs one GEMM per fold, the bias add and
 the reductions stay inside each fold, so a stacked call reproduces the
 per-fold 2-D calls bit for bit.
+
+``backward(grad, input_grad=False)`` accumulates the parameter
+gradients and skips the input gradient: a training step never reads
+the gradient of its input batch (``grad @ W.T`` at the first layer).
 """
 
 from __future__ import annotations
@@ -78,7 +82,9 @@ class Linear(Module):
         self._input = x
         return x @ self.weight.data + self.bias.data[..., None, :]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._input is None:
             raise RuntimeError("backward called before forward")
         grad_output = _as_input(grad_output, self.weight.data)
@@ -86,6 +92,8 @@ class Linear(Module):
             self.weight.grad += self._input.swapaxes(-1, -2) @ grad_output
         if self.bias.trainable:
             self.bias.grad += grad_output.sum(axis=-2)
+        if not input_grad:
+            return None
         return grad_output @ self.weight.data.swapaxes(-1, -2)
 
 
@@ -131,7 +139,9 @@ class TiedLinear(Module):
         self._input = x
         return x @ weight.swapaxes(-1, -2) + self.bias.data[..., None, :]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._input is None:
             raise RuntimeError("backward called before forward")
         weight = self.source.weight
@@ -141,6 +151,8 @@ class TiedLinear(Module):
             weight.grad += grad_output.swapaxes(-1, -2) @ self._input
         if self.bias.trainable:
             self.bias.grad += grad_output.sum(axis=-2)
+        if not input_grad:
+            return None
         return grad_output @ weight.data
 
 
@@ -156,7 +168,11 @@ class ReLU(Module):
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
+        if not input_grad:
+            return None
         return np.where(self._mask, grad_output, 0.0)

@@ -30,7 +30,9 @@ class Parameter:
         grad: Accumulated gradient of the same shape, zeroed by
             :meth:`zero_grad`.  It is allocated on first use: until a
             backward pass (or a reader) touches it, no buffer exists and
-            the gradient is zero (:attr:`has_grad` is False).
+            the gradient is zero (:attr:`has_grad` is False).  An
+            :class:`~repro.nn.optim.Adam` over the parameter points it
+            at a view of the optimizer's gradient buffer.
         trainable: When False, optimizers skip the parameter and
             ``backward`` leaves ``grad`` untouched (used for frozen/tied
             weights in the fused network's decoder).
@@ -100,7 +102,12 @@ class Module:
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Accumulate parameter gradients; return the input gradient,
+        or ``None`` when ``input_grad`` is False (a training step, which
+        never reads it)."""
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -221,11 +228,15 @@ class Sequential(Module):
             out = layer.forward(out)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         grad = grad_output
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        if not self.layers:
+            return grad if input_grad else None
+        return self.layers[0].backward(grad, input_grad=input_grad)
 
     def __len__(self) -> int:
         return len(self.layers)

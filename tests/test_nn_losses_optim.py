@@ -1,5 +1,7 @@
 """Unit tests for losses, optimizers, functional helpers and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.nn import (
     SparseCrossEntropyLoss,
     clone_state,
     compute_dtype,
+    fold_stack,
     load_state,
     log_softmax,
     save_state,
@@ -276,18 +279,123 @@ class TestTiledAdam:
         for pair in opt._scratch.values():
             assert all(buf.size <= ADAM_TILE for buf in pair)
 
-    def test_non_contiguous_tensor_is_refused_not_copied(self):
-        """A multi-tile tensor that no flat view covers would step a copy
-        and lose the update; Adam refuses it.  Single-tile tensors step
-        in place whatever their layout."""
+    def test_non_contiguous_tensor_is_gathered_and_updated(self):
+        """A tensor that no flat view covers is copied into the buffer at
+        construction, and the parameter is pointed at its view: the
+        update lands on ``param.data``, whatever the tensor's size."""
         big = Parameter(np.ones((ADAM_TILE, 2)).T)
-        with pytest.raises(ValueError, match="non-contiguous"):
-            Adam([big]).step()
+        big.grad = np.ones(big.shape)
+        opt = Adam([big], lr=0.1)
+        opt.step()
+        np.testing.assert_allclose(big.data, 0.9)
+        assert np.shares_memory(big.data, opt._data)
         small = Parameter(np.ones((3, 4)))
         small.data = small.data.T.copy().T  # same values, F-order
         small.grad = np.ones((3, 4))
         Adam([small], lr=0.1).step()
         np.testing.assert_allclose(small.data, 0.9)
+
+    def test_fold_stack_is_stepped_in_place(self):
+        """A fold stack's parameters tile one buffer, so Adam steps that
+        buffer and copies no data: above the gradient and moment buffers
+        it must own, construction plus one step allocates less than one
+        data buffer (a gathered copy would be a whole one)."""
+        rng = np.random.default_rng(5)
+        nets = [
+            Sequential(Linear(203, 128, rng), ReLU(), Linear(128, 89, rng))
+            for _ in range(3)
+        ]
+        with fold_stack(nets) as stacked:
+            params = stacked.trainable_parameters()
+            nbytes = sum(p.data.nbytes for p in params)
+            assert nbytes > 2 * ADAM_TILE * 8  # larger than the scratch
+            for p in params:
+                p.grad[...] = rng.normal(size=p.shape)
+            expected = [p.data.copy() for p in params]
+            ref = ReferenceAdam(
+                [Parameter(data) for data in expected], lr=0.01
+            )
+            for twin, p in zip(ref.parameters, params):
+                twin.grad = p.grad.copy()
+            arrays = [p.data for p in params]
+            tracemalloc.start()
+            try:
+                opt = Adam(params, lr=0.01)
+                opt.step()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            ref.step()
+            assert all(p.data is a for p, a in zip(params, arrays))
+            assert opt._data.nbytes == nbytes
+            assert all(np.shares_memory(opt._data, a) for a in arrays)
+            assert peak - 3 * nbytes < nbytes
+            for p, twin in zip(params, ref.parameters):
+                np.testing.assert_array_equal(p.data, twin.data)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        shapes=st.lists(
+            st.sampled_from([(1,), (7,), (3, 5), (ADAM_TILE + 3,)]),
+            min_size=1,
+            max_size=3,
+        ),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        weight_decay=st.sampled_from([0.0, 0.01]),
+        steps=st.integers(356, 362),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bias_shortcut_matches_textbook_reference(
+        self, shapes, dtype, weight_decay, steps, seed
+    ):
+        """From t = 356 on, 1 − 0.9**t rounds to 1.0 and the step skips
+        the m̂ divide; runs across that step still equal the textbook
+        expression bit for bit, parameters and both moments."""
+        assert 1.0 - 0.9**355 != 1.0 and 1.0 - 0.9**356 == 1.0
+        rng = np.random.default_rng(seed)
+        with compute_dtype(dtype):
+            flat = [Parameter(rng.normal(size=shape)) for shape in shapes]
+            textbook = [Parameter(p.data.copy()) for p in flat]
+        opt = Adam(flat, lr=0.01, weight_decay=weight_decay)
+        ref = ReferenceAdam(textbook, lr=0.01, weight_decay=weight_decay)
+        for _ in range(steps):
+            opt.zero_grad()
+            for a, b in zip(flat, textbook):
+                a.grad += rng.normal(size=a.shape)
+                b.grad = a.grad.copy()
+            opt.step()
+            ref.step()
+        for i, (a, b) in enumerate(zip(flat, textbook)):
+            np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_array_equal(opt._m[i], ref.m[i])
+            np.testing.assert_array_equal(opt._v[i], ref.v[i])
+
+    def test_zero_grad_fills_the_buffer_and_takes_gradients_back(self):
+        """``zero_grad`` zeroes every gradient in one buffer; a gradient
+        rebound to another array is copied in at the next step, and one
+        released (``None``) reads as zero."""
+        a, b = Parameter(np.ones(4)), Parameter(np.ones((2, 3)))
+        opt = Adam([a, b], lr=0.1)
+        assert all(np.shares_memory(p.grad, opt._grad) for p in (a, b))
+        a.grad[...] = 5.0
+        b.grad[...] = 5.0
+        opt.zero_grad()
+        assert not opt._grad.any()
+        a.grad = np.ones(4)  # rebound: taken back at the step
+        b.grad = None  # released: a zero gradient
+        opt.step()
+        np.testing.assert_allclose(a.data, 0.9)
+        np.testing.assert_array_equal(b.data, 1.0)
+        assert all(np.shares_memory(p.grad, opt._grad) for p in (a, b))
+
+    def test_refuses_duplicate_and_mixed_dtype_parameters(self):
+        shared = Parameter(np.ones(3))
+        with pytest.raises(ValueError, match="twice"):
+            Adam([shared, shared])
+        with compute_dtype(np.float32):
+            narrow = Parameter(np.ones(3))
+        with pytest.raises(ValueError, match="one dtype"):
+            Adam([shared, narrow])
 
 
 class TestFunctional:
